@@ -24,11 +24,14 @@ safe.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cache.keys import CanonicalQuery, canonicalize, filter_answer, subsumes
 from repro.core.queries import QClassQuery
+from repro.core.runs import as_run
 from repro.sub.registry import compute_scope
 
 __all__ = ["AdmissionTicket", "CacheHit", "SemanticResultCache"]
@@ -43,11 +46,16 @@ _PER_DISTANCE = 16
 
 @dataclass(frozen=True)
 class CacheHit:
-    """A served answer: the nodes plus how they were derived."""
+    """A served answer: its sorted run plus how it was derived."""
 
-    nodes: frozenset[int]
+    run: array
     kind: str  # "exact" | "subsumption"
     epoch: int
+
+    @cached_property
+    def nodes(self) -> frozenset[int]:
+        """The answer as a node set."""
+        return frozenset(self.run)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class AdmissionTicket:
 @dataclass
 class _Entry:
     canonical: CanonicalQuery
-    answer: frozenset[int]
+    run: array  # the answer, sorted once at admission; exact hits reuse it
     # fragment_id -> {node -> per-term distance tuple (entry term order)};
     # None when the cluster cannot explain — the entry then serves exact
     # hits only, never subsumption.
@@ -72,10 +80,8 @@ class _Entry:
     size_bytes: int = field(default=0)
 
 
-def _entry_bytes(
-    answer: frozenset[int], partials: dict[int, dict[int, tuple]] | None
-) -> int:
-    total = _ENTRY_OVERHEAD + _PER_NODE * len(answer)
+def _entry_bytes(run: array, partials: dict[int, dict[int, tuple]] | None) -> int:
+    total = _ENTRY_OVERHEAD + _PER_NODE * len(run)
     for nodes in (partials or {}).values():
         total += _PER_FRAGMENT_OVERHEAD
         for distances in nodes.values():
@@ -154,7 +160,7 @@ class SemanticResultCache:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 self._count("cache_hits")
-                return CacheHit(entry.answer, "exact", entry.epoch), None
+                return CacheHit(entry.run, "exact", entry.epoch), None
             if self._subsumption:
                 for other_key in self._by_shape.get(canonical.shape, ()):
                     other = self._entries[other_key]
@@ -168,7 +174,7 @@ class SemanticResultCache:
                     self._entries.move_to_end(other_key)
                     self._subsumption_hits += 1
                     self._count("cache_subsumption_hits")
-                    return CacheHit(frozenset(nodes), "subsumption", other.epoch), None
+                    return CacheHit(as_run(nodes), "subsumption", other.epoch), None
             self._misses += 1
             self._count("cache_misses")
             return None, AdmissionTicket(canonical, self._epoch, query)
@@ -176,7 +182,7 @@ class SemanticResultCache:
     def admit(
         self,
         ticket: AdmissionTicket,
-        answer: frozenset[int],
+        answer: "array | frozenset[int]",
         partials: dict[int, dict[int, tuple]] | None,
     ) -> bool:
         """Insert a computed answer — unless the epoch moved since the probe."""
@@ -185,17 +191,20 @@ class SemanticResultCache:
     def admit_outcome(
         self,
         ticket: AdmissionTicket,
-        answer: frozenset[int],
+        answer: "array | frozenset[int]",
         partials: dict[int, dict[int, tuple]] | None,
     ) -> str:
         """Like :meth:`admit`, but names the outcome.
 
-        Returns ``"admitted"``, ``"stale"`` (epoch moved since the
-        probe — the race window tail-based trace retention keeps),
-        ``"oversize"`` or ``"duplicate"``.
+        ``answer`` is the response's sorted run (kept as it is) or a
+        plain node set (sorted once, here).  Returns ``"admitted"``,
+        ``"stale"`` (epoch moved since the probe — the race window
+        tail-based trace retention keeps), ``"oversize"`` or
+        ``"duplicate"``.
         """
         scope = self._compute_scope(ticket.query)
-        size = _entry_bytes(answer, partials)
+        run = as_run(answer)
+        size = _entry_bytes(run, partials)
         with self._lock:
             if ticket.epoch != self._epoch:
                 self._stale_rejects += 1
@@ -209,7 +218,7 @@ class SemanticResultCache:
                 return "duplicate"
             entry = _Entry(
                 canonical=ticket.canonical,
-                answer=frozenset(answer),
+                run=run,
                 partials=partials,
                 epoch=ticket.epoch,
                 scope=scope,

@@ -18,12 +18,16 @@ Two interchangeable evaluators produce the step-3 search:
 
 * the **compiled** path (default) hands the term to a packed
   :class:`~repro.core.kernel.FragmentKernel` — dense node ids, CSR
-  adjacency, precompiled seed arrays, generation-stamped scratch;
+  adjacency, precompiled seed arrays — and gets back its dense
+  ``(marks, dist, count)`` state, read as a bitmask by set-valued
+  queries and as a distance map by explain/top-k;
 * the **reference** path (``compiled=False``) runs the dict-based
   :func:`~repro.search.dijkstra.shortest_path_distances`, kept as the
   executable spec the differential tests pin the kernel against.
 
-Both return bit-identical distance maps; see ``tests/test_kernel.py``.
+:func:`settle_term` is the one entry point to both (radius guard,
+coverage cache, evaluator); distance maps are bit-identical either way,
+see ``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -36,15 +40,19 @@ from repro.core.fragment import Fragment
 from repro.core.kernel import FragmentKernel
 from repro.core.npd import NPDIndex
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, RadiusExceededError
 from repro.search.dijkstra import shortest_path_distances
 
 __all__ = [
     "CacheStats",
+    "CoverageCache",
     "FragmentRuntime",
     "batch_distance_maps",
     "local_coverage",
     "local_distance_map",
+    "settle_term",
+    "settle_terms",
+    "sum_cache_stats",
 ]
 
 
@@ -60,13 +68,70 @@ class CoverageStats:
 class CacheStats(NamedTuple):
     """Coverage-cache counters: ``(hits, misses, skipped)``.
 
-    ``skipped`` counts distance maps *not* cached because they exceeded
-    the runtime's ``cache_max_entry_nodes`` guard.
+    ``skipped`` counts coverages *not* cached because they exceeded the
+    runtime's ``cache_max_entry_nodes`` guard.
     """
 
     hits: int
     misses: int
     skipped: int
+
+
+class CoverageCache:
+    """LRU of settled coverages keyed by coverage term; capacity 0 = off.
+
+    Holds whatever :func:`settle_term` got from the runtime's evaluator.
+    ``last`` names the outcome of the most recent lookup-then-store
+    (``hit``/``miss``/``skip``, or ``off``) for the traced ``eval`` span.
+    """
+
+    def __init__(self, capacity: int = 0, max_entry_nodes: int | None = None) -> None:
+        self._capacity = max(0, capacity)
+        self._max_entry_nodes = max_entry_nodes
+        self._entries: dict[CoverageTerm, object] = {}
+        self.hits = self.misses = self.skipped = 0
+        self.last = "off"
+
+    @property
+    def stats(self) -> CacheStats:
+        """``(hits, misses, skipped)`` so far."""
+        return CacheStats(self.hits, self.misses, self.skipped)
+
+    def clear(self) -> None:
+        """Drop every entry (counters survive)."""
+        self._entries.clear()
+
+    def get(self, term: CoverageTerm):
+        """The cached coverage for ``term`` (refreshing its LRU slot) or None."""
+        if not self._capacity:
+            return None
+        found = self._entries.pop(term, None)
+        if found is None:
+            self.misses += 1
+            self.last = "miss"
+            return None
+        self._entries[term] = found  # reinsert: most recently used
+        self.hits += 1
+        self.last = "hit"
+        return found
+
+    def put(self, term: CoverageTerm, found) -> None:
+        """Cache a coverage, evicting the LRU entry if full.
+
+        Coverages larger than ``max_entry_nodes`` are not cached — they
+        are the fragment-sized outliers that would evict many small hot
+        entries at once; the skip is counted.
+        """
+        if not self._capacity:
+            return
+        if self._max_entry_nodes is not None and _settled_count(found) > self._max_entry_nodes:
+            self.skipped += 1
+            self.last = "skip"
+            return
+        self._entries.pop(term, None)
+        while len(self._entries) >= self._capacity:
+            del self._entries[next(iter(self._entries))]
+        self._entries[term] = found
 
 
 class FragmentRuntime:
@@ -78,13 +143,13 @@ class FragmentRuntime:
     available lazily via :attr:`kernel` — benchmarks compare both
     evaluators on one runtime.
 
-    ``cache_capacity`` enables an LRU cache of coverage distance maps
-    keyed by ``(source, radius)`` — query workloads repeat popular
-    keywords at common radiuses, so hits skip the whole local Dijkstra.
-    ``cache_max_entry_nodes`` bounds how large a map may be and still be
-    cached: popular wide-radius terms can settle most of the fragment,
-    and a handful of such maps would dominate worker memory for little
-    hit-rate gain.  Skips are counted in :attr:`cache_stats`.
+    ``cache_capacity`` enables an LRU :class:`CoverageCache` keyed by
+    ``(source, radius)`` — query workloads repeat popular keywords at
+    common radiuses, so hits skip the whole local Dijkstra.
+    ``cache_max_entry_nodes`` bounds how large a coverage may be and
+    still be cached: popular wide-radius terms can settle most of the
+    fragment, and a handful of such entries would dominate worker memory
+    for little hit-rate gain.  Skips are counted in the cache's ``stats``.
 
     Staleness: in-place index mutations (every
     :class:`repro.core.maintenance.KeywordMaintainer` operation) bump
@@ -116,12 +181,7 @@ class FragmentRuntime:
         self._compiled = bool(compiled)
         self._kernel: FragmentKernel | None = None
         self._index_version = index.version
-        self._cache_capacity = max(0, cache_capacity)
-        self._cache_max_entry_nodes = cache_max_entry_nodes
-        self._cache: "dict[tuple[object, float], dict[int, float]]" = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_skipped = 0
+        self._cache = CoverageCache(cache_capacity, cache_max_entry_nodes)
         self._build_extended()
         if self._compiled:
             self._kernel = FragmentKernel(fragment, index)
@@ -167,12 +227,15 @@ class FragmentRuntime:
             self._kernel = FragmentKernel(self._fragment, self._index)
         return self._kernel
 
+    def _drop_derived(self) -> None:
+        self._index_version = self._index.version
+        self._kernel = None
+        self._cache.clear()
+
     def _sync_with_index(self) -> None:
         """Drop the kernel and cache if the index mutated underneath us."""
         if self._index.version != self._index_version:
-            self._index_version = self._index.version
-            self._kernel = None
-            self._cache.clear()
+            self._drop_derived()
 
     def refresh(self, fragment: Fragment | None = None, index: NPDIndex | None = None) -> None:
         """Swap in replacement state and invalidate derived structures.
@@ -182,30 +245,20 @@ class FragmentRuntime:
         rebuilds) and by the cluster ``apply_updates`` paths on epoch
         swaps.  No-ops when nothing actually changed.
         """
-        changed = False
-        if fragment is not None and fragment is not self._fragment:
-            if fragment.fragment_id != self._fragment.fragment_id:
+        fragment = self._fragment if fragment is None else fragment
+        index = self._index if index is None else index
+        for new, old, what in ((fragment, self._fragment, "fragment"), (index, self._index, "index")):
+            if new.fragment_id != old.fragment_id:
                 raise QueryError(
-                    f"cannot refresh runtime for fragment "
-                    f"{self._fragment.fragment_id} with fragment {fragment.fragment_id}"
+                    f"cannot refresh runtime for fragment {old.fragment_id} "
+                    f"with {what} {new.fragment_id}"
                 )
-            self._fragment = fragment
-            changed = True
-        if index is not None and index is not self._index:
-            if index.fragment_id != self._index.fragment_id:
-                raise QueryError(
-                    f"cannot refresh runtime for fragment "
-                    f"{self._index.fragment_id} with index {index.fragment_id}"
-                )
-            self._index = index
-            changed = True
-        if changed:
-            self._index_version = self._index.version
-            self._kernel = None
-            self._cache.clear()
-            self._build_extended()
-        else:
+        if fragment is self._fragment and index is self._index:
             self._sync_with_index()
+            return
+        self._fragment, self._index = fragment, index
+        self._drop_derived()
+        self._build_extended()
 
     def adjacency(self, node: int) -> tuple[tuple[int, float], ...]:
         """Out-edges of ``node`` in the complete fragment ``P ∪ SC(P)``."""
@@ -215,56 +268,10 @@ class FragmentRuntime:
     # Coverage cache
     # ------------------------------------------------------------------
     @property
-    def cache_stats(self) -> CacheStats:
-        """``(hits, misses, skipped)`` of the coverage cache."""
-        return CacheStats(self._cache_hits, self._cache_misses, self._cache_skipped)
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached coverage (call after index maintenance)."""
-        self._cache.clear()
-
-    def _cache_key(self, term: CoverageTerm) -> tuple[object, float]:
-        source = term.source
-        if isinstance(source, KeywordSource):
-            return ("kw", source.keyword), term.radius
-        assert isinstance(source, NodeSource)
-        return ("node", source.node), term.radius
-
-    def cached_distance_map(self, term: CoverageTerm) -> dict[int, float] | None:
-        """A cached distance map for ``term``, refreshing its LRU slot."""
+    def coverage_cache(self) -> CoverageCache:
+        """The coverage cache (switched off when ``cache_capacity`` is 0)."""
         self._sync_with_index()
-        if not self._cache_capacity:
-            return None
-        key = self._cache_key(term)
-        cached = self._cache.pop(key, None)
-        if cached is None:
-            self._cache_misses += 1
-            return None
-        self._cache[key] = cached  # reinsert: most recently used
-        self._cache_hits += 1
-        return cached
-
-    def store_distance_map(self, term: CoverageTerm, distances: dict[int, float]) -> None:
-        """Cache a computed distance map, evicting the LRU entry if full.
-
-        Maps larger than ``cache_max_entry_nodes`` are not cached — they
-        are the fragment-sized outliers that would evict many small hot
-        entries at once; the skip is tallied in :attr:`cache_stats`.
-        """
-        if not self._cache_capacity:
-            return
-        if (
-            self._cache_max_entry_nodes is not None
-            and len(distances) > self._cache_max_entry_nodes
-        ):
-            self._cache_skipped += 1
-            return
-        key = self._cache_key(term)
-        self._cache.pop(key, None)
-        while len(self._cache) >= self._cache_capacity:
-            oldest = next(iter(self._cache))
-            del self._cache[oldest]
-        self._cache[key] = distances
+        return self._cache
 
     def seeds_for(self, term: CoverageTerm) -> dict[int, float]:
         """Virtual-source seeds for one coverage term (Alg. 2 steps 2–3).
@@ -291,6 +298,66 @@ class FragmentRuntime:
         return seeds
 
 
+def sum_cache_stats(runtimes) -> dict[str, int]:
+    """Coverage-cache counters summed over ``runtimes``, by counter name."""
+    totals = dict.fromkeys(CacheStats._fields, 0)
+    for runtime in runtimes:
+        for name, value in zip(CacheStats._fields, runtime.coverage_cache.stats):
+            totals[name] += value
+    return totals
+
+
+def _reference_distances(
+    runtime: FragmentRuntime, term: CoverageTerm, stats: CoverageStats | None
+) -> dict[int, float]:
+    """The dict-based evaluator (``compiled=False``): the executable spec."""
+    seeds = runtime.seeds_for(term)
+    if stats is not None:
+        stats.seeds_from_dl += sum(1 for d in seeds.values() if d > 0.0)
+        stats.seeds_local += sum(1 for d in seeds.values() if d == 0.0)
+    if not seeds:
+        return {}
+    # Shortcut endpoints are always members, so every settled node is a
+    # member of P already; assert-by-construction in tests.
+    distances = shortest_path_distances(runtime.adjacency, seeds, bound=term.radius)
+    if stats is not None:
+        stats.settled_nodes += len(distances)
+    return distances
+
+
+def _settled_count(found) -> int:
+    return len(found) if isinstance(found, dict) else found[2]
+
+
+def settle_term(runtime, term: CoverageTerm, stats: CoverageStats | None = None):
+    """Evaluate one coverage term on one fragment — the single entry point.
+
+    Radius guard, coverage cache, then the runtime's evaluator.  A
+    compiled runtime returns the kernel's dense ``(marks, dist, count)``
+    state (see :meth:`FragmentKernel.settle`), a reference runtime its
+    ``{member: distance}`` dict; :func:`local_distance_map` reads either
+    as a distance map.
+    """
+    if term.radius > runtime.max_radius:
+        raise RadiusExceededError(term.radius, runtime.max_radius)
+    cache = runtime.coverage_cache
+    found = cache.get(term)
+    if found is not None:
+        if stats is not None:
+            stats.settled_nodes += _settled_count(found)
+        return found
+    if runtime.compiled:
+        found = runtime.kernel.settle(term, stats)
+    else:
+        found = _reference_distances(runtime, term, stats)
+    cache.put(term, found)
+    return found
+
+
+def _distance_view(runtime, found) -> dict[int, float]:
+    return found if isinstance(found, dict) else runtime.kernel.distances(found[0], found[1])
+
+
 def local_distance_map(
     runtime: FragmentRuntime,
     term: CoverageTerm,
@@ -300,99 +367,59 @@ def local_distance_map(
 
     The returned map is ``{A ∈ P : d(A, source) ≤ r} -> d(A, source)``.
     """
-    if term.radius > runtime.max_radius:
-        from repro.exceptions import RadiusExceededError
-
-        raise RadiusExceededError(term.radius, runtime.max_radius)
-    cached = runtime.cached_distance_map(term)
-    if cached is not None:
-        if stats is not None:
-            stats.settled_nodes += len(cached)
-        return cached
-    if runtime.compiled:
-        distances = runtime.kernel.distance_map(term, stats)
-        runtime.store_distance_map(term, distances)
-        return distances
-    seeds = runtime.seeds_for(term)
-    if stats is not None:
-        stats.seeds_from_dl += sum(1 for d in seeds.values() if d > 0.0)
-        stats.seeds_local += sum(1 for d in seeds.values() if d == 0.0)
-    if not seeds:
-        runtime.store_distance_map(term, {})
-        return {}
-    distances = shortest_path_distances(runtime.adjacency, seeds, bound=term.radius)
-    if stats is not None:
-        stats.settled_nodes += len(distances)
-    # Shortcut endpoints are always members, so every settled node is a
-    # member of P already; assert-by-construction in tests.
-    runtime.store_distance_map(term, distances)
-    return distances
+    return _distance_view(runtime, settle_term(runtime, term, stats))
 
 
 def _describe_source(term: CoverageTerm) -> str:
     source = term.source
-    if isinstance(source, KeywordSource):
-        return source.keyword
-    assert isinstance(source, NodeSource)
-    return f"#{source.node}"
+    return source.keyword if isinstance(source, KeywordSource) else f"#{source.node}"
 
 
-def batch_distance_maps(
-    runtime: FragmentRuntime,
+def settle_terms(
+    runtime,
     terms: Sequence[CoverageTerm],
     stats: CoverageStats | None = None,
     *,
     collector=None,
     parent_id: str | None = None,
-) -> list[dict[int, float]]:
-    """Distance maps for every term of one query, in term order.
+) -> list:
+    """:func:`settle_term` for every term of one query, in term order.
 
-    The batched path is how executors evaluate a k-term D-function: all
-    terms run on the *same* kernel instance (one set of scratch arrays,
-    one generation bump per term, precompiled seed tables shared), and
-    duplicate ``(source, radius)`` terms inside the query are evaluated
-    once — common in machine-written expressions such as
-    ``AND(cafe:2, OR(cafe:2, fuel:3))``.
+    How executors evaluate a k-term D-function: duplicate ``(source,
+    radius)`` terms — common in machine-written expressions such as
+    ``AND(cafe:2, OR(cafe:2, fuel:3))`` — are evaluated once.
 
     ``collector`` (a :class:`repro.obs.trace.SpanCollector`, duck-typed
     so this module stays obs-agnostic) records one ``eval`` span per
-    *evaluated* term — memoised duplicates cost nothing and get no span
-    — annotated with the term's source/radius, the settled-node count
-    and whether the coverage cache answered
-    (``cache=hit|miss|skip|off``).
+    *evaluated* term, tagged with the term's source/radius, the
+    settled-node count and ``cache=hit|miss|skip|off``.
     """
-    memo: dict[tuple[object, float], dict[int, float]] = {}
-    maps: list[dict[int, float]] = []
+    memo: dict[CoverageTerm, object] = {}
     for i, term in enumerate(terms):
-        key = runtime._cache_key(term)
-        hit = memo.get(key)
-        if hit is None:
-            if collector is not None:
-                before = runtime.cache_stats
-                with collector.span(
-                    "eval",
-                    parent_id=parent_id,
-                    fragment_id=runtime.fragment.fragment_id,
-                    term=i,
-                    source=_describe_source(term),
-                    radius=term.radius,
-                ) as span:
-                    hit = local_distance_map(runtime, term, stats)
-                after = runtime.cache_stats
-                if after.hits > before.hits:
-                    span.tags["cache"] = "hit"
-                elif after.skipped > before.skipped:
-                    span.tags["cache"] = "skip"
-                elif after.misses > before.misses:
-                    span.tags["cache"] = "miss"
-                else:  # caching disabled: no counter moved
-                    span.tags["cache"] = "off"
-                span.tags["settled"] = len(hit)
-            else:
-                hit = local_distance_map(runtime, term, stats)
-            memo[key] = hit
-        maps.append(hit)
-    return maps
+        if term in memo:
+            continue
+        if collector is None:
+            memo[term] = settle_term(runtime, term, stats)
+            continue
+        with collector.span(
+            "eval",
+            parent_id=parent_id,
+            fragment_id=runtime.fragment.fragment_id,
+            term=i,
+            source=_describe_source(term),
+            radius=term.radius,
+        ) as span:
+            memo[term] = settle_term(runtime, term, stats)
+        span.tags["cache"] = runtime.coverage_cache.last
+        span.tags["settled"] = _settled_count(memo[term])
+    return [memo[term] for term in terms]
+
+
+def batch_distance_maps(
+    runtime: FragmentRuntime, terms: Sequence[CoverageTerm], stats: CoverageStats | None = None
+) -> list[dict[int, float]]:
+    """:func:`settle_terms` read as distance maps, in term order."""
+    return [_distance_view(runtime, found) for found in settle_terms(runtime, terms, stats)]
 
 
 def local_coverage(

@@ -34,12 +34,20 @@ class SetOp(Enum):
     SUBTRACT = "subtract"
 
     def apply(self, left: frozenset[int] | set[int], right: frozenset[int] | set[int]) -> set[int]:
-        """Apply this operator to two node sets."""
+        """Apply this operator to two node sets (neither is copied first)."""
         if self is SetOp.UNION:
-            return set(left) | set(right)
+            return left | right
         if self is SetOp.INTERSECT:
-            return set(left) & set(right)
-        return set(left) - set(right)
+            return left & right
+        return left - right
+
+    def apply_mask(self, left: int, right: int) -> int:
+        """Apply this operator to two dense-id bitmasks (Python ints)."""
+        if self is SetOp.UNION:
+            return left | right
+        if self is SetOp.INTERSECT:
+            return left & right
+        return left & ~right
 
     @property
     def symbol(self) -> str:
@@ -97,18 +105,33 @@ class DExpression:
         assert self.left is not None and self.right is not None
         return self.left.referenced_terms() | self.right.referenced_terms()
 
-    def evaluate(self, coverages: Sequence[frozenset[int] | set[int]]) -> set[int]:
-        """Evaluate the tree against per-term coverage sets."""
+    def _fold(self, operands: Sequence, apply):
         if self.op is None:
             assert self.index is not None
-            if self.index >= len(coverages):
+            if self.index >= len(operands):
                 raise QueryError(
                     f"expression references term {self.index} but only "
-                    f"{len(coverages)} coverages were supplied"
+                    f"{len(operands)} coverages were supplied"
                 )
-            return set(coverages[self.index])
+            return operands[self.index]
         assert self.left is not None and self.right is not None
-        return self.op.apply(self.left.evaluate(coverages), self.right.evaluate(coverages))
+        return apply(self.op, self.left._fold(operands, apply), self.right._fold(operands, apply))
+
+    def evaluate(self, coverages: Sequence[frozenset[int] | set[int]]) -> set[int]:
+        """Evaluate the tree against per-term coverage sets.
+
+        The reference evaluator: operands are read, never copied; only
+        the result is, so it is a fresh ``set`` the caller may keep.
+        """
+        return set(self._fold(coverages, SetOp.apply))
+
+    def evaluate_masks(self, masks: Sequence[int]) -> int:
+        """Evaluate the tree against per-term dense-id bitmasks.
+
+        Same tree walk and arity check as :meth:`evaluate`, with ``|``,
+        ``&`` and ``& ~`` on Python ints in place of set algebra.
+        """
+        return self._fold(masks, SetOp.apply_mask)
 
     def __str__(self) -> str:
         if self.op is None:
@@ -154,16 +177,24 @@ class DFunction:
             raise QueryError("a D-function needs at least one term")
         return cls(tuple([SetOp.INTERSECT] * (arity - 1)))
 
+    def _check_arity(self, operands: Sequence) -> None:
+        if len(operands) != self.arity:
+            raise QueryError(
+                f"D-function of arity {self.arity} applied to {len(operands)} sets"
+            )
+
     def evaluate(self, coverages: Sequence[frozenset[int] | set[int]]) -> set[int]:
         """Left-associative evaluation over per-term coverage sets."""
-        if len(coverages) != self.arity:
-            raise QueryError(
-                f"D-function of arity {self.arity} applied to {len(coverages)} sets"
-            )
-        result = set(coverages[0])
+        self._check_arity(coverages)
+        result = coverages[0]
         for op, coverage in zip(self.ops, coverages[1:]):
             result = op.apply(result, coverage)
-        return result
+        return set(result)
+
+    def evaluate_masks(self, masks: Sequence[int]) -> int:
+        """Left-associative evaluation over per-term dense-id bitmasks."""
+        self._check_arity(masks)
+        return self.to_expression().evaluate_masks(masks)
 
     def to_expression(self) -> DExpression:
         """Compile the chain into an equivalent :class:`DExpression`."""

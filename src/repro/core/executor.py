@@ -5,6 +5,9 @@ coverage term of the query locally, then apply the D-function to the
 local coverages.  Lemma 1 guarantees the union of per-fragment results
 is the global answer, so a task never needs data from another machine.
 
+On a compiled runtime the D-function runs on dense-id bitmasks and the
+result leaves as a sorted run (:mod:`repro.core.runs`) without a node
+ever being hashed; the reference runtime evaluates node sets and sorts.
 :func:`execute_fragment_task_explained` additionally keeps the exact
 per-term distances of every result node (Theorem 3 makes them globally
 correct), powering the engine's ``explain`` mode.
@@ -13,14 +16,13 @@ correct), powering the engine's ``explain`` mode.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.core.coverage import (
-    CoverageStats,
-    FragmentRuntime,
-    batch_distance_maps,
-)
+from repro.core.coverage import CoverageStats, FragmentRuntime, settle_terms
 from repro.core.queries import QClassQuery
+from repro.core.runs import as_run
 
 __all__ = [
     "FragmentTaskResult",
@@ -37,8 +39,9 @@ class FragmentTaskResult:
     ----------
     fragment_id:
         The fragment the task ran on.
-    local_result:
-        ``F(X₁ ∩ P, …, Xₖ ∩ P)`` — this fragment's share of the answer.
+    run:
+        ``F(X₁ ∩ P, …, Xₖ ∩ P)`` — this fragment's share of the answer,
+        as a sorted run; :attr:`local_result` is the same as a set.
     coverage_sizes:
         ``|R(term) ∩ P|`` per term, in term order (Theorem 5's
         ``|P ∩ R(ω, r)|`` factors).
@@ -50,10 +53,47 @@ class FragmentTaskResult:
     """
 
     fragment_id: int
-    local_result: frozenset[int]
+    run: array
     coverage_sizes: tuple[int, ...]
     wall_seconds: float
     stats: CoverageStats = field(default_factory=CoverageStats)
+
+    @cached_property
+    def local_result(self) -> frozenset[int]:
+        """The run as a node set, built on first use."""
+        return frozenset(self.run)
+
+
+def _apply_dfunction(runtime, query: QClassQuery, settled: list) -> tuple[array, tuple[int, ...]]:
+    """``(result run, coverage sizes)`` from one fragment's settled terms."""
+    if runtime.compiled:
+        masks = [int.from_bytes(marks, "little") for marks, _dist, _count in settled]
+        run = runtime.kernel.run(query.expression.evaluate_masks(masks))
+        return run, tuple(count for _marks, _dist, count in settled)
+    run = as_run(query.expression.evaluate([set(distances) for distances in settled]))
+    return run, tuple(len(distances) for distances in settled)
+
+
+def _run_task(runtime, query: QClassQuery, collector=None, parent_id: str | None = None):
+    """One task: ``(FragmentTaskResult, settled terms)``."""
+    started = time.perf_counter()
+    stats = CoverageStats()
+    fragment_id = runtime.fragment.fragment_id
+    if collector is None:
+        # Batched term evaluation: every term of the query runs through
+        # the same kernel instance, duplicates memoised.
+        settled = settle_terms(runtime, query.terms, stats)
+        run, sizes = _apply_dfunction(runtime, query, settled)
+    else:
+        with collector.span("task", parent_id=parent_id, fragment_id=fragment_id) as task_span:
+            settled = settle_terms(
+                runtime, query.terms, stats, collector=collector, parent_id=task_span.span_id
+            )
+            with collector.span("union", parent_id=task_span.span_id, fragment_id=fragment_id):
+                run, sizes = _apply_dfunction(runtime, query, settled)
+            task_span.tags["result_nodes"] = len(run)
+    result = FragmentTaskResult(fragment_id, run, sizes, time.perf_counter() - started, stats)
+    return result, settled
 
 
 def execute_fragment_task(
@@ -68,44 +108,12 @@ def execute_fragment_task(
     ``collector`` (a :class:`repro.obs.trace.SpanCollector`, duck-typed)
     opts into stage tracing: one ``task`` span per fragment wrapping
     per-term ``eval`` spans (see
-    :func:`~repro.core.coverage.batch_distance_maps`) and one ``union``
-    span for the D-expression evaluation.  The evaluation itself is
+    :func:`~repro.core.coverage.settle_terms`) and one ``union`` span
+    for the D-expression evaluation.  The evaluation itself is
     identical either way — tracing only observes, so answers are
     bit-identical with it on or off.
     """
-    started = time.perf_counter()
-    stats = CoverageStats()
-    if collector is None:
-        # Batched term evaluation: every term of the query runs through
-        # the same kernel instance (shared scratch, duplicates memoised).
-        coverages = [set(m) for m in batch_distance_maps(runtime, query.terms, stats)]
-        local = query.expression.evaluate(coverages)
-    else:
-        fragment_id = runtime.fragment.fragment_id
-        with collector.span(
-            "task", parent_id=parent_id, fragment_id=fragment_id
-        ) as task_span:
-            maps = batch_distance_maps(
-                runtime,
-                query.terms,
-                stats,
-                collector=collector,
-                parent_id=task_span.span_id,
-            )
-            coverages = [set(m) for m in maps]
-            with collector.span(
-                "union", parent_id=task_span.span_id, fragment_id=fragment_id
-            ):
-                local = query.expression.evaluate(coverages)
-            task_span.tags["result_nodes"] = len(local)
-    elapsed = time.perf_counter() - started
-    return FragmentTaskResult(
-        fragment_id=runtime.fragment.fragment_id,
-        local_result=frozenset(local),
-        coverage_sizes=tuple(len(c) for c in coverages),
-        wall_seconds=elapsed,
-        stats=stats,
-    )
+    return _run_task(runtime, query, collector, parent_id)[0]
 
 
 def execute_fragment_task_explained(
@@ -116,22 +124,13 @@ def execute_fragment_task_explained(
     The second return value maps each local result node to one distance
     per query term — ``d(node, source_i)`` where the node lies inside
     that term's coverage, ``None`` where it does not (e.g. the excluded
-    side of a subtraction term).
+    side of a subtraction term).  The distance maps are read off the
+    same settled state the result mask came from.
     """
-    started = time.perf_counter()
-    stats = CoverageStats()
-    distance_maps = batch_distance_maps(runtime, query.terms, stats)
-    coverages = [set(m) for m in distance_maps]
-    local = query.expression.evaluate(coverages)
-    explanations = {
-        node: tuple(m.get(node) for m in distance_maps) for node in local
-    }
-    elapsed = time.perf_counter() - started
-    result = FragmentTaskResult(
-        fragment_id=runtime.fragment.fragment_id,
-        local_result=frozenset(local),
-        coverage_sizes=tuple(len(c) for c in coverages),
-        wall_seconds=elapsed,
-        stats=stats,
-    )
+    result, settled = _run_task(runtime, query)
+    began = time.perf_counter()
+    if runtime.compiled:
+        settled = [runtime.kernel.distances(marks, dist) for marks, dist, _count in settled]
+    explanations = {node: tuple(m.get(node) for m in settled) for node in result.run}
+    result.wall_seconds += time.perf_counter() - began
     return result, explanations

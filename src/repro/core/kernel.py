@@ -6,7 +6,7 @@ coverage term with a dict-of-tuples adjacency callable and fresh
 of Alg. 2 — and, per Theorem 5, exactly the per-query CPU the whole
 system's unit economics stand on.  :class:`FragmentKernel` compiles one
 fragment's query-time state into flat structures so repeated coverage
-evaluations allocate nothing beyond their result maps:
+evaluations allocate two flat objects per search and nothing per node:
 
 * **Dense renumbering** — the member nodes of the extended fragment
   ``P ∪ SC(P)`` are renumbered ``0..n-1`` (sorted global order), so all
@@ -22,26 +22,27 @@ evaluations allocate nothing beyond their result maps:
   dense-id/distance arrays sorted by distance with per-portal minima
   pre-deduplicated, so one :func:`bisect.bisect_right` replaces the
   query-time scan-and-merge; likewise per DL node entry.
-* **Generation-stamped scratch** — preallocated ``dist``/``stamp``
-  lists; bumping one generation counter invalidates the whole scratch
-  in O(1), so back-to-back terms of one query (and back-to-back
-  queries) reuse the same memory with zero clearing cost.  Within a
-  generation a settled node's ``dist`` is overwritten with ``-1.0``
-  (below every real distance), which folds the "already settled" test
-  into the ordinary improvement comparison.
+* **Dense settle state** — a search fills two flat per-search objects
+  indexed by dense id: a ``marks`` bytearray (1 = settled) and a
+  ``dist`` list pre-filled with ``nextafter(radius, inf)``, so a
+  relaxation is the single test ``nd < dist[v]`` (it implies
+  ``nd <= radius``) and no clearing or stamping is ever needed.  Both
+  views of a coverage come from that one state: set-valued queries take
+  ``int.from_bytes(marks)`` as a mask and combine masks with ``|``,
+  ``&``, ``& ~``; explain/top-k callers take :meth:`distances`.  Dense
+  ids follow sorted global order, so :meth:`run` turns a result mask
+  into an already-sorted ``array('Q')`` of global ids.
 * **Bounded bucket queue** — every coverage search is truncated at the
   term radius (at most ``maxR`` on a bounded level, Theorem 3), and
   edge weights have a positive minimum ``δ``, so the frontier fits a
   Dial-style bucket array of width ``δ`` (the "approximate buckets" of
-  Cherkassky–Goldberg–Radzik).  With bucket width ≤ the minimum edge
-  weight no relaxation can improve a label inside the bucket being
-  swept, so labels are final when popped: the search is *exact*, with
-  O(1) pushes/pops instead of the binary heap's O(log n) sifting and
-  per-entry tuple churn.  The bucket array is preallocated and
-  self-draining (every sweep empties the buckets it used), so repeated
-  terms reuse it allocation-free.  When ``radius/δ`` is too large for
-  buckets to pay off (or the radius is unbounded), the kernel falls
-  back to a conventional binary-heap search over the same scratch.
+  Cherkassky–Goldberg–Radzik): labels are final when their bucket is
+  swept, so the search is *exact* with O(1) pushes/pops instead of the
+  binary heap's O(log n) sifting (invariant: ``_settle_buckets``).  The
+  bucket array is shared and self-draining, so repeated terms reuse it
+  allocation-free.  When ``radius/δ`` is too large for buckets to pay
+  off (or the radius is unbounded), the kernel falls back to a
+  binary-heap search over the same state.
 
 Distances are bit-for-bit identical to the reference path: every path
 relaxes edge-by-edge with the same ``d + w`` accumulation and the same
@@ -58,24 +59,32 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import inf, nextafter
 
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource
+from repro.core.runs import EMPTY_RUN
 from repro.exceptions import QueryError
 
 __all__ = ["FragmentKernel"]
+
+# What a search with no seed within the radius returns, before any state
+# is allocated: every view of it (mask 0, ``{}``) falls out of the
+# ordinary code.
+_NOTHING: tuple[bytes, tuple, int] = (b"", (), 0)
 
 
 class FragmentKernel:
     """Packed, reusable query-time state for one fragment.
 
     Build once per ``(fragment, index)`` pair — typically via
-    ``FragmentRuntime(..., compiled=True)`` — then call
-    :meth:`distance_map` per coverage term.  Instances are picklable
-    (plain arrays/dicts/tuples), so process workers can ship or rebuild
-    them freely.  Not thread-safe: the scratch arrays are shared across
-    calls by design.
+    ``FragmentRuntime(..., compiled=True)`` — then call :meth:`settle`
+    per coverage term and read the result as a mask or as distances.
+    Instances are picklable (plain arrays/dicts/tuples), so process
+    workers can ship or rebuild them freely.  Not thread-safe: the
+    bucket array is shared across calls by design.
     """
 
     __slots__ = (
@@ -86,14 +95,10 @@ class FragmentKernel:
         "weights",
         "bucket_limit",
         "_globals",
-        "_dense",
         "_rows",
         "_kw_local",
         "_kw_portals",
         "_node_portals",
-        "_dist",
-        "_stamp",
-        "_generation",
         "_inv_delta",
         "_buckets",
     )
@@ -113,7 +118,6 @@ class FragmentKernel:
         n = len(ordered)
         self.num_nodes = n
         self._globals = tuple(ordered)
-        self._dense = dense
 
         # Extended adjacency (fragment edges + SC shortcuts) as CSR.
         rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -125,28 +129,16 @@ class FragmentKernel:
             rows[dense[u]].append((dense[v], w))
             if not fragment.directed:
                 rows[dense[v]].append((dense[u], w))
-        indptr = array("q", [0]) * (n + 1)
-        total = 0
-        for i, row in enumerate(rows):
-            total += len(row)
-            indptr[i + 1] = total
-        indices = array("q", [0]) * total
-        weights = array("d", [0.0]) * total
-        k = 0
+        indptr, indices, weights = array("q", [0]), array("q"), array("d")
         for row in rows:
             for v, w in row:
-                indices[k] = v
-                weights[k] = w
-                k += 1
+                indices.append(v)
+                weights.append(w)
+            indptr.append(len(indices))
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # Hot-loop view derived from the CSR (tuple unpack beats
-        # per-element array indexing in the interpreter).
-        self._rows = tuple(
-            tuple(zip(indices[indptr[i] : indptr[i + 1]], weights[indptr[i] : indptr[i + 1]]))
-            for i in range(n)
-        )
+        self._rows = _row_view(indptr, indices, weights, n)
 
         # Seed tables.  Local carriers per keyword (zero-weight seeds).
         self._kw_local: dict[str, tuple[int, ...]] = {
@@ -164,18 +156,13 @@ class FragmentKernel:
             node: _pack_portal_list(pairs, dense) for node, pairs in index.node_entries.items()
         }
 
-        # Reusable scratch: tentative distance + generation stamp.
-        self._dist = [0.0] * n
-        self._stamp = [0] * n
-        self._generation = 0
-
         # Bucket-queue compilation: with bucket width just under the
         # minimum edge weight, no relaxation can land inside the bucket
         # currently being swept, so bucket order is settle order (exact
         # Dijkstra without a heap).  ``bucket_limit`` caps how many
         # buckets a single search may sweep before the kernel falls back
         # to the binary heap (pathologically small δ, unbounded radius).
-        delta = min(weights) if total else 0.0
+        delta = min(weights) if weights else 0.0
         self._inv_delta = 1.0 / (delta * (1.0 - 1e-9)) if delta > 0.0 else 0.0
         self._buckets: list[list[int]] = []
         self.bucket_limit = 4 * n + 64
@@ -199,14 +186,11 @@ class FragmentKernel:
         """Rehydrate a kernel from already-packed flat sequences.
 
         This is the shared-memory attach path (:mod:`repro.shm`): the
-        array arguments may be :class:`memoryview` casts over a mapped
-        segment — everything the settle loops do (len, index, slice,
-        bisect) works identically on views and ``array`` objects.  The
-        dense-renumbering dict is *not* rebuilt; ``_dense_id`` falls
-        back to a bisect over the sorted global-id table, which costs
-        O(log n) only on the rare :class:`NodeSource` seed lookup.  The
-        per-row tuple view and the scratch are rebuilt locally (CPU in
-        the attaching process, nothing crosses the pipe).
+        CSR arguments may be :class:`memoryview` casts over a mapped
+        segment.  The per-row tuple view and the global-id tuple
+        (scanned once per result by :meth:`run`/:meth:`distances`, where
+        ready ``int`` objects beat re-boxing a view) are rebuilt locally
+        — CPU in the attaching process, nothing crosses the pipe.
         """
         self = object.__new__(cls)
         self.fragment_id = fragment_id
@@ -214,18 +198,11 @@ class FragmentKernel:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self._globals = node_globals
-        self._dense = None
-        self._rows = tuple(
-            tuple(zip(indices[indptr[i] : indptr[i + 1]], weights[indptr[i] : indptr[i + 1]]))
-            for i in range(num_nodes)
-        )
+        self._globals = tuple(node_globals)
+        self._rows = _row_view(indptr, indices, weights, num_nodes)
         self._kw_local = kw_local
         self._kw_portals = kw_portals
         self._node_portals = node_portals
-        self._dist = [0.0] * num_nodes
-        self._stamp = [0] * num_nodes
-        self._generation = 0
         self._inv_delta = inv_delta
         self._buckets = []
         self.bucket_limit = bucket_limit
@@ -234,14 +211,10 @@ class FragmentKernel:
     def _dense_id(self, node: int) -> int | None:
         """Global node id -> dense id, or ``None`` if not a member.
 
-        Kernels built by ``__init__`` keep the renumbering dict; packed
-        kernels bisect the sorted global table instead of materialising
-        a per-process dict that would cost more to build than every
-        lookup it will ever serve.
+        A bisect over the sorted global table: the only caller is the
+        :class:`NodeSource` seed lookup, once per search, which a
+        renumbering dict kept per kernel would not repay.
         """
-        dense = self._dense
-        if dense is not None:
-            return dense.get(node)
         i = bisect_left(self._globals, node)
         if i < self.num_nodes and self._globals[i] == node:
             return i
@@ -250,11 +223,6 @@ class FragmentKernel:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def generation(self) -> int:
-        """How many searches have run on this kernel's scratch."""
-        return self._generation
-
     def global_id(self, dense_id: int) -> int:
         """The global node id behind a dense id (testing/debug aid)."""
         return self._globals[dense_id]
@@ -268,85 +236,82 @@ class FragmentKernel:
             )
             + sum(len(v) for v in self._kw_local.values()),
             "node_seed_cells": sum(len(ids) * 2 for ids, _d in self._node_portals.values()),
-            "scratch_cells": 2 * self.num_nodes,
+            "scratch_cells": 2 * self.num_nodes,  # marks + dist, per search
         }
 
     # ------------------------------------------------------------------
     # Coverage evaluation
     # ------------------------------------------------------------------
-    def distance_map(
-        self, term: CoverageTerm, stats=None
-    ) -> dict[int, float]:
-        """Exact ``{member: distance}`` for one coverage term (Alg. 2).
+    def settle(self, term: CoverageTerm, stats=None) -> tuple[bytes | bytearray, list | tuple, int]:
+        """Run the coverage search for one term (Alg. 2): ``(marks, dist, count)``.
 
-        Shares the preallocated scratch across calls — the batched-term
-        path of :func:`repro.core.coverage.batch_distance_maps` simply
-        calls this once per term on the same kernel instance.
-        ``stats`` is an optional
+        ``marks[v] == 1`` iff dense node ``v`` lies within the radius,
+        and then ``dist[v]`` is its exact distance; ``count`` is how many
+        do.  Every caller reads this one state — ``int.from_bytes(marks,
+        "little")`` is the coverage mask, :meth:`distances` the
+        ``{member: distance}`` map — so there is a single search path
+        whatever the query needs.  ``stats`` is an optional
         :class:`~repro.core.coverage.CoverageStats` to update.
         """
         radius = term.radius
-        self._generation += 1
-        g = self._generation
-        dist = self._dist
-        stamp = self._stamp
-        seeds: list[int] = []  # dense ids; labels live in the scratch
-        seeds_local = 0
-        seeds_dl = 0
-
         source = term.source
+        local: tuple[int, ...] = ()
         if isinstance(source, KeywordSource):
-            for v in self._kw_local.get(source.keyword, ()):
-                dist[v] = 0.0
-                stamp[v] = g
-                seeds.append(v)
-                seeds_local += 1
+            local = self._kw_local.get(source.keyword, ())
             entry = self._kw_portals.get(source.keyword)
-            if entry is not None:
-                ids, dists = entry
-                for i in range(bisect_right(dists, radius)):
-                    v = ids[i]
-                    if stamp[v] != g:  # local zero seed wins (DL dists > 0)
-                        dist[v] = dists[i]
-                        stamp[v] = g
-                        seeds.append(v)
-                        seeds_dl += 1
         elif isinstance(source, NodeSource):
             v = self._dense_id(source.node)
             if v is not None:
-                dist[v] = 0.0
-                stamp[v] = g
-                seeds.append(v)
-                seeds_local += 1
+                local, entry = (v,), None
             else:
                 entry = self._node_portals.get(source.node)
-                if entry is not None:
-                    ids, dists = entry
-                    for i in range(bisect_right(dists, radius)):
-                        p = ids[i]
-                        dist[p] = dists[i]
-                        stamp[p] = g
-                        seeds.append(p)
-                        seeds_dl += 1
         else:  # pragma: no cover - the Source union is closed
             raise QueryError(f"unsupported coverage source {source!r}")
+        cut = bisect_right(entry[1], radius) if entry is not None else 0
+        if not local and not cut:
+            return _NOTHING
 
-        if stats is not None:
-            stats.seeds_local += seeds_local
-            stats.seeds_from_dl += seeds_dl
-
-        if not seeds:
-            return {}
+        n = self.num_nodes
+        marks = bytearray(n)
+        dist = [nextafter(radius, inf)] * n
+        seeds = list(local)  # dense ids; labels live in ``dist``
+        for v in local:
+            dist[v] = 0.0
+        if cut:
+            ids, dists = entry
+            for i in range(cut):
+                v = ids[i]
+                if dists[i] < dist[v]:  # local zero seed wins (DL dists > 0)
+                    dist[v] = dists[i]
+                    seeds.append(v)
         inv = self._inv_delta
         if inv > 0.0 and radius * inv <= self.bucket_limit:
-            out = self._settle_buckets(seeds, radius, g)
+            self._settle_buckets(seeds, radius, marks, dist)
         else:
-            out = self._settle_heap(seeds, radius, g)
+            self._settle_heap(seeds, marks, dist)
+        settled = marks.count(1)
         if stats is not None:
-            stats.settled_nodes += len(out)
-        return out
+            stats.seeds_local += len(local)
+            stats.seeds_from_dl += len(seeds) - len(local)
+            stats.settled_nodes += settled
+        return marks, dist, settled
 
-    def _settle_buckets(self, seeds: list[int], radius: float, g: int) -> dict[int, float]:
+    def distances(self, marks, dist) -> dict[int, float]:
+        """The exact ``{member: distance}`` map of one settled state."""
+        if marks.count(1) * 32 > len(marks):
+            return dict(zip(compress(self._globals, marks), compress(dist, marks)))
+        return {self._globals[i]: dist[i] for i in _hops(marks)}
+
+    def run(self, mask: int) -> array:
+        """The sorted global-id run of a dense-id mask (one byte per node)."""
+        if not mask:
+            return EMPTY_RUN
+        raw = mask.to_bytes(self.num_nodes, "little")
+        if mask.bit_count() * 32 > self.num_nodes:
+            return array("Q", compress(self._globals, raw))
+        return array("Q", map(self._globals.__getitem__, _hops(raw)))
+
+    def _settle_buckets(self, seeds: list[int], radius: float, marks: bytearray, dist: list) -> None:
         """Bucket-queue settle loop (the fast path for bounded radii).
 
         Invariant: bucket width < min edge weight, so a relaxation from
@@ -357,13 +322,11 @@ class FragmentKernel:
         grows while it is being swept — so each bucket is iterated
         with a plain ``for`` (no per-entry ``pop()`` call) and cleared
         afterwards, leaving the shared bucket array empty for the next
-        term.  Stale duplicate entries are skipped via the ``-1.0``
-        settled sentinel.
+        term.  A settled node's label is a lower bound on every later
+        candidate, so ``nd < dist[v]`` alone rejects it; stale duplicate
+        entries are skipped via ``marks``.
         """
-        dist = self._dist
-        stamp = self._stamp
         rows = self._rows
-        globals_ = self._globals
         inv = self._inv_delta
         buckets = self._buckets
         need = int(radius * inv) + 1
@@ -371,52 +334,62 @@ class FragmentKernel:
             buckets.append([])
         for v in seeds:
             buckets[int(dist[v] * inv)].append(v)
-        out: dict[int, float] = {}
         for k in range(need):
             b = buckets[k]
             if not b:
                 continue
             for u in b:
-                d = dist[u]
-                if d < 0.0:  # already settled via a shorter duplicate
+                if marks[u]:  # already settled via a shorter duplicate
                     continue
-                dist[u] = -1.0
-                out[globals_[u]] = d
+                marks[u] = 1
+                d = dist[u]
                 for v, w in rows[u]:
                     nd = d + w
-                    if nd <= radius and (stamp[v] != g or nd < dist[v]):
+                    if nd < dist[v]:
                         dist[v] = nd
-                        stamp[v] = g
                         buckets[int(nd * inv)].append(v)
             del b[:]
-        return out
 
-    def _settle_heap(self, seeds: list[int], radius: float, g: int) -> dict[int, float]:
+    def _settle_heap(self, seeds: list[int], marks: bytearray, dist: list) -> None:
         """Binary-heap settle loop (fallback for unbounded/huge radii)."""
-        dist = self._dist
-        stamp = self._stamp
         rows = self._rows
-        globals_ = self._globals
         heap = [(dist[v], v) for v in seeds]
         heapify(heap)
         push = heappush
         pop = heappop
-        out: dict[int, float] = {}
         while heap:
             d, u = pop(heap)
-            if d > radius:
-                break  # the heap is ordered; everything left is farther
-            if dist[u] != d:  # settled (-1.0) or superseded by a shorter push
+            if marks[u]:  # superseded by a shorter push, settled since
                 continue
-            dist[u] = -1.0
-            out[globals_[u]] = d
+            marks[u] = 1
             for v, w in rows[u]:
                 nd = d + w
-                if nd <= radius and (stamp[v] != g or nd < dist[v]):
+                if nd < dist[v]:
                     dist[v] = nd
-                    stamp[v] = g
                     push(heap, (nd, v))
-        return out
+
+
+def _hops(marks):
+    """Indexes of the 1-bytes of ``marks``, ascending.
+
+    For sparse states (a point query's few nodes): memchr hops between
+    the set bytes beat visiting every member below ~n/24 of them.
+    """
+    i = marks.find(1)
+    while i >= 0:
+        yield i
+        i = marks.find(1, i + 1)
+
+
+def _row_view(indptr, indices, weights, n: int) -> tuple:
+    """Hot-loop view derived from the CSR: ``((node, weight), …)`` per row.
+
+    Tuple unpack beats per-element array indexing in the interpreter.
+    """
+    return tuple(
+        tuple(zip(indices[indptr[i] : indptr[i + 1]], weights[indptr[i] : indptr[i + 1]]))
+        for i in range(n)
+    )
 
 
 def _pack_portal_list(pairs, dense: dict[int, int]) -> tuple[array, array]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.coverage import FragmentRuntime
+from repro.core.coverage import FragmentRuntime, sum_cache_stats
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
@@ -85,14 +85,9 @@ class SimulatedCluster:
 
     def coverage_cache_stats(self) -> dict[str, int]:
         """Coverage-cache counters summed over every hosted runtime."""
-        hits = misses = skipped = 0
-        for machine in self.coordinator.machines:
-            for runtime in machine.runtimes:
-                stats = runtime.cache_stats
-                hits += stats.hits
-                misses += stats.misses
-                skipped += stats.skipped
-        return {"hits": hits, "misses": misses, "skipped": skipped}
+        return sum_cache_stats(
+            runtime for machine in self.coordinator.machines for runtime in machine.runtimes
+        )
 
     def execute(self, query: QClassQuery, *, trace=None) -> ClusterResponse:
         """Answer one query.

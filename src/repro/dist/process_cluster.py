@@ -23,6 +23,7 @@ from __future__ import annotations
 import pickle
 import time
 import traceback
+from array import array
 from dataclasses import dataclass
 from multiprocessing import Pipe, Process, get_context
 from multiprocessing.connection import Connection
@@ -32,6 +33,7 @@ from repro.core.executor import execute_fragment_task
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
+from repro.core.runs import RunAnswer, merge_runs
 from repro.dist.network import NetworkModel
 from repro.exceptions import ClusterError
 from repro.obs.trace import Span, SpanCollector, TraceContext
@@ -313,9 +315,7 @@ def _worker_main(connection: Connection, payload: bytes) -> None:
                 for runtime in runtimes
             ]
             elapsed = time.perf_counter() - started
-            reply = [
-                (r.fragment_id, set(r.local_result), r.wall_seconds) for r in results
-            ]
+            reply = [(r.fragment_id, r.run, r.wall_seconds) for r in results]
             if collector is not None:
                 body_out = (
                     reply,
@@ -339,14 +339,16 @@ def _worker_main(connection: Connection, payload: bytes) -> None:
 
 
 @dataclass(frozen=True)
-class ProcessClusterResponse:
+class ProcessClusterResponse(RunAnswer):
     """Outcome of one concurrently executed query.
 
-    ``spans`` holds the assembled trace spans when the query was
-    executed with a trace context (empty otherwise).
+    ``result_run`` is the answer as one sorted run, ``result_nodes`` the
+    same as a frozenset (built on first use).  ``spans`` holds the
+    assembled trace spans when the query was executed with a trace
+    context (empty otherwise).
     """
 
-    result_nodes: frozenset[int]
+    result_run: array
     fragment_seconds: dict[int, float]
     machine_seconds: dict[int, float]
     wall_seconds: float
@@ -542,7 +544,7 @@ class ProcessCluster:
                     ) from None
                 total_bytes += len(payload)
 
-        merged: set[int] = set()
+        runs: list[array] = []
         fragment_seconds: dict[int, float] = {}
         machine_seconds: dict[int, float] = {}
         for machine_id, connection in enumerate(self._connections):
@@ -555,7 +557,7 @@ class ProcessCluster:
             machine_seconds[machine_id] = elapsed
             total_bytes += wire_bytes
             for fragment_id, nodes, seconds in reply:
-                merged.update(nodes)
+                runs.append(nodes)
                 fragment_seconds[fragment_id] = seconds
             if collector is not None:
                 worker_spans: list[Span] = extra[0] if extra else []
@@ -566,7 +568,7 @@ class ProcessCluster:
         if root is not None:
             root.finish()
         return ProcessClusterResponse(
-            result_nodes=frozenset(merged),
+            result_run=merge_runs(runs),
             fragment_seconds=fragment_seconds,
             machine_seconds=machine_seconds,
             wall_seconds=time.perf_counter() - started,

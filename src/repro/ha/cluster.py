@@ -44,15 +44,18 @@ import pickle
 import threading
 import time
 import traceback
+from array import array
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 
+from repro.core.coverage import sum_cache_stats
 from repro.core.executor import execute_fragment_task
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
+from repro.core.runs import merge_runs
 from repro.dist.network import NetworkModel
 from repro.dist.process_cluster import (
     build_worker_runtimes,
@@ -136,12 +139,7 @@ def _ha_worker_main(connection: Connection, payload: bytes) -> None:
                 continue
             if kind == "cache_stats":
                 request_id = body
-                totals = {"hits": 0, "misses": 0, "skipped": 0}
-                for rt in hosted.values():
-                    stats = rt.cache_stats
-                    totals["hits"] += stats.hits
-                    totals["misses"] += stats.misses
-                    totals["skipped"] += stats.skipped
+                totals = sum_cache_stats(hosted.values())
                 connection.send(("stats", (request_id, totals), time.perf_counter()))
                 continue
             if kind != "query":  # pragma: no cover - protocol guard
@@ -166,10 +164,7 @@ def _ha_worker_main(connection: Connection, payload: bytes) -> None:
                     result = execute_fragment_task(
                         runtime, query, collector=collector, parent_id=parent_id
                     )
-                    reply.append(
-                        (result.fragment_id, set(result.local_result),
-                         result.wall_seconds)
-                    )
+                    reply.append((result.fragment_id, result.run, result.wall_seconds))
                 elapsed = time.perf_counter() - started
                 spans = None
                 if collector is not None:
@@ -201,7 +196,7 @@ class _InFlightHA:
         "apply_seq",
         "started",
         "degraded",
-        "merged",
+        "runs",  # fragment_id -> that fragment's sorted result run
         "fragment_seconds",
         "machine_seconds",
         "message_bytes",
@@ -220,7 +215,7 @@ class _InFlightHA:
         self.apply_seq = apply_seq
         self.started = time.perf_counter()
         self.degraded = degraded
-        self.merged: set[int] = set()
+        self.runs: dict[int, array] = {}
         self.fragment_seconds: dict[int, float] = {}
         self.machine_seconds: dict[int, float] = {}
         self.message_bytes = 0
@@ -478,10 +473,13 @@ class HACluster:
             process.join(timeout=timeout_seconds)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
-        for connection in self._connections:
-            connection.close()
+        # Dispatchers leave on the worker's "stopped" reply (or on EOF
+        # once it is gone); only then is it safe to close the pipes —
+        # close() under a blocked recv_bytes() raises in that thread.
         for thread in self._dispatchers:
             thread.join(timeout=timeout_seconds)
+        for connection in self._connections:
+            connection.close()
         if self._shm_store is not None:
             self._shm_store.unlink_all()
         with self._lock:
@@ -548,7 +546,7 @@ class HACluster:
         machine_id: int,
         request_id: int,
         attempt: int,
-        reply: list[tuple[int, set[int], float]],
+        reply: list[tuple[int, array, float]],
         elapsed: float,
         spans: list[Span] | None,
         wire_bytes: int,
@@ -572,7 +570,9 @@ class HACluster:
             for fragment_id, nodes, seconds in reply:
                 if inflight.awaiting.get(fragment_id) != machine_id:
                     continue  # task was rerouted away; a twin answer is coming
-                inflight.merged.update(nodes)
+                # Keyed by fragment: a re-answered fragment (reroute)
+                # replaces its run, it is never appended twice.
+                inflight.runs[fragment_id] = nodes
                 inflight.fragment_seconds[fragment_id] = seconds
                 del inflight.awaiting[fragment_id]
             inflight.machine_seconds[machine_id] = (
@@ -595,7 +595,7 @@ class HACluster:
                 inflight.root.finish()
             spans = tuple(inflight.collector.spans)
         response = PipelinedResponse(
-            result_nodes=frozenset(inflight.merged),
+            result_run=merge_runs(inflight.runs.values()),
             fragment_seconds=dict(inflight.fragment_seconds),
             machine_seconds=dict(inflight.machine_seconds),
             wall_seconds=time.perf_counter() - inflight.started,
@@ -786,7 +786,7 @@ class HACluster:
                     inflight.attempt += 1
                     inflight.valid_from = inflight.attempt
                     inflight.apply_seq = self._apply_seq
-                    inflight.merged.clear()
+                    inflight.runs.clear()
                     inflight.fragment_seconds.clear()
                     inflight.degraded = False
                     if inflight.collector is not None:

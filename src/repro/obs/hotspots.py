@@ -14,7 +14,7 @@ key whose true weight exceeds ``total / capacity`` is tracked.
 keyword × fragment pairs, each by eval-seconds and by eval count — fed
 from the ``eval`` spans workers already piggyback on traced replies
 (tags ``source`` and duration; see
-:func:`repro.core.coverage.batch_distance_maps`).  The top-k surfaces
+:func:`repro.core.coverage.settle_terms`).  The top-k surfaces
 in the ``stats`` op, as bounded-cardinality Prometheus series, and as
 the per-fragment feature feed the ROADMAP's learned-pruning item
 consumes.

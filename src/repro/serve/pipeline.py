@@ -51,16 +51,19 @@ import pickle
 import threading
 import time
 import traceback
+from array import array
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 
+from repro.core.coverage import sum_cache_stats
 from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
+from repro.core.runs import RunAnswer, as_run, merge_runs
 from repro.dist.network import NetworkModel
 from repro.dist.process_cluster import (
     build_worker_runtimes,
@@ -148,14 +151,9 @@ def _pipelined_worker_main(connection: Connection, payload: bytes) -> None:
                 continue
             if kind == "cache_stats":
                 # Control round-trip: aggregate this worker's per-runtime
-                # coverage-cache counters (shm runtimes report zeros).
+                # coverage-cache counters (serving runtimes run cacheless).
                 request_id = body
-                totals = {"hits": 0, "misses": 0, "skipped": 0}
-                for rt in runtimes:
-                    stats = rt.cache_stats
-                    totals["hits"] += stats.hits
-                    totals["misses"] += stats.misses
-                    totals["skipped"] += stats.skipped
+                totals = sum_cache_stats(runtimes)
                 connection.send_bytes(
                     pickle.dumps(("stats", (request_id, totals), time.perf_counter()))
                 )
@@ -204,10 +202,7 @@ def _pipelined_worker_main(connection: Connection, payload: bytes) -> None:
                     for rt in runtimes
                 ]
                 elapsed = time.perf_counter() - started
-                reply = [
-                    (r.fragment_id, set(r.local_result), r.wall_seconds)
-                    for r in results
-                ]
+                reply = [(r.fragment_id, r.run, r.wall_seconds) for r in results]
                 if collector is not None:
                     body_out = (
                         request_id,
@@ -240,14 +235,17 @@ def _pipelined_worker_main(connection: Connection, payload: bytes) -> None:
 
 
 @dataclass(frozen=True)
-class PipelinedResponse:
+class PipelinedResponse(RunAnswer):
     """Outcome of one pipelined query.
 
-    ``degraded`` marks answers computed after a worker death: correct
-    for the surviving fragments, silent about the dead machine's.
+    ``result_run`` is the answer as one sorted run (what the ANSWER
+    frame and the NDJSON reply are written from); ``result_nodes`` is
+    the same as a frozenset, built on first use.  ``degraded`` marks
+    answers computed after a worker death: correct for the surviving
+    fragments, silent about the dead machine's.
     """
 
-    result_nodes: frozenset[int]
+    result_run: array
     fragment_seconds: dict[int, float]
     machine_seconds: dict[int, float]
     wall_seconds: float
@@ -310,7 +308,7 @@ class _InFlight:
         "awaiting",
         "started",
         "degraded",
-        "merged",
+        "runs",  # fragment_id -> that fragment's sorted result run
         "fragment_seconds",
         "machine_seconds",
         "message_bytes",
@@ -325,7 +323,7 @@ class _InFlight:
         self.awaiting = awaiting
         self.started = time.perf_counter()
         self.degraded = degraded
-        self.merged: set[int] = set()
+        self.runs: dict[int, array] = {}
         self.fragment_seconds: dict[int, float] = {}
         self.machine_seconds: dict[int, float] = {}
         self.message_bytes = 0
@@ -514,10 +512,13 @@ class PipelinedCluster:
             process.join(timeout=timeout_seconds)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
-        for connection in self._connections:
-            connection.close()
+        # Dispatchers leave on the worker's "stopped" reply (or on EOF
+        # once it is gone); only then is it safe to close the pipes —
+        # close() under a blocked recv_bytes() raises in that thread.
         for thread in self._dispatchers:
             thread.join(timeout=timeout_seconds)
+        for connection in self._connections:
+            connection.close()
         if self._shm_store is not None:
             self._shm_store.unlink_all()
         with self._lock:
@@ -589,7 +590,7 @@ class PipelinedCluster:
         self,
         machine_id: int,
         request_id: int,
-        reply: list[tuple[int, set[int], float]],
+        reply: list[tuple[int, "array | dict[int, tuple]", float]],
         elapsed: float,
         wire_bytes: int,
         spans: list[Span] | None = None,
@@ -602,11 +603,11 @@ class PipelinedCluster:
             inflight.message_bytes += wire_bytes
             for fragment_id, nodes, seconds in reply:
                 # Explain replies carry {node -> distances} dicts; plain
-                # replies carry node sets.  Either way the keys/elements
-                # are the fragment's result nodes.
+                # replies carry the fragment's sorted run.  Either way
+                # the keys/elements are the fragment's result nodes.
                 if isinstance(nodes, dict):
                     inflight.partials[fragment_id] = nodes
-                inflight.merged.update(nodes)
+                inflight.runs[fragment_id] = as_run(nodes)
                 inflight.fragment_seconds[fragment_id] = seconds
             if spans and inflight.collector is not None:
                 for span in spans:
@@ -622,7 +623,7 @@ class PipelinedCluster:
             if inflight.root is not None and inflight.root.end is None:
                 inflight.root.finish()
         response = PipelinedResponse(
-            result_nodes=frozenset(inflight.merged),
+            result_run=merge_runs(inflight.runs.values()),
             fragment_seconds=dict(inflight.fragment_seconds),
             machine_seconds=dict(inflight.machine_seconds),
             wall_seconds=time.perf_counter() - inflight.started,

@@ -50,12 +50,14 @@ import contextlib
 import inspect
 import threading
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.cache.store import SemanticResultCache
 from repro.core.language import parse_query
+from repro.core.runs import RunAnswer
 from repro.exceptions import ClusterError, DisksError, LiveUpdateError, QueryError
 from repro.live.ops import op_from_record
 from repro.obs.events import global_events
@@ -74,7 +76,7 @@ __all__ = ["ServeConfig", "DisksServer", "serve_in_thread"]
 
 
 @dataclass(frozen=True)
-class _CachedResponse:
+class _CachedResponse(RunAnswer):
     """A cache hit shaped like a cluster response.
 
     Mirrors the attributes ``_run_query`` consumers read off a
@@ -83,7 +85,7 @@ class _CachedResponse:
     tests (and the slow-query ring) tell the two apart.
     """
 
-    result_nodes: frozenset[int]
+    result_run: array
     fragment_seconds: dict = field(default_factory=dict)
     machine_seconds: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -1032,9 +1034,7 @@ class DisksServer:
                     # Cache hits feed the latency window (the p99 must
                     # reflect real traffic) but carry no spans to keep.
                     self.retention.decide(latency)
-                response = _CachedResponse(
-                    result_nodes=hit.nodes, wall_seconds=latency
-                )
+                response = _CachedResponse(result_run=hit.run, wall_seconds=latency)
                 return response, None, latency
         try:
             if trace is not None:
@@ -1066,7 +1066,7 @@ class DisksServer:
             and not self._cluster.degraded
         ):
             outcome = self.result_cache.admit_outcome(
-                ticket, response.result_nodes, getattr(response, "partials", None)
+                ticket, response.result_run, getattr(response, "partials", None)
             )
             cache_stale = outcome == "stale"
         degraded = bool(response.degraded or self._cluster.degraded)
@@ -1155,7 +1155,7 @@ class DisksServer:
             reply = {
                 "id": request_id,
                 "ok": True,
-                "nodes": sorted(response.result_nodes),
+                "nodes": response.result_run.tolist(),
                 "degraded": response.degraded or self._cluster.degraded,
                 "timing": {
                     "latency_ms": latency * 1000.0,
@@ -1204,7 +1204,7 @@ class DisksServer:
                 return wire.encode_error(request_id, "cluster", str(error))
             return wire.encode_answer(
                 request_id,
-                response.result_nodes,
+                response.result_run,
                 degraded=bool(response.degraded or self._cluster.degraded),
                 latency_ms=latency * 1000.0,
                 wall_ms=response.wall_seconds * 1000.0,

@@ -62,9 +62,12 @@ from __future__ import annotations
 import json
 import pickle
 import struct
+import sys
+from array import array
 
 from repro.core.dfunction import DExpression, SetOp
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource, QClassQuery
+from repro.core.runs import as_run
 from repro.exceptions import QueryError
 
 __all__ = [
@@ -142,6 +145,8 @@ _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _HEADER = struct.Struct("<IB")
 
+_BIG_ENDIAN = sys.byteorder == "big"  # array('Q') is native; the wire is little-endian
+
 _PIPE_QUERY_TAG = 0x51  # 'Q'
 _PIPE_RESULTS_TAG = 0x52  # 'R'
 _PICKLE_OPCODE = 0x80  # every pickle protocol ≥ 2 stream starts with this
@@ -193,6 +198,14 @@ class _Reader:
     def f64(self) -> float:
         return _F64.unpack(self.take(8))[0]
 
+    def run(self, count: int) -> array:
+        """``count`` u64 node ids as a run (the bytes are taken as they are)."""
+        nodes = array("Q")
+        nodes.frombytes(self.take(count * 8))
+        if _BIG_ENDIAN:
+            nodes.byteswap()
+        return nodes
+
     def string(self) -> str:
         raw = self.take(self.u16())
         try:
@@ -205,6 +218,16 @@ class _Reader:
             raise WireProtocolError(
                 f"{len(self.data) - self.pos} trailing garbage bytes after payload"
             )
+
+
+def _put_run(out: bytearray, nodes) -> None:
+    """``u32 n | n×u64``: a run as it is, any other node collection sorted."""
+    run = as_run(nodes)
+    if _BIG_ENDIAN:
+        run = array("Q", run)
+        run.byteswap()
+    out += _U32.pack(len(run))
+    out += run.tobytes()
 
 
 def _put_string(out: bytearray, text: str) -> None:
@@ -404,12 +427,14 @@ def encode_answer(
     makespan_ms: float,
     message_bytes: int,
 ) -> bytes:
-    """An ANSWER frame: sorted result nodes plus the timing block."""
+    """An ANSWER frame: sorted result nodes plus the timing block.
+
+    ``nodes`` is the answer's sorted run (written as it is) or any other
+    node collection (sorted here).
+    """
     out = bytearray(_U64.pack(request_id))
     out.append(1 if degraded else 0)
-    ordered = sorted(nodes)
-    out += _U32.pack(len(ordered))
-    out += struct.pack(f"<{len(ordered)}Q", *ordered) if ordered else b""
+    _put_run(out, nodes)
     out += _F64.pack(latency_ms)
     out += _F64.pack(wall_ms)
     out += _F64.pack(makespan_ms)
@@ -422,8 +447,7 @@ def decode_answer(payload: bytes) -> dict:
     reader = _Reader(payload)
     request_id = reader.u64()
     flags = reader.u8()
-    n = reader.u32()
-    nodes = list(struct.unpack(f"<{n}Q", reader.take(n * 8))) if n else []
+    nodes = reader.run(reader.u32()).tolist()
     latency_ms = reader.f64()
     wall_ms = reader.f64()
     makespan_ms = reader.f64()
@@ -622,11 +646,17 @@ def dumps_pipe_query(request_id: int, query: QClassQuery, sent_at: float) -> byt
 
 def dumps_pipe_results(
     request_id: int,
-    reply: list[tuple[int, set[int], float]],
+    reply: list[tuple[int, "array | set[int]", float]],
     elapsed: float,
     sent_at: float,
 ) -> bytes:
-    """Binary pipe frame for one result reply (fragment→nodes sets)."""
+    """Binary pipe frame for one result reply.
+
+    Layout: ``u8 'R' | f64 sent_at | u64 id | f64 elapsed | u32 nfrag |
+    nfrag × (u32 fragment | f64 seconds | u32 n | n×u64 nodes)``.  Each
+    fragment's nodes are its sorted run, copied in as raw bytes; a plain
+    set is accepted and sorted on entry.
+    """
     out = bytearray((_PIPE_RESULTS_TAG,))
     out += _F64.pack(sent_at)
     out += _U64.pack(request_id)
@@ -635,10 +665,7 @@ def dumps_pipe_results(
     for fragment_id, nodes, seconds in reply:
         out += _U32.pack(fragment_id)
         out += _F64.pack(seconds)
-        ordered = sorted(nodes)
-        out += _U32.pack(len(ordered))
-        if ordered:
-            out += struct.pack(f"<{len(ordered)}Q", *ordered)
+        _put_run(out, nodes)
     return bytes(out)
 
 
@@ -650,7 +677,9 @@ def loads_pipe(raw: bytes):
     encoding-agnostic:
 
     * ``("query", (request_id, query, None), sent_at)``
-    * ``("results", (request_id, reply, elapsed), sent_at)``
+    * ``("results", (request_id, reply, elapsed), sent_at)`` — each
+      ``reply`` entry is ``(fragment_id, run, seconds)`` with the run an
+      ``array('Q')`` filled straight from the frame's bytes
     """
     first = raw[0]
     if first == _PICKLE_OPCODE:
@@ -671,9 +700,7 @@ def loads_pipe(raw: bytes):
         for _ in range(nfrag):
             fragment_id = reader.u32()
             seconds = reader.f64()
-            n = reader.u32()
-            nodes = set(struct.unpack(f"<{n}Q", reader.take(n * 8))) if n else set()
-            reply.append((fragment_id, nodes, seconds))
+            reply.append((fragment_id, reader.run(reader.u32()), seconds))
         reader.finish()
         return "results", (request_id, reply, elapsed), sent_at
     raise WireProtocolError(f"unknown pipe payload tag {tag:#x}")

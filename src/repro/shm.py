@@ -42,11 +42,10 @@ from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.core.coverage import CacheStats
+from repro.core.coverage import CoverageCache
 from repro.core.fragment import Fragment
 from repro.core.kernel import FragmentKernel
 from repro.core.npd import NPDIndex
-from repro.core.queries import CoverageTerm, KeywordSource, NodeSource
 
 __all__ = [
     "SegmentManifest",
@@ -188,13 +187,15 @@ class SharedKernelRuntime:
 
     Implements exactly the surface
     :func:`repro.core.executor.execute_fragment_task` and
-    :func:`repro.core.coverage.batch_distance_maps` touch: ``fragment``
-    (id only), ``compiled``, ``kernel``, ``max_radius``, ``_cache_key``
-    and the (disabled) coverage-cache trio.  No ``Fragment`` or
-    ``NPDIndex`` objects exist in the worker at all.
+    :func:`repro.core.coverage.settle_term` touch: ``fragment`` (id
+    only), ``compiled``, ``kernel``, ``max_radius`` and a switched-off
+    ``coverage_cache`` (caching is a simulation-policy feature; shm
+    workers run cacheless like the default serving runtimes).  No
+    ``Fragment`` or ``NPDIndex`` objects exist in the worker at all.
     """
 
     compiled = True
+    coverage_cache = CoverageCache()  # capacity 0: stateless, safe to share
 
     def __init__(self, manifest: SegmentManifest, shm: shared_memory.SharedMemory) -> None:
         self.manifest = manifest
@@ -232,27 +233,6 @@ class SharedKernelRuntime:
             inv_delta=manifest.inv_delta,
             bucket_limit=manifest.bucket_limit,
         )
-
-    # -- coverage-cache surface (caching is a coordinator-policy feature;
-    # shm workers run cacheless like the default serving runtimes) -----
-    def _cache_key(self, term: CoverageTerm):
-        source = term.source
-        if isinstance(source, KeywordSource):
-            return ("kw", source.keyword), term.radius
-        assert isinstance(source, NodeSource)
-        return ("node", source.node), term.radius
-
-    def cached_distance_map(self, term: CoverageTerm):
-        """Always None: shared segments are read-only, so nothing is memoised."""
-        return None
-
-    def store_distance_map(self, term: CoverageTerm, distances) -> None:
-        """No-op: a read-only attachment cannot grow a per-term cache."""
-        return None
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return CacheStats(0, 0, 0)
 
     def release(self) -> None:
         """Drop the kernel's memoryviews and unmap the segment.

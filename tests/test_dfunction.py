@@ -167,3 +167,78 @@ class TestLemma1Distributivity:
         for frag in fragments:
             distributed |= expr.evaluate([s & frag for s in sets])
         assert distributed == direct
+
+
+def to_mask(nodes: set[int]) -> int:
+    """The kernel's mask layout: one byte per dense id, 1 = member."""
+    return sum(1 << (8 * node) for node in nodes)
+
+
+def from_mask(mask: int, universe: int) -> set[int]:
+    return {i for i, byte in enumerate(mask.to_bytes(universe, "little")) if byte}
+
+
+def nested_subtract_expression(rng: random.Random, arity: int, depth: int = 0) -> DExpression:
+    """Random trees biased towards SUBTRACT under SUBTRACT (``a − (b − c)``)."""
+    if depth >= 4 or rng.random() < 0.25:
+        return term(rng.randrange(arity))
+    op = rng.choice([SetOp.SUBTRACT, SetOp.SUBTRACT, SetOp.UNION, SetOp.INTERSECT])
+    return DExpression(
+        op=op,
+        left=nested_subtract_expression(rng, arity, depth + 1),
+        right=nested_subtract_expression(rng, arity, depth + 1),
+    )
+
+
+class TestMaskEvaluator:
+    """``evaluate_masks`` is ``evaluate`` on another representation."""
+
+    def test_apply_mask(self):
+        a, b = to_mask({1, 2, 3}), to_mask({2, 3, 4})
+        assert SetOp.UNION.apply_mask(a, b) == to_mask({1, 2, 3, 4})
+        assert SetOp.INTERSECT.apply_mask(a, b) == to_mask({2, 3})
+        assert SetOp.SUBTRACT.apply_mask(a, b) == to_mask({1})
+        assert SetOp.SUBTRACT.apply_mask(0, b) == 0  # never negative
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        universe=st.integers(1, 48),
+        arity=st.integers(1, 6),
+    )
+    def test_tree_masks_match_sets(self, seed, universe, arity):
+        rng = random.Random(seed)
+        expr = nested_subtract_expression(rng, arity)
+        sets = [{x for x in range(universe) if rng.random() < 0.5} for _ in range(arity)]
+        mask = expr.evaluate_masks([to_mask(s) for s in sets])
+        assert mask >= 0
+        assert from_mask(mask, universe) == expr.evaluate(sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000), universe=st.integers(1, 32), arity=st.integers(1, 6))
+    def test_chain_masks_match_sets(self, seed, universe, arity):
+        rng = random.Random(seed)
+        f = DFunction(tuple(rng.choice(list(SetOp)) for _ in range(arity - 1)))
+        sets = [{x for x in range(universe) if rng.random() < 0.5} for _ in range(arity)]
+        assert from_mask(f.evaluate_masks([to_mask(s) for s in sets]), universe) == f.evaluate(sets)
+
+    def test_same_arity_checks_as_the_set_evaluator(self):
+        with pytest.raises(QueryError):
+            term(3).evaluate_masks([0])
+        with pytest.raises(QueryError):
+            subtract(term(0), term(2)).evaluate_masks([1, 1])
+        f = DFunction((SetOp.UNION,))
+        with pytest.raises(QueryError):
+            f.evaluate_masks([1])
+        with pytest.raises(QueryError):
+            f.evaluate_masks([1, 1, 1])
+
+    def test_set_evaluator_neither_copies_nor_aliases_operands(self):
+        """Operands are left untouched and the result is a fresh set."""
+        sets = [{1, 2}, frozenset({2, 3})]
+        for expr in (term(0), term(1), union(term(0), term(1)), subtract(term(1), term(0))):
+            result = expr.evaluate(sets)
+            assert type(result) is set
+            result.add(99)
+            assert sets == [{1, 2}, frozenset({2, 3})]
+        assert type(DFunction(()).evaluate([frozenset({5})])) is set

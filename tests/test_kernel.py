@@ -1,8 +1,10 @@
 """Differential tests: compiled FragmentKernel vs the dict reference path.
 
 The kernel's contract is *bit-identical distance maps* — same nodes,
-same float distances — on every fragment, term and graph shape.  These
-tests pin it to the reference evaluator (``compiled=False``, i.e.
+same float distances — on every fragment, term and graph shape, and the
+same node set whether its settled state is read as a distance map or as
+a bitmask turned into a sorted run.  These tests pin both views to the
+reference evaluator (``compiled=False``, i.e.
 :func:`repro.search.dijkstra.shortest_path_distances`) over randomized
 networks, directed and undirected, including tie-heavy integer weights
 where many nodes sit at exactly the same distance, and the
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 
@@ -26,7 +29,9 @@ from repro.core.coverage import (
     batch_distance_maps,
     local_distance_map,
 )
-from repro.core.queries import CoverageTerm, KeywordSource, NodeSource
+from repro.core.dfunction import intersect, subtract, term as leaf, union
+from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
+from repro.core.queries import CoverageTerm, KeywordSource, NodeSource, QClassQuery
 from repro.graph.build import RoadNetworkBuilder
 from repro.partition import BfsPartitioner
 
@@ -83,13 +88,17 @@ def build_runtime_trios(net, num_fragments: int, max_radius: float, seed: int = 
         reference = FragmentRuntime(fragment, index, compiled=False)
         bucketed = FragmentRuntime(fragment, index, compiled=True)
         heap_forced = FragmentRuntime(fragment, index, compiled=True)
-        heap_forced.kernel.bucket_limit = -1  # force the heap fallback
+        heap_forced.kernel.bucket_limit = 0  # force the heap fallback
         trios.append((reference, bucketed, heap_forced))
     return trios
 
 
 def assert_term_parity(reference: FragmentRuntime, compiled_variants, term):
-    """One term, every evaluator: identical maps AND identical counters."""
+    """One term, every evaluator: identical maps AND identical counters.
+
+    Both views of the kernel's one settled state are checked: the
+    derived distance dict, and the mask turned into a sorted run.
+    """
     ref_stats = CoverageStats()
     ref_map = local_distance_map(reference, term, ref_stats)
     for compiled in compiled_variants:
@@ -97,7 +106,31 @@ def assert_term_parity(reference: FragmentRuntime, compiled_variants, term):
         kern_map = local_distance_map(compiled, term, kern_stats)
         assert kern_map == ref_map  # exact float equality, not approx
         assert kern_stats == ref_stats
+        kernel = compiled.kernel
+        marks, dist, count = kernel.settle(term)
+        assert count == marks.count(1) == len(ref_map)
+        run = kernel.run(int.from_bytes(marks, "little"))
+        assert isinstance(run, array) and run.typecode == "Q"
+        assert run.tolist() == sorted(ref_map)
+        assert kernel.distances(marks, dist) == ref_map
     return ref_map
+
+
+def assert_task_parity(reference: FragmentRuntime, compiled_variants, query):
+    """One query, every evaluator: same run, sizes, counters, explanations."""
+    expected = execute_fragment_task(reference, query)
+    _, expected_explained = execute_fragment_task_explained(reference, query)
+    assert expected.run.tolist() == sorted(expected.local_result)
+    for compiled in compiled_variants:
+        got = execute_fragment_task(compiled, query)
+        assert got.run == expected.run  # the sorted run, element for element
+        assert got.local_result == expected.local_result
+        assert got.coverage_sizes == expected.coverage_sizes
+        assert got.stats == expected.stats
+        explained_result, explained = execute_fragment_task_explained(compiled, query)
+        assert explained_result.run == expected.run
+        assert explained == expected_explained
+    return expected
 
 
 class TestKernelDifferential:
@@ -120,9 +153,16 @@ class TestKernelDifferential:
             CoverageTerm(KeywordSource(f"w{k}"), rng.uniform(0.25, 8.0))
             for k in range(5)
         ] + [CoverageTerm(NodeSource(rng.choice(nodes)), rng.uniform(0.25, 8.0)) for _ in range(5)]
+        queries = [
+            QClassQuery(tuple(terms[:3]), intersect(leaf(0), union(leaf(1), leaf(2)))),
+            QClassQuery(tuple(terms[2:6]), subtract(union(leaf(0), leaf(3)), subtract(leaf(1), leaf(2)))),
+            QClassQuery((terms[0], terms[7], terms[0]), subtract(leaf(0), intersect(leaf(1), leaf(2)))),
+        ]
         for reference, *variants in trios:
             for term in terms:
                 assert_term_parity(reference, variants, term)
+            for query in queries:
+                assert_task_parity(reference, variants, query)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_tie_heavy_weights_parity(self, directed: bool):
@@ -133,6 +173,12 @@ class TestKernelDifferential:
                 term = CoverageTerm(KeywordSource(f"w{k}"), radius)
                 for reference, *variants in trios:
                     assert_term_parity(reference, variants, term)
+            query = QClassQuery(
+                tuple(CoverageTerm(KeywordSource(f"w{k}"), radius) for k in range(3)),
+                subtract(intersect(leaf(0), leaf(1)), leaf(2)),
+            )
+            for reference, *variants in trios:
+                assert_task_parity(reference, variants, query)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_radius_equals_max_radius_boundary(self, directed: bool):
@@ -153,6 +199,12 @@ class TestKernelDifferential:
                 if any(d == max_radius for d in ref_map.values()):
                     saw_boundary_node = True
         assert saw_boundary_node  # the bound was actually reached
+        query = QClassQuery(
+            tuple(CoverageTerm(KeywordSource(f"w{k}"), max_radius) for k in range(2)),
+            union(leaf(0), leaf(1)),
+        )
+        for reference, *variants in trios:
+            assert_task_parity(reference, variants, query)
 
     def test_node_source_inside_and_outside_fragment(self):
         net = make_random_network(seed=913, num_junctions=24, num_objects=12, vocabulary=4)
@@ -166,13 +218,29 @@ class TestKernelDifferential:
                 for radius in (0.0, 1.5, 6.0):
                     term = CoverageTerm(NodeSource(node), radius)
                     assert_term_parity(reference, variants, term)
+                    query = QClassQuery(
+                        (term, CoverageTerm(KeywordSource("w0"), 0.0)), intersect(leaf(0), leaf(1))
+                    )
+                    assert_task_parity(reference, variants, query)
 
     def test_unknown_keyword_is_empty_on_both_paths(self):
         net = make_random_network(seed=914, num_junctions=20, num_objects=10, vocabulary=3)
         trios = build_runtime_trios(net, 2, max_radius=math.inf)
         term = CoverageTerm(KeywordSource("no-such-keyword"), 3.0)
+        other = CoverageTerm(KeywordSource("w0"), 3.0)
         for reference, *variants in trios:
             assert assert_term_parity(reference, variants, term) == {}
+            for kernel in (variant.kernel for variant in variants):
+                # No seed: the shared empty state, no scratch allocated.
+                assert kernel.settle(term) is kernel.settle(term)
+                assert kernel.run(0) is kernel.run(0)
+            empty = assert_task_parity(
+                reference, variants, QClassQuery((term, other), intersect(leaf(0), leaf(1)))
+            )
+            assert not empty.run
+            assert_task_parity(
+                reference, variants, QClassQuery((other, term), subtract(leaf(0), leaf(1)))
+            )
 
 
 class TestKernelMechanics:
@@ -182,18 +250,28 @@ class TestKernelMechanics:
         return trios[0][1] if compiled else trios[0][0]
 
     def test_scratch_reuse_across_many_terms(self):
-        """Hundreds of searches on one kernel stay exact (stamp hygiene)."""
+        """Hundreds of back-to-back searches on one kernel stay exact.
+
+        The bucket array is the only state shared between searches; it
+        must be empty after each one, whichever loop ran.  ``marks`` and
+        ``dist`` are per search, so an earlier result is never disturbed.
+        """
         compiled = self._runtime(compiled=True)
         reference = self._runtime(compiled=False)
+        kernel = compiled.kernel
         rng = random.Random(0)
         terms = [
             CoverageTerm(KeywordSource(f"w{rng.randrange(4)}"), rng.uniform(0.1, 9.0))
             for _ in range(200)
         ]
-        before = compiled.kernel.generation
-        for term in terms:
+        first = kernel.settle(terms[0])
+        snapshot = (bytes(first[0]), list(first[1]))
+        limit = kernel.bucket_limit
+        for i, term in enumerate(terms):
+            kernel.bucket_limit = 0 if i % 3 == 2 else limit  # interleave the heap loop
             assert local_distance_map(compiled, term) == local_distance_map(reference, term)
-        assert compiled.kernel.generation == before + len(terms)
+            assert all(not bucket for bucket in kernel._buckets)
+        assert (bytes(first[0]), list(first[1])) == snapshot
 
     def test_csr_layout_is_consistent(self):
         kernel = self._runtime(compiled=True).kernel
@@ -210,13 +288,13 @@ class TestKernelMechanics:
         t1 = CoverageTerm(KeywordSource("w0"), 3.0)
         t2 = CoverageTerm(KeywordSource("w1"), 2.0)
         terms = [t1, t2, t1]  # duplicate first term
-        before = compiled.kernel.generation
-        maps = batch_distance_maps(compiled, terms)
-        assert maps[0] is maps[2]  # the duplicate was memoised
-        assert compiled.kernel.generation == before + 2  # only two searches ran
+        stats = CoverageStats()
+        maps = batch_distance_maps(compiled, terms, stats)
         fresh = self._runtime(compiled=True)
-        assert maps[0] == local_distance_map(fresh, t1)
-        assert maps[1] == local_distance_map(fresh, t2)
+        once = CoverageStats()
+        assert maps[0] == maps[2] == local_distance_map(fresh, t1, once)
+        assert maps[1] == local_distance_map(fresh, t2, once)
+        assert stats == once  # only two searches ran: the duplicate was memoised
 
     def test_bucket_path_self_drains_and_heap_fallback_matches(self):
         """Default path uses (and drains) the bucket array; fallback agrees."""
@@ -225,18 +303,43 @@ class TestKernelMechanics:
         kernel = bucketed.kernel
         term = CoverageTerm(KeywordSource("w0"), 5.0)
         expected = local_distance_map(reference, term)
-        assert kernel.distance_map(term) == expected
+        assert kernel.distances(*kernel.settle(term)[:2]) == expected
         assert len(kernel._buckets) >= 6  # the bucket path actually ran
         assert all(not bucket for bucket in kernel._buckets)  # and self-drained
-        kernel.bucket_limit = -1  # flip the same kernel to the heap loop
-        assert kernel.distance_map(term) == expected
+        kernel.bucket_limit = 0  # flip the same kernel to the heap loop
+        assert kernel.distances(*kernel.settle(term)[:2]) == expected
+
+    def test_sparse_and_dense_extraction_both_match_the_reference(self):
+        """``run``/``distances`` hop between set bytes when few are set.
+
+        The other graphs here are so small that every non-empty state
+        takes the dense ``compress`` path; this one is large enough for
+        a narrow term to take the sparse one and a wide term the dense.
+        """
+        net = make_random_network(seed=917, num_junctions=150, num_objects=40, vocabulary=30)
+        seen = set()
+        for reference, *variants in build_runtime_trios(net, 2, max_radius=math.inf):
+            n = variants[0].kernel.num_nodes
+            for radius in (0.0, 0.4, 1.0, 30.0):
+                for k in range(6):
+                    term = CoverageTerm(KeywordSource(f"w{k}"), radius)
+                    covered = len(assert_term_parity(reference, variants, term))
+                    if covered:
+                        seen.add("dense" if covered * 32 > n else "sparse")
+                query = QClassQuery(
+                    tuple(CoverageTerm(KeywordSource(f"w{k}"), radius) for k in range(3)),
+                    union(leaf(0), subtract(leaf(1), leaf(2))),
+                )
+                assert_task_parity(reference, variants, query)
+        assert seen == {"dense", "sparse"}
 
     def test_lazy_kernel_on_reference_runtime(self):
         reference = self._runtime(compiled=False)
         assert not reference.compiled
         term = CoverageTerm(KeywordSource("w0"), 3.0)
         # The kernel is still reachable for comparison tooling.
-        assert reference.kernel.distance_map(term) == local_distance_map(reference, term)
+        kernel = reference.kernel
+        assert kernel.distances(*kernel.settle(term)[:2]) == local_distance_map(reference, term)
 
 
 class TestEngineParity:

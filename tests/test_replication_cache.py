@@ -135,7 +135,7 @@ class TestCoverageCache:
         term = CoverageTerm(KeywordSource("w0"), 3.0)
         local_coverage(runtime, term)
         local_coverage(runtime, term)
-        assert runtime.cache_stats == (0, 0, 0)
+        assert runtime.coverage_cache.stats == (0, 0, 0)
 
     def test_hit_returns_same_result(self):
         net, runtime = self._runtime(8)
@@ -143,7 +143,7 @@ class TestCoverageCache:
         first = local_coverage(runtime, term)
         second = local_coverage(runtime, term)
         assert first == second
-        hits, misses, _skipped = runtime.cache_stats
+        hits, misses, _skipped = runtime.coverage_cache.stats
         assert hits == 1 and misses == 1
 
     def test_distinct_radiuses_are_distinct_entries(self):
@@ -151,7 +151,7 @@ class TestCoverageCache:
         a = local_coverage(runtime, CoverageTerm(KeywordSource("w0"), 2.0))
         b = local_coverage(runtime, CoverageTerm(KeywordSource("w0"), 4.0))
         assert a <= b
-        hits, _misses, _skipped = runtime.cache_stats
+        hits, _misses, _skipped = runtime.coverage_cache.stats
         assert hits == 0
 
     def test_lru_eviction(self):
@@ -163,16 +163,16 @@ class TestCoverageCache:
         local_coverage(runtime, t2)
         local_coverage(runtime, t3)  # evicts t1
         local_coverage(runtime, t1)  # miss again
-        hits, misses, _skipped = runtime.cache_stats
+        hits, misses, _skipped = runtime.coverage_cache.stats
         assert hits == 0 and misses == 4
 
     def test_invalidate(self):
         _net, runtime = self._runtime(4)
         term = CoverageTerm(KeywordSource("w0"), 2.0)
         local_coverage(runtime, term)
-        runtime.invalidate_cache()
+        runtime.coverage_cache.clear()
         local_coverage(runtime, term)
-        hits, misses, _skipped = runtime.cache_stats
+        hits, misses, _skipped = runtime.coverage_cache.stats
         assert hits == 0 and misses == 2
 
     def test_max_entry_nodes_guard_skips_large_maps(self):
@@ -188,7 +188,7 @@ class TestCoverageCache:
         assert first  # a non-empty map, i.e. larger than the guard
         second = local_coverage(runtime, term)  # recomputed, not cached
         assert second == first
-        hits, misses, skipped = runtime.cache_stats
+        hits, misses, skipped = runtime.coverage_cache.stats
         assert hits == 0 and misses == 2 and skipped == 2
 
     def test_guard_leaves_small_maps_cacheable(self):
@@ -202,7 +202,7 @@ class TestCoverageCache:
         term = CoverageTerm(KeywordSource("w0"), 3.0)
         local_coverage(runtime, term)
         local_coverage(runtime, term)
-        hits, misses, skipped = runtime.cache_stats
+        hits, misses, skipped = runtime.coverage_cache.stats
         assert hits == 1 and misses == 1 and skipped == 0
 
     def test_cluster_aggregates_cache_stats(self):

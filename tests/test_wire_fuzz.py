@@ -149,6 +149,41 @@ class TestSansIOFuzz:
             except wire.WireProtocolError:
                 pass
 
+    def test_mutated_run_carrying_pipe_frames_fail_cleanly(self):
+        """Result frames carry raw runs: every cut raises, no mutation crashes.
+
+        A proper prefix can never decode (each count promises bytes that
+        are gone, and ``finish`` wants the frame used up); a flipped byte
+        may still decode — into runs of whole u64s — or raise
+        WireProtocolError, nothing else.
+        """
+        from array import array
+
+        rng = random.Random(0xA11)
+        reply = [
+            (0, array("Q", sorted(rng.sample(range(10_000), 40))), 0.001),
+            (1, array("Q"), 0.0),
+            (7, {5, 3, 2**63}, 0.002),  # a plain set: sorted on entry
+        ]
+        frame = wire.dumps_pipe_results(99, reply, 0.01, 123.5)
+        kind, (request_id, runs, _elapsed), _sent = wire.loads_pipe(frame)
+        assert (kind, request_id) == ("results", 99)
+        assert [list(run) for _f, run, _s in runs] == [sorted(nodes) for _f, nodes, _s in reply]
+        for cut in range(1, len(frame)):
+            with pytest.raises(wire.WireProtocolError):
+                wire.loads_pipe(frame[:cut])
+        for _ in range(MALFORMED_FLOOR // 4):
+            blob = bytearray(frame)
+            if rng.random() < 0.5:
+                blob[rng.randrange(1, len(blob))] ^= rng.randrange(1, 256)
+            else:
+                blob += rng.randbytes(rng.randint(1, 16))
+            try:
+                _kind, (_rid, decoded, _el), _at = wire.loads_pipe(bytes(blob))
+            except wire.WireProtocolError:
+                continue
+            assert all(isinstance(run, array) and run.typecode == "Q" for _f, run, _s in decoded)
+
     def test_truncations_of_every_valid_frame_fail_cleanly(self):
         """Every proper prefix either waits for more bytes or raises."""
         for frame in _valid_frames():

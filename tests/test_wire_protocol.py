@@ -14,6 +14,8 @@ Two contracts:
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
 from repro.core.dfunction import DExpression, SetOp
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource, QClassQuery
+from repro.core.runs import as_run
 from repro.partition import BfsPartitioner
 from repro.serve import (
     BinaryServeClient,
@@ -278,8 +281,41 @@ class TestRoundTrips:
             wire.dumps_pipe_results(request_id, reply, elapsed, sent_at)
         )
         assert kind == "results"
-        assert body == (request_id, reply, elapsed)
+        # Each fragment's nodes come back as their sorted run.
+        runs = [(fragment_id, as_run(nodes), seconds) for fragment_id, nodes, seconds in reply]
+        assert body == (request_id, runs, elapsed)
+        assert all(isinstance(run, array) and run.typecode == "Q" for _f, run, _s in body[1])
         assert back_sent == sent_at
+
+    @given(
+        request_id=_request_id,
+        reply=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.sets(_node_id, max_size=20),
+                _finite,
+            ),
+            max_size=4,
+        ),
+        elapsed=_finite,
+        sent_at=_finite,
+    )
+    def test_set_and_run_inputs_encode_to_the_same_bytes(
+        self, request_id, reply, elapsed, sent_at
+    ):
+        """A plain set is sorted on entry; a run is copied in as it is."""
+        runs = [(fragment_id, as_run(nodes), seconds) for fragment_id, nodes, seconds in reply]
+        frozen = [(fragment_id, frozenset(nodes), seconds) for fragment_id, nodes, seconds in reply]
+        from_sets = wire.dumps_pipe_results(request_id, reply, elapsed, sent_at)
+        assert wire.dumps_pipe_results(request_id, runs, elapsed, sent_at) == from_sets
+        assert wire.dumps_pipe_results(request_id, frozen, elapsed, sent_at) == from_sets
+        for fragment_id, nodes, _seconds in reply:
+            timing = dict(degraded=False, latency_ms=1.0, wall_ms=2.0, makespan_ms=3.0, message_bytes=4)
+            from_set = wire.encode_answer(fragment_id, nodes, **timing)
+            assert wire.encode_answer(fragment_id, as_run(nodes), **timing) == from_set
+            assert wire.encode_answer(fragment_id, frozenset(nodes), **timing) == from_set
+            # The node block is the documented little-endian u64 layout.
+            assert struct.pack(f"<I{len(nodes)}Q", len(nodes), *sorted(nodes)) in from_set
 
     @given(
         frames=st.lists(
@@ -399,3 +435,29 @@ class TestLimits:
         payload = wire.encode_query_payload(7, query) + b"\x00"
         with pytest.raises(wire.WireProtocolError, match="trailing garbage"):
             wire.decode_query_payload(payload)
+
+    def test_malformed_run_carrying_pipe_frames_rejected(self):
+        """count × 8 must be exactly the bytes present, frame by frame."""
+        runs = [(3, array("Q", [1, 5, 9]), 0.25), (4, array("Q", [2, 2**64 - 1]), 0.5)]
+        frame = wire.dumps_pipe_results(17, runs, 0.75, 1.5)
+        assert wire.loads_pipe(frame) == ("results", (17, runs, 0.75), 1.5)
+        with pytest.raises(wire.WireProtocolError, match="trailing garbage"):
+            wire.loads_pipe(frame + b"\x00")
+        with pytest.raises(wire.WireProtocolError, match="truncated"):
+            wire.loads_pipe(frame[:-1])  # the last run is one byte short
+        with pytest.raises(wire.WireProtocolError, match="truncated"):
+            wire.loads_pipe(frame[:-8])  # ... or one whole node short
+        # Tamper the first run's count (u32 after tag, sent_at, id,
+        # elapsed, nfrag, fragment id, seconds): one more node than
+        # present shifts every later field and runs off the end; one
+        # fewer leaves bytes over.
+        count_at = 1 + 8 + 8 + 8 + 4 + 4 + 8
+        assert frame[count_at : count_at + 4] == struct.pack("<I", 3)
+        for wrong in (2, 4, 2**32 - 1):
+            tampered = frame[:count_at] + struct.pack("<I", wrong) + frame[count_at + 4 :]
+            with pytest.raises(wire.WireProtocolError):
+                wire.loads_pipe(tampered)
+        # A fragment count larger than the fragments present.
+        nfrag_at = 1 + 8 + 8 + 8
+        with pytest.raises(wire.WireProtocolError, match="truncated"):
+            wire.loads_pipe(frame[:nfrag_at] + struct.pack("<I", 3) + frame[nfrag_at + 4 :])
