@@ -1,27 +1,26 @@
 """NPD-index construction (paper Algorithm 1, §4.1).
 
-The builder runs a bounded *backward* Dijkstra from every portal node of
-the fragment.  Along each shortest-path tree branch it propagates a
-``clean`` flag — true while no node of ``P`` lies strictly between the
-portal and the current node — which is exactly the bookkeeping the
-paper's ``visitedParts`` performs, reduced to the only membership that
-matters (membership in ``P`` itself):
+One bounded *backward* search per portal of the fragment, on the dense
+state of :mod:`repro.search.dense`: a ``dist`` list, a settle order and
+one *dirty* flag per node — set when a member of ``P`` lies strictly
+between the node and the portal, which is the paper's ``visitedParts``
+reduced to the only membership that matters (membership in ``P``):
 
-* a settled member node with a clean path and no original edge to the
-  portal yields an ``SC`` shortcut (Rule 1);
-* a settled outside node with a clean path yields ``DL`` records
+* a settled member that is not dirty and has no original edge of that
+  length to the portal yields an ``SC`` shortcut (Rule 1);
+* a settled outside node that is not dirty yields ``DL`` records
   (Rule 2): per-keyword minima (the §3.7 virtual-keyword-node form) and,
   per :class:`DLNodePolicy`, a concrete node entry.
 
-Because Dijkstra settles nodes in non-decreasing distance order, the
-per-keyword minimum for a portal is simply the *first* qualifying
-occurrence — recorded with a set-if-absent.
-
-Under shortest-path ties the tree realises one of the tied paths, so the
-builder records a pair whenever *some* shortest path qualifies.  That is
-a superset of Rules 3/4's minimal sets but every recorded value is an
-exact distance along a real path, and the query-time Dijkstra takes
-minima — correctness is unaffected (§5.3); tests pin this down.
+The flag is written when a label is relaxed and combined when a label
+ties, so what is recorded under shortest-path ties is a property of the
+graph, not of the order nodes settle in: by default a pair is recorded
+when *some* shortest path qualifies (flags AND-ed), under
+``strict_tie_rules`` when *every* one does (OR-ed; Rules 3/4).  The
+default is a superset of the minimal sets, but every recorded value is
+an exact path length and the query-time search takes minima, so
+correctness is unaffected (§5.3).  :mod:`repro.core.maintenance` runs
+the same rule forward, so a maintained index equals a rebuilt one.
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.exceptions import IndexBuildError
 from repro.core.fragment import Fragment
 from repro.core.npd import DLNodePolicy, NPDIndex
 from repro.graph.road_network import RoadNetwork
+from repro.search.dense import DenseSearch
 
 __all__ = ["NPDBuildConfig", "BuildStats", "build_npd_index", "build_all_indexes"]
 
@@ -77,7 +76,11 @@ class NPDBuildConfig:
 
 @dataclass
 class BuildStats:
-    """Construction-cost accounting for one fragment (Table 3 / EXP 2)."""
+    """Construction-cost accounting for one fragment (Table 3 / EXP 2).
+
+    ``settled_nodes`` sums the nodes within ``maxR`` of each portal;
+    ``relaxed_edges`` the arcs scanned, i.e. the degrees of those nodes.
+    """
 
     fragment_id: int
     num_portals: int
@@ -86,150 +89,78 @@ class BuildStats:
     wall_seconds: float = 0.0
 
 
-def _portal_search(
-    network: RoadNetwork,
-    members: frozenset[int],
-    portal: int,
-    max_radius: float,
-    index: NPDIndex,
-    keyword_pairs: dict[str, dict[int, float]],
-    node_pairs: dict[int, list[tuple[int, float]]],
-    stats: BuildStats,
-    *,
-    strict: bool = False,
-) -> None:
-    """One bounded backward Dijkstra from ``portal``, applying Rules 1–2.
-
-    With ``strict`` the cleanliness flag aggregates over *all* tight
-    predecessors (every shortest path must avoid interior members —
-    Rules 3/4); otherwise it follows the single tree path.
-    """
-    node_policy = index.node_policy
-    directed = network.directed
-    # Backward search: distances computed are d(p -> portal).  On the
-    # undirected graphs the forward CSR is the reverse graph too.
-    row_of = network.in_neighbor_slice if directed else network.neighbor_slice
-
-    best: dict[int, float] = {portal: 0.0}
-    pred: dict[int, int] = {portal: -1}
-    clean: dict[int, bool] = {portal: True}
-    dist: dict[int, float] = {}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, portal)]
-
-    def all_paths_clean(p: int, d: float) -> bool:
-        """Rule 3/4 cleanliness: every tight predecessor path is clean.
-
-        In the search graph a predecessor of ``p`` is any ``q`` with a
-        (reverse-direction) arc ``q -> p``, i.e. an original arc
-        ``p -> q`` — so scanning ``network.neighbors(p)`` enumerates
-        candidates in both modes.
-        """
-        found = False
-        for q, w in network.neighbors(p):
-            dq = dist.get(q)
-            if dq is None or dq + w != d:
-                continue
-            found = True
-            if not (clean[q] and (q == portal or q not in members)):
-                return False
-        return found
-
-    while heap:
-        d, p = heappop(heap)
-        if p in settled or d > best[p]:
-            continue
-        settled.add(p)
-        dist[p] = d
-        stats.settled_nodes += 1
-
-        q = pred[p]
-        if q == -1:
-            is_clean = True
-        elif strict:
-            is_clean = all_paths_clean(p, d)
-        else:
-            is_clean = clean[q] and (q == portal or q not in members)
-        clean[p] = is_clean
-
-        if p != portal and is_clean:
-            if p in members:
-                # Rule 1: member-to-portal shortcut.  Condition 2 excludes
-                # the pair only when (p, portal, d(p, portal)) is an edge
-                # of G *with that weight* — an original edge longer than
-                # the shortest path does not make the shortcut redundant.
-                if not (
-                    network.has_edge(p, portal)
-                    and network.edge_weight(p, portal) <= d * (1.0 + 1e-12)
-                ):
-                    index.add_shortcut(p, portal, d)
-            else:
-                # Rule 2: outside node whose shortest path first touches
-                # P at this portal.
-                keywords = network.keywords(p)
-                for keyword in keywords:
-                    per_portal = keyword_pairs.setdefault(keyword, {})
-                    if portal not in per_portal:  # first settle == minimum
-                        per_portal[portal] = d
-                if node_policy is DLNodePolicy.ALL or (
-                    node_policy is DLNodePolicy.OBJECTS and network.is_object(p)
-                ):
-                    node_pairs.setdefault(p, []).append((portal, d))
-
-        nbrs, wts, lo, hi = row_of(p)
-        for i in range(lo, hi):
-            v = nbrs[i]
-            if v in settled:
-                continue
-            nd = d + wts[i]
-            stats.relaxed_edges += 1
-            if nd <= max_radius and nd < best.get(v, math.inf):
-                best[v] = nd
-                pred[v] = p
-                heappush(heap, (nd, v))
-
-
 def build_npd_index(
     network: RoadNetwork,
     fragment: Fragment,
     config: NPDBuildConfig | None = None,
+    search: DenseSearch | None = None,
 ) -> tuple[NPDIndex, BuildStats]:
     """Build ``IND(P)`` for one fragment (Algorithm 1).
 
     Returns the sealed index together with construction statistics.  The
     search touches the whole network (construction is an offline, global
     computation — §4.1) but the *output* concerns only ``fragment``,
-    which is what makes construction fragment-parallel.
+    which is what makes construction fragment-parallel.  ``search`` is
+    the network's *reverse* row view, for callers that build more than
+    one fragment; it is derived here when omitted.
     """
     config = config or NPDBuildConfig()
     max_radius = config.resolve_max_radius(network)
+    policy = config.node_policy
     index = NPDIndex(
         fragment_id=fragment.fragment_id,
         max_radius=max_radius,
-        node_policy=config.node_policy,
+        node_policy=policy,
         directed=network.directed,
     )
     stats = BuildStats(fragment_id=fragment.fragment_id, num_portals=fragment.num_portals)
-    keyword_pairs: dict[str, dict[int, float]] = {}
+    keyword_pairs: dict[str, list[tuple[int, float]]] = {}
     node_pairs: dict[int, list[tuple[int, float]]] = {}
 
     started = time.perf_counter()
-    for portal in sorted(fragment.portals):
-        _portal_search(
-            network,
-            fragment.members,
-            portal,
-            max_radius,
-            index,
-            keyword_pairs,
-            node_pairs,
-            stats,
-            strict=config.strict_tie_rules,
-        )
-    index.seal(
-        {kw: list(per_portal.items()) for kw, per_portal in keyword_pairs.items()},
-        node_pairs,
+    # Backward search: distances are d(p -> portal), so the rows are the
+    # in-arcs (on undirected graphs the forward CSR is its own reverse).
+    search = search or DenseSearch(network, reverse=True)
+    rows = search.rows
+    nodes = network.nodes()
+    member = bytes(node in fragment.members for node in nodes)
+    keywords = [network.keywords(node) for node in nodes]
+    has_entry = bytes(
+        policy is DLNodePolicy.ALL or (policy is DLNodePolicy.OBJECTS and network.is_object(node))
+        for node in nodes
     )
+    # Rules 1-2 concern members and entry-bearing outsiders only; the
+    # other settled nodes (most of them: outside junctions) are skipped in C.
+    relevant = bytes(map(max, member, map(bool, keywords), has_entry))
+    for portal in sorted(fragment.portals):
+        order, dist, dirty = search.run((portal,), max_radius, member, config.strict_tie_rules)
+        stats.settled_nodes += len(order)
+        stats.relaxed_edges += sum(map(len, map(rows.__getitem__, order)))
+        direct = dict(rows[portal])  # the arcs p -> portal of G
+        nearest: dict[str, float] = {}
+        for p in filter(relevant.__getitem__, order):
+            if dirty[p]:
+                continue
+            d = dist[p]
+            if member[p]:
+                # Rule 1: member-to-portal shortcut.  Condition 2 excludes
+                # the pair only when (p, portal, d(p, portal)) is an edge
+                # of G *with that weight* — an original edge longer than
+                # the shortest path does not make the shortcut redundant.
+                if p != portal and direct.get(p, math.inf) > d * (1.0 + 1e-12):
+                    index.add_shortcut(p, portal, d)
+                continue
+            # Rule 2: outside node some (every, if strict) shortest path
+            # of which first touches P at this portal.  A bucket is not
+            # swept in distance order, so the minimum is taken explicitly.
+            for keyword in keywords[p]:
+                if d < nearest.get(keyword, math.inf):
+                    nearest[keyword] = d
+            if has_entry[p]:
+                node_pairs.setdefault(p, []).append((portal, d))
+        for keyword, d in nearest.items():
+            keyword_pairs.setdefault(keyword, []).append((portal, d))
+    index.seal(keyword_pairs, node_pairs)
     stats.wall_seconds = time.perf_counter() - started
     return index, stats
 
@@ -246,10 +177,6 @@ def build_all_indexes(
     driver — but this serial form is what the deterministic tests and
     single-process benchmarks use.
     """
-    indexes: list[NPDIndex] = []
-    stats: list[BuildStats] = []
-    for fragment in fragments:
-        index, stat = build_npd_index(network, fragment, config)
-        indexes.append(index)
-        stats.append(stat)
-    return indexes, stats
+    search = DenseSearch(network, reverse=True)
+    built = [build_npd_index(network, fragment, config, search) for fragment in fragments]
+    return [index for index, _stats in built], [stats for _index, stats in built]

@@ -6,9 +6,9 @@ closes, a shop gains a tag) and road costs drift (congestion, closures)
 even while the *topology* stays put.  This module keeps the NPD-index
 exact under exactly those classes of change:
 
-* **adding** a keyword to an object — one bounded forward Dijkstra from
-  the object computes its Rule-2 contributions to every fragment's DL
-  (the per-fragment first-entry portals), which are merged as minima;
+* **adding** a keyword to an object — one bounded forward search from
+  the object (the builder's loop, run forward) computes its Rule-2
+  contributions to every fragment's DL, which are merged as minima;
 * **removing** a keyword — the affected keyword's DL entries are
   recomputed from the remaining carriers' contributions (each one
   bounded search; documented O(|carriers|) cost);
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
 from typing import Iterable
 
 from repro.core.builder import NPDBuildConfig, build_npd_index
@@ -45,13 +44,10 @@ from repro.core.npd import DLNodePolicy, NPDIndex, PortalDistance
 from repro.exceptions import DisksError, GraphError
 from repro.graph.road_network import RoadNetwork
 from repro.partition.base import Partition
+from repro.search.dense import DenseSearch
 from repro.text.inverted import FragmentKeywordIndex
 
-__all__ = [
-    "node_dl_contributions",
-    "edge_impact_fragments",
-    "KeywordMaintainer",
-]
+__all__ = ["node_dl_contributions", "edge_impact_fragments", "KeywordMaintainer"]
 
 
 def node_dl_contributions(
@@ -59,85 +55,32 @@ def node_dl_contributions(
     partition: Partition,
     source: int,
     max_radius: float,
+    search: DenseSearch | None = None,
 ) -> dict[int, dict[int, float]]:
     """Rule-2 contributions of one source node to every fragment's DL.
 
-    Runs a bounded forward Dijkstra from ``source`` while tracking the
-    fragments visited strictly between the source and each settled node
-    (the paper's ``visitedParts``).  A settled node ``p`` contributes
-    the pair ``(p, d(source, p))`` to fragment ``part(p)`` iff that
-    fragment was not entered earlier on the tree path and the source
-    lies outside it — i.e. ``p`` is the first-entry portal of its
-    fragment along the path (Rule 2).
+    The forward dual of the builder's portal search: one bounded search
+    from ``source`` whose per-node tag is the bitmask of the fragments
+    that *every* shortest path visits strictly between the source and
+    the node (the paper's ``visitedParts``, AND-ed on ties).  A settled
+    node ``p`` contributes ``(p, d(source, p))`` to fragment ``part(p)``
+    iff the source lies outside it and some shortest path enters it
+    first at ``p`` — exactly when the builder, searching backward from
+    ``p``, finds the source clean (Rule 2).
 
+    ``search`` is the network's forward row view, derived when omitted.
     Returns ``{fragment_id: {portal: distance}}``.
     """
     assignment = partition.assignment
-    source_fragment = assignment[source]
-
-    best: dict[int, float] = {source: 0.0}
-    pred: dict[int, int] = {source: -1}
-    visited_parts: dict[int, frozenset[int]] = {source: frozenset()}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    bits = partition.fragment_bits
+    home = bits[source]
+    order, dist, visited = (search or DenseSearch(network)).run((source,), max_radius, bits)
     contributions: dict[int, dict[int, float]] = {}
-
-    while heap:
-        d, p = heappop(heap)
-        if p in settled or d > best[p]:
-            continue
-        settled.add(p)
-
-        q = pred[p]
-        if q == -1:
-            parts = frozenset()
-        elif q == source:
-            parts = frozenset()
-        else:
-            parts = visited_parts[q] | {assignment[q]}
-        visited_parts[p] = parts
-
-        fragment = assignment[p]
-        if p != source and fragment != source_fragment and fragment not in parts:
-            bucket = contributions.setdefault(fragment, {})
-            if p not in bucket:  # settled in distance order: first is min
-                bucket[p] = d
-
-        for v, w in network.neighbors(p):
-            if v in settled:
-                continue
-            nd = d + w
-            if nd <= max_radius and nd < best.get(v, math.inf):
-                best[v] = nd
-                pred[v] = p
-                heappush(heap, (nd, v))
+    for p in order:
+        bit = bits[p]
+        if bit != home and not visited[p] & bit:
+            contributions.setdefault(assignment[p], {})[p] = dist[p]
     return contributions
-
-
-def _bounded_reach_fragments(
-    network: RoadNetwork,
-    sources: Iterable[int],
-    max_radius: float,
-    assignment: tuple[int, ...],
-) -> set[int]:
-    """Fragments owning any node within ``max_radius`` of ``sources``."""
-    best: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for source in sources:
-        best[source] = 0.0
-        heappush(heap, (0.0, source))
-    fragments: set[int] = set()
-    while heap:
-        d, node = heappop(heap)
-        if d > best.get(node, math.inf):
-            continue
-        fragments.add(assignment[node])
-        for v, w in network.neighbors(node):
-            nd = d + w
-            if nd <= max_radius and nd < best.get(v, math.inf):
-                best[v] = nd
-                heappush(heap, (nd, v))
-    return fragments
 
 
 def edge_impact_fragments(
@@ -147,6 +90,8 @@ def edge_impact_fragments(
     u: int,
     v: int,
     max_radius: float,
+    old_search: DenseSearch | None = None,
+    new_search: DenseSearch | None = None,
 ) -> set[int]:
     """Fragments whose index may record a path through edge ``u -> v``.
 
@@ -159,7 +104,8 @@ def edge_impact_fragments(
     entries whose recorded path used the old cost, and on the *new*
     network entries whose path becomes recorded under the new cost.
     The fragments of ``u`` and ``v`` themselves are always included
-    (their local adjacency and Rule-1 shortcut validity change).
+    (their local adjacency and Rule-1 shortcut validity change).  The
+    two forward row views are derived when the caller holds none.
 
     With an untruncated index (``maxR = ∞``) this degrades to "every
     fragment", which is the honest answer — untruncated recorded paths
@@ -168,8 +114,10 @@ def edge_impact_fragments(
     assignment = partition.assignment
     sources = (v,) if old_network.directed else (u, v)
     affected = {assignment[u], assignment[v]}
-    affected |= _bounded_reach_fragments(old_network, sources, max_radius, assignment)
-    affected |= _bounded_reach_fragments(new_network, sources, max_radius, assignment)
+    interior = bytes(len(assignment))  # reach only: no tag is read
+    for network, search in ((old_network, old_search), (new_network, new_search)):
+        order, _dist, _tag = (search or DenseSearch(network)).run(sources, max_radius, interior)
+        affected.update(assignment[node] for node in order)
     return affected
 
 
@@ -204,12 +152,18 @@ class KeywordMaintainer:
     answers on the post-update index.  Each public update method
     returns the sorted ids of the fragments it actually changed, which
     :mod:`repro.live.epochs` uses to ship minimal epoch deltas.
+
+    ``search`` is the forward row view of the network's topology.
+    Keyword edits share adjacency, so it stays valid until
+    :meth:`set_edge_weight` replaces it; a caller that makes one
+    maintainer per batch hands the previous one's view to the next.
     """
 
     network: RoadNetwork
     partition: Partition
     fragments: list[Fragment]
     indexes: list[NPDIndex]
+    search: DenseSearch | None = field(default=None, repr=False, compare=False)
     _bound: dict[int, list[FragmentRuntime]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -219,6 +173,7 @@ class KeywordMaintainer:
             raise DisksError("fragments and indexes must align")
         if self.partition.num_nodes != self.network.num_nodes:
             raise DisksError("partition does not fit the network")
+        self.search = self.search or DenseSearch(self.network)
 
     @property
     def max_radius(self) -> float:
@@ -259,7 +214,7 @@ class KeywordMaintainer:
         changed = {home}
 
         contributions = node_dl_contributions(
-            self.network, self.partition, node, self.max_radius
+            self.network, self.partition, node, self.max_radius, self.search
         )
         for fragment_id, portal_distances in contributions.items():
             if fragment_id == home:
@@ -320,7 +275,7 @@ class KeywordMaintainer:
         per_fragment: dict[int, dict[int, float]] = {}
         for carrier in carriers:
             contributions = node_dl_contributions(
-                self.network, self.partition, carrier, self.max_radius
+                self.network, self.partition, carrier, self.max_radius, self.search
             )
             for fragment_id, portal_distances in contributions.items():
                 bucket = per_fragment.setdefault(fragment_id, {})
@@ -360,10 +315,12 @@ class KeywordMaintainer:
         if current == weight:
             return ()
         new_network = old_network.with_edge_weight(u, v, weight)
+        new_search = DenseSearch(new_network)
         affected = edge_impact_fragments(
-            old_network, new_network, self.partition, u, v, self.max_radius
+            old_network, new_network, self.partition, u, v, self.max_radius,
+            self.search, new_search,
         )
-        self.network = new_network
+        self.network, self.search = new_network, new_search
         self._patch_fragment_edge(u, v, weight)
         for fragment_id in sorted(affected):
             self.rebuild_fragment(fragment_id)
@@ -400,7 +357,9 @@ class KeywordMaintainer:
             max_radius=self.max_radius,
             node_policy=self.indexes[fragment_id].node_policy,
         )
-        index, _stats = build_npd_index(self.network, self.fragments[fragment_id], config)
+        # Undirected: the kept forward view is its own reverse.
+        search = None if self.network.directed else self.search
+        index, _stats = build_npd_index(self.network, self.fragments[fragment_id], config, search)
         index.version = self.indexes[fragment_id].version + 1
         self.indexes[fragment_id] = index
         self._refresh_bound((fragment_id,))

@@ -19,6 +19,7 @@ from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
 from repro.graph.road_network import RoadNetwork
+from repro.search.dense import DenseSearch
 
 __all__ = ["parallel_build_indexes", "parallel_execute_query"]
 
@@ -27,13 +28,17 @@ __all__ = ["parallel_build_indexes", "parallel_execute_query"]
 # worker process by the pool initializer.  Shipping it per *job* would
 # pickle the whole network N-fragments times over the pool; with the
 # initializer it crosses to each worker exactly once and every job
-# carries only its (fragment, config).
+# carries only its (fragment, config).  The reverse row view every
+# portal search runs on is derived from it there, once per worker rather
+# than once per fragment job.
 _WORKER_NETWORK: RoadNetwork | None = None
+_WORKER_SEARCH: DenseSearch | None = None
 
 
 def _pool_init(network: RoadNetwork) -> None:
-    global _WORKER_NETWORK
+    global _WORKER_NETWORK, _WORKER_SEARCH
     _WORKER_NETWORK = network
+    _WORKER_SEARCH = DenseSearch(network, reverse=True)
 
 
 def _build_one(
@@ -43,7 +48,7 @@ def _build_one(
     network = _WORKER_NETWORK
     if network is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker pool was started without _pool_init")
-    return build_npd_index(network, fragment, config)
+    return build_npd_index(network, fragment, config, _WORKER_SEARCH)
 
 
 def parallel_build_indexes(

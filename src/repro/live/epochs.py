@@ -40,6 +40,7 @@ from repro.live.log import UpdateLog
 from repro.live.ops import UpdateOp
 from repro.obs.events import emit as emit_event
 from repro.partition.base import Partition
+from repro.search.dense import DenseSearch
 
 __all__ = ["EpochState", "EpochSwap", "EpochManager"]
 
@@ -145,6 +146,10 @@ class EpochManager:
     # apply; drained into EpochSwap.cluster_acks.  Guarded by _lock
     # (subscribers run inside it).
     _pending_acks: list[dict] = field(default_factory=list, init=False, repr=False)
+    # The current epoch's forward row view, handed from each batch's
+    # maintainer to the next (it outlives keyword edits; an edge-weight
+    # op replaces it).  Built by the first apply; guarded by _lock.
+    _search: DenseSearch | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.fragments) != len(self.indexes):
@@ -270,6 +275,7 @@ class EpochManager:
                 partition=base.partition,
                 fragments=list(base.fragments),
                 indexes=[index.copy() for index in base.indexes],
+                search=self._search,
             )
             changed: set[int] = set()
             for op in ops:
@@ -290,6 +296,7 @@ class EpochManager:
                 indexes=tuple(maintainer.indexes),
             )
             self._state = new_state  # the atomic swap: readers now see N+1
+            self._search = maintainer.search
             delta = new_state.delta_from(sorted(changed))
             self._pending_acks.clear()
             for subscriber in list(self._subscribers):

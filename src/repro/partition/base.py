@@ -9,6 +9,7 @@ and coverage are structural here — the assignment is a dense array — and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.exceptions import PartitionError
@@ -54,6 +55,11 @@ class Partition:
     def num_nodes(self) -> int:
         """Number of assigned nodes."""
         return len(self.assignment)
+
+    @cached_property
+    def fragment_bits(self) -> tuple[int, ...]:
+        """``1 << part(node)`` per node: fragment sets as int bitmasks."""
+        return tuple(1 << frag for frag in self.assignment)
 
     def fragment_of(self, node: int) -> int:
         """The paper's ``part(A)``: the fragment containing ``node``."""

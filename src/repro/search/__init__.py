@@ -16,9 +16,11 @@ from repro.search.dijkstra import (
 )
 from repro.search.virtual import seeded_distances, coverage_from_seeds
 from repro.search.bidirectional import bidirectional_distance
+from repro.search.dense import DenseSearch
 
 __all__ = [
     "bidirectional_distance",
+    "DenseSearch",
     "IndexedBinaryHeap",
     "DijkstraRun",
     "shortest_path_distances",

@@ -60,6 +60,34 @@ def make_random_network(
     return builder.build()
 
 
+def make_tied_grid(
+    seed: int, rows: int = 6, cols: int = 5, directed: bool = False, vocabulary: int = 4
+) -> RoadNetwork:
+    """A ``rows × cols`` grid with weights in {1, 2}: shortest-path ties everywhere.
+
+    About a third of the cells are objects with one or two keywords.
+    Directed grids carry both arcs of most streets (independent weights)
+    and a few one-way ones, so forward and backward distances differ.
+    """
+    rng = random.Random(seed)
+    builder = RoadNetworkBuilder(directed=directed)
+    vocab = [f"w{i}" for i in range(vocabulary)]
+    for cell in range(rows * cols):
+        pos = (float(cell % cols), float(cell // cols))
+        if rng.random() < 0.35:
+            builder.add_object(rng.sample(vocab, rng.randint(1, 2)), pos)
+        else:
+            builder.add_junction(pos)
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            for v in ([u + 1] if c + 1 < cols else []) + ([u + cols] if r + 1 < rows else []):
+                builder.add_edge(u, v, float(rng.randint(1, 2)))
+                if directed and rng.random() < 0.85:
+                    builder.add_edge(v, u, float(rng.randint(1, 2)))
+    return builder.build()
+
+
 def random_partition_assignment(seed: int, num_nodes: int, k: int) -> list[int]:
     """A random assignment guaranteed to leave no fragment empty."""
     rng = random.Random(seed)

@@ -159,6 +159,23 @@ class TestProcessParallel:
             assert a.keyword_entries == b.keyword_entries
             assert a.node_entries == b.node_entries
 
+    def test_pool_worker_derives_the_row_view_once(self, cluster_case):
+        """The initializer stashes the reverse view next to the network;
+        every fragment job of that worker then searches on it."""
+        from repro.dist import parallel
+
+        net, fragments, serial_indexes = cluster_case
+        parallel._pool_init(net)
+        try:
+            view = parallel._WORKER_SEARCH
+            assert len(view.rows) == net.num_nodes
+            config = NPDBuildConfig(max_radius=math.inf)
+            built = [parallel._build_one((fragment, config))[0] for fragment in fragments]
+            assert built == list(serial_indexes)
+            assert parallel._WORKER_SEARCH is view
+        finally:
+            parallel._WORKER_NETWORK = parallel._WORKER_SEARCH = None
+
     def test_parallel_query_matches_oracle(self, cluster_case):
         net, fragments, indexes = cluster_case
         runtimes = [FragmentRuntime(f, i) for f, i in zip(fragments, indexes)]

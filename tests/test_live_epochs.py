@@ -97,6 +97,21 @@ class TestApply:
         for query in probe_queries(state):
             assert state_answers(state, query) == state_answers(rebuilt_state, query)
 
+    def test_row_view_outlives_keyword_batches_not_edge_weights(self):
+        """One view per topology across applies, though each apply makes
+        its own maintainer: keyword epochs share adjacency."""
+        manager = make_manager(seed=104)
+        node = next(iter(manager.state.network.object_nodes()))
+        manager.apply([AddKeyword(node, "pop")])
+        view = manager._search
+        assert view is not None
+        manager.apply([RemoveKeyword(node, "pop")])
+        assert manager._search is view
+        u, (v, w) = 0, next(iter(manager.state.network.neighbors(0)))
+        manager.apply([SetEdgeWeight(u, v, w * 1.7)])
+        assert manager._search is not view
+        assert dict(manager._search.rows[u])[v] == manager.state.network.edge_weight(u, v)
+
     def test_empty_batch_rejected(self):
         manager = make_manager(seed=102)
         with pytest.raises(LiveUpdateError, match="empty"):

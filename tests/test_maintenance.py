@@ -30,9 +30,14 @@ from repro.core.coverage import FragmentRuntime
 from repro.core.executor import execute_fragment_task
 from repro.exceptions import GraphError
 from repro.graph.road_network import RoadNetwork
-from repro.partition import BfsPartitioner
+from repro.partition import BfsPartitioner, Partition
 
-from helpers import make_random_network, oracle_distances
+from helpers import (
+    make_random_network,
+    make_tied_grid,
+    oracle_distances,
+    random_partition_assignment,
+)
 
 
 def build_state(seed: int, k: int = 3, max_radius: float = math.inf):
@@ -215,6 +220,50 @@ class TestRemoveKeyword:
             # Entries for other keywords are untouched.
             for kw, pairs in reference[index.fragment_id].items():
                 assert index.keyword_entries[kw] == pairs
+
+
+class TestMaintainedEqualsRebuiltUnderTies:
+    """Builder and maintainer apply one tie rule, so on tie-heavy grids a
+    maintained index is *equal* to a fresh build — not merely equivalent
+    at query time (the dict/heap loops disagreed on ~1 DL list in 6)."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("max_radius", [4.0, math.inf])
+    def test_random_keyword_churn(self, directed, max_radius):
+        for seed in range(6):
+            net = make_tied_grid(seed, directed=directed)
+            partition = Partition.from_assignment(
+                random_partition_assignment(seed + 3, net.num_nodes, 3), 3
+            )
+            fragments = build_fragments(net, partition)
+            config = NPDBuildConfig(max_radius=max_radius)
+            indexes, _ = build_all_indexes(net, fragments, config)
+            maintainer = KeywordMaintainer(net, partition, fragments, list(indexes))
+            rng = random.Random(seed)
+            objects = list(net.object_nodes())
+            for _ in range(8):
+                node = rng.choice(objects)
+                carried = sorted(maintainer.network.keywords(node))
+                if carried and rng.random() < 0.5:
+                    maintainer.remove_keyword(node, rng.choice(carried))
+                else:
+                    maintainer.add_keyword(node, f"w{rng.randrange(6)}")
+            fresh, _ = build_all_indexes(maintainer.network, maintainer.fragments, config)
+            assert maintainer.indexes == fresh, seed
+
+
+class TestRowViewLifetime:
+    def test_keyword_edits_keep_the_view_and_edge_weights_replace_it(self):
+        maintainer = build_state(seed=80)
+        view = maintainer.search
+        node = next(iter(maintainer.network.object_nodes()))
+        maintainer.add_keyword(node, "fresh")
+        maintainer.remove_keyword(node, "fresh")
+        assert maintainer.search is view
+        u, (v, w) = 0, next(iter(maintainer.network.neighbors(0)))
+        maintainer.set_edge_weight(u, v, w * 2.5)
+        assert maintainer.search is not view
+        assert dict(maintainer.search.rows[u])[v] == w * 2.5
 
 
 class TestRebuildFragment:

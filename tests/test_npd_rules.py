@@ -10,12 +10,18 @@ These are the scientifically load-bearing tests:
   recoverable from ``P ∪ SC(P) ∪ DL(P)``.
 * Theorem 2/4 (minimality) — SC contains no edge whose shortest path
   stays inside the fragment or passes through another member.
+* Rules 1–4 under ties — a brute-force oracle derives, for every
+  (node, portal), whether *some* / *every* shortest path has no interior
+  member, and the built SC/DL must equal the sets that follow from it,
+  in default and strict mode, on the bucket and on the heap path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,10 +33,19 @@ from repro.core import (
     build_npd_index,
 )
 from repro.core.coverage import FragmentRuntime
-from repro.partition import BfsPartitioner, Partition, RandomPartitioner
+from repro.core.npd import PortalDistance
+from repro.partition import BfsPartitioner, Partition
 from repro.search import shortest_path_distances
+from repro.search.dense import DenseSearch
+from repro.workloads.datasets import load_dataset
 
-from helpers import make_random_network, oracle_distances, random_partition_assignment
+from helpers import (
+    make_random_network,
+    make_tied_grid,
+    oracle_distances,
+    random_partition_assignment,
+    to_networkx,
+)
 
 
 def build_case(seed: int, k: int = 3, policy=DLNodePolicy.OBJECTS, max_radius=math.inf):
@@ -264,3 +279,153 @@ class TestMinimality:
             }
             assert expected <= set(index.shortcuts)
             assert actual_unique == expected
+
+
+# ----------------------------------------------------------------------
+# Brute-force Rule 1-4 oracle
+# ----------------------------------------------------------------------
+def path_facts(net, fragment):
+    """``[(p, portal, d(p -> portal), some_clean, every_clean)]`` by brute force.
+
+    Nothing here propagates a flag along a search: *every* comes from
+    all-pairs distances (no other member lies on any shortest path), and
+    *some* from a second distance — to the portal through non-member
+    interiors only — equalling the true one.  Distances are accumulated
+    from the portal outward, like the builder's, so floats compare exactly.
+    """
+    graph = to_networkx(net)
+    arcs = graph if net.directed else graph.to_directed()
+    backward = arcs.reverse()
+    apsp = dict(nx.all_pairs_dijkstra_path_length(arcs, weight="weight"))
+    members = fragment.members
+    facts = []
+    for portal in sorted(fragment.portals):
+        to_portal = nx.single_source_dijkstra_path_length(backward, portal, weight="weight")
+        # Arcs a path may use when its interior avoids P: any arc whose
+        # head is the portal or a non-member (stored reversed).
+        outside = nx.DiGraph()
+        outside.add_node(portal)
+        outside.add_weighted_edges_from(
+            (b, a, w) for a, b, w in arcs.edges(data="weight") if b == portal or b not in members
+        )
+        avoiding = nx.single_source_dijkstra_path_length(outside, portal, weight="weight")
+        for p, d in to_portal.items():
+            if p == portal:
+                continue
+            every = not any(
+                q not in (p, portal)
+                and abs(apsp[p].get(q, math.inf) + apsp[q].get(portal, math.inf) - d) <= 1e-9
+                for q in members
+            )
+            facts.append((p, portal, d, avoiding.get(p) == d, every))
+    return facts
+
+
+def expected_index(net, fragment, facts, *, max_radius, strict, policy):
+    """The SC / keyword-DL / node-DL that Rules 1-2 (3-4 if strict) prescribe."""
+    shortcuts, keyword_best, node_pairs = {}, {}, {}
+    for p, portal, d, some, every in facts:
+        if d > max_radius or not (every if strict else some):
+            continue
+        if p in fragment.members:
+            if not (net.has_edge(p, portal) and net.edge_weight(p, portal) <= d * (1 + 1e-12)):
+                key = (p, portal) if net.directed or p < portal else (portal, p)
+                shortcuts.setdefault(key, d)  # portals ascend: the builder keeps the first too
+            continue
+        for keyword in net.keywords(p):
+            best = keyword_best.setdefault(keyword, {})
+            best[portal] = min(d, best.get(portal, math.inf))
+        if policy is DLNodePolicy.ALL or (policy is DLNodePolicy.OBJECTS and net.is_object(p)):
+            node_pairs.setdefault(p, {})[portal] = d
+
+    def sealed(entries):
+        return {
+            key: tuple(
+                PortalDistance(portal, d)
+                for portal, d in sorted(pairs.items(), key=lambda kv: (kv[1], kv[0]))
+            )
+            for key, pairs in entries.items()
+        }
+
+    return shortcuts, sealed(keyword_best), sealed(node_pairs)
+
+
+def oracle_case(weights: str, directed: bool, seed: int):
+    if weights == "tied":
+        net = make_tied_grid(seed, directed=directed)
+    else:
+        net = make_random_network(seed, num_junctions=24, num_objects=12, directed=directed)
+    assignment = random_partition_assignment(seed + 7, net.num_nodes, 3)
+    fragments = build_fragments(net, Partition.from_assignment(assignment, 3))
+    return net, fragments
+
+
+class TestBruteForceRuleOracle:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("weights", ["tied", "floats"])
+    def test_sc_and_dl_equal_the_oracle_sets(self, weights, directed):
+        for seed in range(4):
+            net, fragments = oracle_case(weights, directed, seed)
+            buckets = DenseSearch(net, reverse=True)
+            heap = DenseSearch(net, reverse=True)
+            heap.bucket_limit = -1  # force the fallback at every radius
+            for fragment in fragments:
+                facts = path_facts(net, fragment)
+                lengths = sorted(d for _p, _portal, d, _s, _e in facts)
+                # Finite, exactly a path length (<= is inclusive), unbounded.
+                radii = (lengths[len(lengths) // 3] * 0.75, lengths[len(lengths) // 2], math.inf)
+                policy = list(DLNodePolicy)[seed % 3]
+                for max_radius, strict in itertools.product(radii, (False, True)):
+                    config = NPDBuildConfig(
+                        max_radius=max_radius, node_policy=policy, strict_tie_rules=strict
+                    )
+                    expected = expected_index(
+                        net, fragment, facts, max_radius=max_radius, strict=strict, policy=policy
+                    )
+                    within = [f for f in facts if f[2] <= max_radius]
+                    for search in (buckets, heap):
+                        index, stats = build_npd_index(net, fragment, config, search)
+                        built = (index.shortcuts, index.keyword_entries, index.node_entries)
+                        assert built == expected, (seed, fragment.fragment_id, max_radius, strict)
+                        # BuildStats: nodes within maxR (each portal included),
+                        # and the arcs scanned from them.
+                        assert stats.settled_nodes == len(within) + fragment.num_portals
+                        assert stats.relaxed_edges == sum(
+                            len(search.rows[p]) for p, *_ in within
+                        ) + sum(len(search.rows[portal]) for portal in fragment.portals)
+
+    def test_every_policy_under_ties(self):
+        net, fragments = oracle_case("tied", False, 11)
+        for fragment in fragments:
+            facts = path_facts(net, fragment)
+            for policy in DLNodePolicy:
+                config = NPDBuildConfig(max_radius=4.0, node_policy=policy)
+                index, _stats = build_npd_index(net, fragment, config)
+                assert (index.shortcuts, index.keyword_entries, index.node_entries) == (
+                    expected_index(
+                        net, fragment, facts, max_radius=4.0, strict=False, policy=policy
+                    )
+                )
+
+    def test_bounded_build_takes_the_bucket_path(self):
+        """Guards the coverage claim above: finite radii sweep buckets."""
+        net, _fragments = oracle_case("tied", False, 0)
+        search = DenseSearch(net, reverse=True)
+        search.run((0,), 3.0, bytes(net.num_nodes))
+        assert len(search._buckets) >= 3 and not any(search._buckets)
+        search.run((0,), math.inf, bytes(net.num_nodes))  # heap: buckets untouched
+
+
+PINNED_SETTLED = [7604, 11882, 12031, 16217]
+
+
+class TestBuildStats:
+    def test_settled_nodes_pinned_on_bri_tiny(self):
+        """Exact per-fragment counts (4 fragments, λ=10); equal to the
+        dict/heap builder this loop replaced."""
+        from repro.partition import MultilevelPartitioner
+
+        net = load_dataset("bri_tiny").network
+        fragments = build_fragments(net, MultilevelPartitioner(seed=0).partition(net, 4))
+        _indexes, stats = build_all_indexes(net, fragments, NPDBuildConfig(lambda_factor=10.0))
+        assert [s.settled_nodes for s in stats] == PINNED_SETTLED
