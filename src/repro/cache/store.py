@@ -19,6 +19,16 @@ it.  If admission wins the lock first, the entry lands stamped ``e``
 and the swap's eviction scan (or, for entries the swap does not
 touch, the fact that the answer is identical at both epochs) makes it
 safe.
+
+Derived entries: a subsumption hit filters a wider sibling's stored
+distances down to the probe's radii, and stores the filtered run under
+the probe's own key so the next read of that shape is an exact hit —
+``filter_answer`` runs once per (shape, radii) per invalidation, not once
+per read.  A derived entry carries no distances (it is never itself a
+subsumption source) and inherits its parent's epoch and fragment scope:
+it mentions the same keywords, and a narrower radius reaches a subset of
+the fragments, so the parent's scope is a sound over-approximation and
+the two are evicted by the same swaps.
 """
 
 from __future__ import annotations
@@ -174,7 +184,12 @@ class SemanticResultCache:
                     self._entries.move_to_end(other_key)
                     self._subsumption_hits += 1
                     self._count("cache_subsumption_hits")
-                    return CacheHit(as_run(nodes), "subsumption", other.epoch), None
+                    run = as_run(nodes)
+                    # Derive once: the next read of this shape is an exact hit.
+                    self._insert(
+                        _Entry(canonical, run, None, other.epoch, other.scope, _entry_bytes(run, None))
+                    )
+                    return CacheHit(run, "subsumption", other.epoch), None
             self._misses += 1
             self._count("cache_misses")
             return None, AdmissionTicket(canonical, self._epoch, query)
@@ -205,37 +220,39 @@ class SemanticResultCache:
         scope = self._compute_scope(ticket.query)
         run = as_run(answer)
         size = _entry_bytes(run, partials)
+        entry = _Entry(ticket.canonical, run, partials, ticket.epoch, scope, size)
         with self._lock:
             if ticket.epoch != self._epoch:
                 self._stale_rejects += 1
                 return "stale"
-            if size > self._max_bytes:
-                self._oversize_rejects += 1
-                return "oversize"
             key = ticket.canonical.key
             if key in self._entries:  # concurrent identical miss already landed
                 self._entries.move_to_end(key)
                 return "duplicate"
-            entry = _Entry(
-                canonical=ticket.canonical,
-                run=run,
-                partials=partials,
-                epoch=ticket.epoch,
-                scope=scope,
-                size_bytes=size,
-            )
-            self._entries[key] = entry
-            self._index(key, entry)
-            self._bytes += size
-            self._inserts += 1
-            while len(self._entries) > self._max_entries or self._bytes > self._max_bytes:
-                victim_key, victim = self._entries.popitem(last=False)
-                self._unindex(victim_key, victim)
-                self._bytes -= victim.size_bytes
-                self._evictions += 1
-                self._count("cache_evictions")
-            self._gauges()
-        return "admitted"
+            return "admitted" if self._insert(entry) else "oversize"
+
+    def _insert(self, entry: _Entry) -> bool:
+        """Store ``entry`` as most recent and evict down to the budgets.
+
+        The one way in (lock held) for computed and derived answers
+        alike; ``False`` when the entry alone exceeds ``max_bytes``.
+        """
+        if entry.size_bytes > self._max_bytes:
+            self._oversize_rejects += 1
+            return False
+        key = entry.canonical.key
+        self._entries[key] = entry
+        self._index(key, entry)
+        self._bytes += entry.size_bytes
+        self._inserts += 1
+        while len(self._entries) > self._max_entries or self._bytes > self._max_bytes:
+            victim_key, victim = self._entries.popitem(last=False)
+            self._unindex(victim_key, victim)
+            self._bytes -= victim.size_bytes
+            self._evictions += 1
+            self._count("cache_evictions")
+        self._gauges()
+        return True
 
     def _compute_scope(self, query: QClassQuery) -> frozenset[int] | None:
         """Fragment-dependency scope, from the updater's current indexes.

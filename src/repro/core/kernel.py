@@ -208,6 +208,48 @@ class FragmentKernel:
         self.bucket_limit = bucket_limit
         return self
 
+    @staticmethod
+    def seed_patch(fragment: Fragment, index: NPDIndex, keys) -> dict:
+        """The recompiled seed lists of ``keys``, in global node ids.
+
+        What a keyword-only epoch ships instead of a kernel: per key
+        (a keyword, or the node of a DL node entry) its fragment-local
+        carriers and its DL portal list, packed by the same rule as a
+        fresh compile; ``None`` where the index no longer has the entry.
+        A few hundred bytes, applied by :meth:`apply_seed_patch`.
+        """
+        patch = {}
+        for key in keys:
+            if isinstance(key, str):
+                local = fragment.keyword_index.local_nodes_with(key)
+                pairs = index.keyword_entries.get(key)
+            else:
+                local, pairs = (), index.node_entries.get(key)
+            patch[key] = (local, None if pairs is None else _portal_minima(pairs))
+        return patch
+
+    def apply_seed_patch(self, patch: dict) -> None:
+        """Overwrite the seed lists a :meth:`seed_patch` names, in place.
+
+        Afterwards the three seed tables equal those of a kernel
+        compiled fresh from the patch's ``(fragment, index)``; the CSR —
+        the part that may live in shared memory — is not read or written.
+        """
+        dense = self._dense_id
+        for key, (local, portals) in patch.items():
+            if isinstance(key, str):
+                table = self._kw_portals
+                if local:
+                    self._kw_local[key] = tuple(map(dense, local))
+                else:
+                    self._kw_local.pop(key, None)
+            else:
+                table = self._node_portals
+            if portals is None:
+                table.pop(key, None)
+            else:
+                table[key] = (array("q", map(dense, portals[0])), portals[1])
+
     def _dense_id(self, node: int) -> int | None:
         """Global node id -> dense id, or ``None`` if not a member.
 
@@ -392,8 +434,8 @@ def _row_view(indptr, indices, weights, n: int) -> tuple:
     )
 
 
-def _pack_portal_list(pairs, dense: dict[int, int]) -> tuple[array, array]:
-    """One sorted DL value list -> parallel (dense ids, distances) arrays.
+def _portal_minima(pairs) -> tuple[list[int], array]:
+    """One sorted DL value list -> parallel (portals, distance array).
 
     ``pairs`` is already distance-sorted (``NPDIndex.seal``); only the
     first (= minimum-distance) occurrence of each portal is kept.
@@ -406,6 +448,12 @@ def _pack_portal_list(pairs, dense: dict[int, int]) -> tuple[array, array]:
         if portal in seen:
             continue
         seen.add(portal)
-        ids.append(dense[portal])
+        ids.append(portal)
         dists.append(pd.distance)
-    return array("q", ids), array("d", dists)
+    return ids, array("d", dists)
+
+
+def _pack_portal_list(pairs, dense: dict[int, int]) -> tuple[array, array]:
+    """:func:`_portal_minima` with the portals renumbered to dense ids."""
+    portals, dists = _portal_minima(pairs)
+    return array("q", map(dense.__getitem__, portals)), dists

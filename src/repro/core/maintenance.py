@@ -157,6 +157,13 @@ class KeywordMaintainer:
     Keyword edits share adjacency, so it stays valid until
     :meth:`set_edge_weight` replaces it; a caller that makes one
     maintainer per batch hands the previous one's view to the next.
+
+    ``seed_keys`` records what keyword maintenance rewrote: per fragment,
+    the keywords and DL-node keys whose seed lists differ from before.
+    A fragment in ``rebuilt`` went through Algorithm 1 again, so every
+    list of it may differ.  Together they are the scope of the epoch
+    delta (:mod:`repro.live.epochs`): a keyword-only delta ships just
+    those lists, a rebuilt fragment ships whole.
     """
 
     network: RoadNetwork
@@ -164,6 +171,8 @@ class KeywordMaintainer:
     fragments: list[Fragment]
     indexes: list[NPDIndex]
     search: DenseSearch | None = field(default=None, repr=False, compare=False)
+    seed_keys: dict[int, set] = field(default_factory=dict, init=False, repr=False, compare=False)
+    rebuilt: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
     _bound: dict[int, list[FragmentRuntime]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -210,7 +219,7 @@ class KeywordMaintainer:
             raise GraphError(f"node {node} is a junction; only objects carry keywords")
         self.network = self.network.with_node_keywords(node, current | {keyword})
         home = self.partition.fragment_of(node)
-        self._refresh_fragment_keyword_index(home)
+        self._refresh_fragment_keyword_index(home, keyword)
         changed = {home}
 
         contributions = node_dl_contributions(
@@ -225,7 +234,9 @@ class KeywordMaintainer:
             touched = merged != before
             if touched:
                 index.keyword_entries[keyword] = merged
+                self._rewrote(fragment_id, keyword)
             if self._ensure_node_entry(index, node, portal_distances):
+                self._rewrote(fragment_id, node)
                 touched = True
             if touched:
                 index.touch()
@@ -262,7 +273,7 @@ class KeywordMaintainer:
             return ()
         self.network = self.network.with_node_keywords(node, current - {keyword})
         home = self.partition.fragment_of(node)
-        self._refresh_fragment_keyword_index(home)
+        self._refresh_fragment_keyword_index(home, keyword)
         changed = {home}
         changed |= self._recompute_keyword_entries(keyword)
         self._refresh_bound(changed)
@@ -296,6 +307,8 @@ class KeywordMaintainer:
                 index.keyword_entries.pop(keyword, None)
                 index.touch()
                 changed.add(index.fragment_id)
+        for fragment_id in changed:
+            self._rewrote(fragment_id, keyword)
         return changed
 
     # ------------------------------------------------------------------
@@ -362,15 +375,22 @@ class KeywordMaintainer:
         index, _stats = build_npd_index(self.network, self.fragments[fragment_id], config, search)
         index.version = self.indexes[fragment_id].version + 1
         self.indexes[fragment_id] = index
+        self.rebuilt.add(fragment_id)
         self._refresh_bound((fragment_id,))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _refresh_fragment_keyword_index(self, fragment_id: int) -> None:
+    def _rewrote(self, fragment_id: int, key: str | int) -> None:
+        """Record that the seed list of ``key`` in this fragment changed."""
+        self.seed_keys.setdefault(fragment_id, set()).add(key)
+
+    def _refresh_fragment_keyword_index(self, fragment_id: int, keyword: str) -> None:
+        """Re-derive the home fragment's postings after ``keyword`` moved."""
         fragment = self.fragments[fragment_id]
         self.fragments[fragment_id] = replace(
             fragment,
             keyword_index=FragmentKeywordIndex(self.network, sorted(fragment.members)),
         )
         self.indexes[fragment_id].touch()
+        self._rewrote(fragment_id, keyword)

@@ -31,6 +31,7 @@ from multiprocessing.connection import Connection
 from repro.core.coverage import FragmentRuntime
 from repro.core.executor import execute_fragment_task
 from repro.core.fragment import Fragment
+from repro.core.kernel import FragmentKernel
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
 from repro.core.runs import RunAnswer, merge_runs
@@ -44,12 +45,16 @@ __all__ = [
     "ProcessCluster",
     "spawn_workers",
     "build_worker_runtimes",
+    "apply_epoch",
+    "epoch_message",
+    "segments_shipped",
     "emulate_delivery",
     "worker_trace_collector",
     "finish_worker_spans",
 ]
 
 _DEFAULT_TIMEOUT = 120.0
+APPLY_KINDS = ("apply_shm", "apply_seeds", "apply")
 
 
 def spawn_workers(
@@ -254,6 +259,60 @@ def build_worker_runtimes(mode: str, data, compiled: bool):
     return None, runtimes
 
 
+def apply_epoch(kind: str, data, registry, runtimes: list) -> tuple[list, list[int]]:
+    """A worker's epoch swap, whichever form was shipped: ``(runtimes, swapped)``.
+
+    ``apply_shm`` attaches freshly published segments, ``apply_seeds``
+    overwrites the named seed lists of the attached kernels in place
+    (``{fragment_id: patch}``, see ``FragmentKernel.seed_patch``), and
+    ``apply`` refreshes pickled runtimes from ``(fragment, index)`` pairs.
+    Runs between two queries of a serial worker, so each query sees one
+    epoch.
+    """
+    if kind == "apply_shm":
+        swapped = registry.attach(data)
+        return registry.runtimes(), swapped
+    hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
+    swapped = []
+    if kind == "apply_seeds":
+        for fragment_id, patch in data.items():
+            hosted[fragment_id].kernel.apply_seed_patch(patch)
+            swapped.append(fragment_id)
+        return runtimes, swapped
+    for fragment, index in data:
+        runtime = hosted.get(fragment.fragment_id)
+        if runtime is not None:
+            runtime.refresh(fragment, index)
+            swapped.append(fragment.fragment_id)
+    return runtimes, swapped
+
+
+def epoch_message(hosted, replacements, epoch: int, shm_store, seed_keys=None):
+    """What one machine is shipped for an epoch: ``(kind, data)``.
+
+    Shared-memory workers keep their kernels across epochs, so a delta
+    scoped by ``seed_keys`` (keyword-only, see ``EpochDelta``) costs them
+    just the recompiled seed lists; without a scope they get manifests of
+    freshly published segments (``publish`` is idempotent per
+    ``(fragment, epoch)``, so callers may pack ahead of their send lock).
+    Pickled workers always need the new ``(fragment, index)`` pairs.
+    """
+    mine = [pair for pair in replacements if pair[0].fragment_id in hosted]
+    if shm_store is None:
+        return "apply", mine
+    if seed_keys is not None:
+        return "apply_seeds", {
+            f.fragment_id: FragmentKernel.seed_patch(f, i, seed_keys[f.fragment_id])
+            for f, i in mine
+        }
+    return "apply_shm", [shm_store.publish(f, i, epoch=epoch) for f, i in mine]
+
+
+def segments_shipped(manifests_by_machine: dict[int, list]) -> int:
+    """Distinct segments among the manifests one apply sent out."""
+    return len({m.name for shipped in manifests_by_machine.values() for m in shipped})
+
+
 def _worker_main(connection: Connection, payload: bytes) -> None:
     """Worker loop: deserialise runtimes once, then serve queries."""
     registry = None
@@ -267,30 +326,11 @@ def _worker_main(connection: Connection, payload: bytes) -> None:
             if kind == "stop":
                 connection.send(("stopped", None))
                 return
-            if kind == "apply_shm":
-                epoch, manifests = body
+            if kind in APPLY_KINDS:
+                epoch, data = body
                 emulate_delivery(network_model, meta[0] if meta else None, len(raw))
                 started = time.perf_counter()
-                swapped = registry.attach(manifests)
-                runtimes = registry.runtimes()
-                elapsed = time.perf_counter() - started
-                connection.send_bytes(
-                    pickle.dumps(
-                        ("applied", (epoch, swapped, elapsed), time.perf_counter())
-                    )
-                )
-                continue
-            if kind == "apply":
-                epoch, new_pairs = body
-                emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-                started = time.perf_counter()
-                hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
-                swapped = []
-                for fragment, index in new_pairs:
-                    runtime = hosted.get(fragment.fragment_id)
-                    if runtime is not None:
-                        runtime.refresh(fragment, index)
-                        swapped.append(fragment.fragment_id)
+                runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
                 elapsed = time.perf_counter() - started
                 connection.send_bytes(
                     pickle.dumps(
@@ -583,17 +623,19 @@ class ProcessCluster:
         self,
         epoch: int,
         replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
         *,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
     ) -> dict[str, object]:
         """Ship an epoch delta to the owning workers and await their acks.
 
-        Each worker receives only the ``(fragment, index)`` pairs it
-        hosts, swaps the corresponding runtimes in place (compiled
-        kernels and coverage caches drop), and acks with the epoch and
-        the swapped fragment ids.  Lockstep like :meth:`execute`: the
-        call returns only after every involved worker has swapped, so a
-        subsequent query observes the new epoch everywhere.
+        Each worker receives only what it hosts (:func:`epoch_message`:
+        seed-list patches when ``seed_keys`` scopes a keyword-only delta
+        on shared-memory workers, else whole fragments), swaps in place
+        and acks with the epoch and the swapped fragment ids.  Lockstep
+        like :meth:`execute`: the call returns only after every involved
+        worker has swapped, so a subsequent query observes the new epoch
+        everywhere.
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
@@ -606,25 +648,14 @@ class ProcessCluster:
         leases: dict[int, list] = {}
         total_bytes = 0
         for machine_id, connection in enumerate(self._connections):
-            hosted = set(self._assignments[machine_id])
-            mine = [
-                (fragment, index)
-                for fragment, index in replacements
-                if fragment.fragment_id in hosted
-            ]
-            if not mine:
+            kind, data = epoch_message(
+                self._assignments[machine_id], replacements, epoch, self._shm_store, seed_keys
+            )
+            if not data:
                 continue
-            if self._shm_store is not None:
-                manifests = [
-                    self._shm_store.publish(fragment, index, epoch=epoch)
-                    for fragment, index in mine
-                ]
-                leases[machine_id] = manifests
-                payload = pickle.dumps(
-                    ("apply_shm", (epoch, manifests), time.perf_counter())
-                )
-            else:
-                payload = pickle.dumps(("apply", (epoch, mine), time.perf_counter()))
+            if kind == "apply_shm":
+                leases[machine_id] = data
+            payload = pickle.dumps((kind, (epoch, data), time.perf_counter()))
             total_bytes += len(payload)
             try:
                 connection.send_bytes(payload)
@@ -655,7 +686,7 @@ class ProcessCluster:
                 )
             swapped.extend(machine_swapped)
             total_bytes += wire_bytes
-            if self._shm_store is not None:
+            if machine_id in leases:
                 # The ack proves the serial worker holds no old-epoch
                 # reads; its lease moves forward and fully superseded
                 # segments are unlinked.
@@ -664,6 +695,7 @@ class ProcessCluster:
         return {
             "epoch": epoch,
             "swapped_fragments": sorted(swapped),
+            "segments_published": segments_shipped(leases),
             "total_message_bytes": total_bytes,
             "wall_seconds": time.perf_counter() - started,
         }

@@ -58,9 +58,13 @@ from repro.core.queries import QClassQuery
 from repro.core.runs import merge_runs
 from repro.dist.network import NetworkModel
 from repro.dist.process_cluster import (
+    APPLY_KINDS,
+    apply_epoch,
     build_worker_runtimes,
     emulate_delivery,
+    epoch_message,
     finish_worker_spans,
+    segments_shipped,
     spawn_workers,
     worker_trace_collector,
 )
@@ -104,31 +108,12 @@ def _ha_worker_main(connection: Connection, payload: bytes) -> None:
                 machine_delay = float(body.get("machine_delay", machine_delay))
                 continue
             emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-            if kind == "apply_shm":
-                request_id, epoch, manifests = body
+            if kind in APPLY_KINDS:
+                request_id, epoch, data = body
                 try:
                     started = time.perf_counter()
-                    swapped = registry.attach(manifests)
-                    runtimes = registry.runtimes()
+                    runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
                     hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
-                    elapsed = time.perf_counter() - started
-                    connection.send(
-                        ("applied", (request_id, epoch, swapped, elapsed),
-                         time.perf_counter())
-                    )
-                except Exception:
-                    connection.send(("error", (request_id, traceback.format_exc())))
-                continue
-            if kind == "apply":
-                request_id, epoch, new_pairs = body
-                try:
-                    started = time.perf_counter()
-                    swapped = []
-                    for fragment, index in new_pairs:
-                        runtime = hosted.get(fragment.fragment_id)
-                        if runtime is not None:
-                            runtime.refresh(fragment, index)
-                            swapped.append(fragment.fragment_id)
                     elapsed = time.perf_counter() - started
                     connection.send(
                         ("applied", (request_id, epoch, swapped, elapsed),
@@ -633,6 +618,7 @@ class HACluster:
             "epoch": apply.epoch,
             "swapped_fragments": sorted(apply.swapped),
             "acked_machines": sorted(apply.acked_machines),
+            "segments_published": segments_shipped(apply.manifests),
             "total_message_bytes": apply.message_bytes,
             "wall_seconds": time.perf_counter() - apply.started,
         }
@@ -975,14 +961,18 @@ class HACluster:
     # Live updates
     # ------------------------------------------------------------------
     def submit_updates(
-        self, epoch: int, replacements: list[tuple[Fragment, NPDIndex]]
+        self,
+        epoch: int,
+        replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
     ) -> PendingApply:
         """Fan an epoch delta out to *every* alive replica of each fragment.
 
         The fan-out lock orders the apply identically against every
         query fan-out on all pipes, and the apply-seq bump makes any
         failover that races this apply restart its queries instead of
-        mixing epochs.
+        mixing epochs.  ``seed_keys`` scopes a keyword-only delta to
+        seed-list patches (:func:`epoch_message`): no segment moves.
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
@@ -1006,12 +996,10 @@ class HACluster:
                 self._pending_applies.pop(request_id, None)
             self._complete_apply(apply)
             return PendingApply(request_id=request_id, epoch=epoch, future=apply.future)
-        published: dict[int, object] = {}
-        if self._shm_store is not None:
+        if self._shm_store is not None and seed_keys is None:
+            # Pack each changed fragment once, ahead of the fan-out lock.
             for fragment, index in replacements:
-                published[fragment.fragment_id] = self._shm_store.publish(
-                    fragment, index, epoch=epoch
-                )
+                self._shm_store.publish(fragment, index, epoch=epoch)
         sent_bytes = 0
         with self._fanout_lock:
             self._apply_seq += 1
@@ -1024,24 +1012,15 @@ class HACluster:
             # once every apply payload is on its pipe.
             failed: list[int] = []
             for machine_id in involved:
-                mine = [
-                    (fragment, index)
-                    for fragment, index in replacements
-                    if machine_id in self._placement.machines_of(fragment.fragment_id)
-                ]
-                if self._shm_store is not None:
-                    manifests = [
-                        published[fragment.fragment_id] for fragment, _index in mine
-                    ]
-                    apply.manifests[machine_id] = manifests
-                    payload = pickle.dumps(
-                        ("apply_shm", (request_id, epoch, manifests),
-                         time.perf_counter())
-                    )
-                else:
-                    payload = pickle.dumps(
-                        ("apply", (request_id, epoch, mine), time.perf_counter())
-                    )
+                kind, data = epoch_message(
+                    self._placement.fragments_of(machine_id), replacements, epoch,
+                    self._shm_store, seed_keys,
+                )
+                if kind == "apply_shm":
+                    apply.manifests[machine_id] = data
+                payload = pickle.dumps(
+                    (kind, (request_id, epoch, data), time.perf_counter())
+                )
                 try:
                     with self._send_locks[machine_id]:
                         self._connections[machine_id].send_bytes(payload)
@@ -1058,11 +1037,12 @@ class HACluster:
         self,
         epoch: int,
         replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
         *,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
     ) -> dict[str, object]:
         """Synchronous convenience wrapper over :meth:`submit_updates`."""
-        pending = self.submit_updates(epoch, replacements)
+        pending = self.submit_updates(epoch, replacements, seed_keys)
         try:
             return pending.future.result(timeout=timeout_seconds)
         except FutureTimeoutError:

@@ -16,7 +16,7 @@ serve layer (:mod:`repro.serve.server`) exposes ``update`` / ``epoch``
 wire ops.
 """
 
-from repro.live.epochs import EpochManager, EpochState, EpochSwap
+from repro.live.epochs import EpochDelta, EpochManager, EpochState, EpochSwap
 from repro.live.log import LogRecord, UpdateLog, write_ops
 from repro.live.ops import (
     AddKeyword,
@@ -35,6 +35,7 @@ __all__ = [
     "UpdateLog",
     "LogRecord",
     "write_ops",
+    "EpochDelta",
     "EpochManager",
     "EpochState",
     "EpochSwap",

@@ -42,11 +42,24 @@ from repro.obs.events import emit as emit_event
 from repro.partition.base import Partition
 from repro.search.dense import DenseSearch
 
-__all__ = ["EpochState", "EpochSwap", "EpochManager"]
+__all__ = ["EpochState", "EpochDelta", "EpochSwap", "EpochManager"]
+
+
+class EpochDelta(dict):
+    """``{fragment_id: (fragment, index)}`` of one swap, plus its scope.
+
+    ``seed_keys`` maps every changed fragment to the keywords / DL-node
+    keys whose seed lists the batch rewrote — or is ``None`` when any
+    fragment was rebuilt (an edge-weight op), in which case nothing
+    narrower than the whole pairs describes the change.
+    """
+
+    seed_keys: dict[int, frozenset] | None = None
+
 
 # Subscriber signature: (new state, delta) where delta maps each changed
 # fragment id to its new (fragment, index) pair.
-EpochSubscriber = Callable[["EpochState", dict[int, tuple[Fragment, NPDIndex]]], None]
+EpochSubscriber = Callable[["EpochState", EpochDelta], None]
 
 # Swap subscribers additionally receive the full EpochSwap report —
 # changed keywords and the topology flag drive subscription routing
@@ -99,6 +112,9 @@ class EpochSwap:
     swap_seconds: float
     changed_keywords: tuple[str, ...] = ()
     topology_changed: bool = False
+    # The changed fragments whose whole compiled state had to be shipped
+    # again; empty when the batch was keyword-only (seed lists patched).
+    republished_fragments: tuple[int, ...] = ()
     # One ack summary per bound cluster that swapped during this apply
     # (replica clusters report which machines acked — the HA audit trail
     # that an epoch reached every replica).
@@ -115,6 +131,7 @@ class EpochSwap:
             "swap_seconds": self.swap_seconds,
             "changed_keywords": list(self.changed_keywords),
             "topology_changed": self.topology_changed,
+            "republished_fragments": list(self.republished_fragments),
             "cluster_acks": [dict(ack) for ack in self.cluster_acks],
         }
 
@@ -204,18 +221,23 @@ class EpochManager:
     def bind_cluster(self, cluster) -> EpochSubscriber:
         """Subscribe a cluster so every swap pushes its delta to workers.
 
-        ``cluster`` needs an ``apply_updates(epoch, replacements)``
-        method (:class:`repro.dist.ProcessCluster` and
-        :class:`repro.serve.PipelinedCluster` both qualify).  Returns
-        the registered subscriber so callers can :meth:`unsubscribe`
-        when the cluster shuts down before the manager does.
+        ``cluster`` needs an ``apply_updates(epoch, replacements,
+        seed_keys=...)`` method (the process clusters:
+        :class:`repro.dist.ProcessCluster`,
+        :class:`repro.serve.PipelinedCluster`, :class:`repro.ha.HACluster`),
+        which lets a keyword-only swap ship seed-list patches instead of
+        whole fragments.  Returns the registered subscriber so callers
+        can :meth:`unsubscribe` when the cluster shuts down before the
+        manager does.
         """
 
         cluster_name = type(cluster).__name__
 
-        def _push(state: EpochState, delta: dict[int, tuple[Fragment, NPDIndex]]) -> None:
+        def _push(state: EpochState, delta: EpochDelta) -> None:
             if delta:
-                summary = cluster.apply_updates(state.epoch, list(delta.values()))
+                summary = cluster.apply_updates(
+                    state.epoch, list(delta.values()), seed_keys=delta.seed_keys
+                )
                 if isinstance(summary, dict):
                     self._pending_acks.append({"cluster": cluster_name, **summary})
 
@@ -285,6 +307,9 @@ class EpochManager:
                     raise
                 except Exception as exc:  # pragma: no cover - defensive
                     raise LiveUpdateError(f"applying {op!r} failed: {exc}") from exc
+            seed_keys = None
+            if not maintainer.rebuilt:
+                seed_keys = {fid: frozenset(maintainer.seed_keys[fid]) for fid in changed}
             apply_seconds = time.perf_counter() - apply_started
 
             swap_started = time.perf_counter()
@@ -297,7 +322,8 @@ class EpochManager:
             )
             self._state = new_state  # the atomic swap: readers now see N+1
             self._search = maintainer.search
-            delta = new_state.delta_from(sorted(changed))
+            delta = EpochDelta(new_state.delta_from(sorted(changed)))
+            delta.seed_keys = seed_keys
             self._pending_acks.clear()
             for subscriber in list(self._subscribers):
                 self._notify(subscriber, new_state, delta)
@@ -327,6 +353,7 @@ class EpochManager:
                 swap_seconds=swap_seconds,
                 changed_keywords=tuple(sorted(keywords)),
                 topology_changed=topology,
+                republished_fragments=() if seed_keys is not None else tuple(delta),
                 cluster_acks=cluster_acks,
             )
             self._history.append(swap)

@@ -66,9 +66,13 @@ from repro.core.queries import QClassQuery
 from repro.core.runs import RunAnswer, as_run, merge_runs
 from repro.dist.network import NetworkModel
 from repro.dist.process_cluster import (
+    APPLY_KINDS,
+    apply_epoch,
     build_worker_runtimes,
     emulate_delivery,
+    epoch_message,
     finish_worker_spans,
+    segments_shipped,
     spawn_workers,
     worker_trace_collector,
 )
@@ -104,38 +108,12 @@ def _pipelined_worker_main(connection: Connection, payload: bytes) -> None:
             if kind == "stop":
                 connection.send(("stopped", None))
                 return
-            if kind == "apply_shm":
+            if kind in APPLY_KINDS:
                 emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-                request_id, epoch, manifests = body
+                request_id, epoch, data = body
                 try:
                     started = time.perf_counter()
-                    swapped = registry.attach(manifests)
-                    runtimes = registry.runtimes()
-                    elapsed = time.perf_counter() - started
-                    connection.send_bytes(
-                        pickle.dumps(
-                            (
-                                "applied",
-                                (request_id, epoch, swapped, elapsed),
-                                time.perf_counter(),
-                            )
-                        )
-                    )
-                except Exception:
-                    connection.send(("error", (request_id, traceback.format_exc())))
-                continue
-            if kind == "apply":
-                emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-                request_id, epoch, new_pairs = body
-                try:
-                    started = time.perf_counter()
-                    hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
-                    swapped = []
-                    for fragment, index in new_pairs:
-                        runtime = hosted.get(fragment.fragment_id)
-                        if runtime is not None:
-                            runtime.refresh(fragment, index)
-                            swapped.append(fragment.fragment_id)
+                    runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
                     elapsed = time.perf_counter() - started
                     connection.send_bytes(
                         pickle.dumps(
@@ -663,6 +641,7 @@ class PipelinedCluster:
         summary = {
             "epoch": apply.epoch,
             "swapped_fragments": sorted(apply.swapped),
+            "segments_published": segments_shipped(apply.manifests),
             "total_message_bytes": apply.message_bytes,
             "wall_seconds": time.perf_counter() - apply.started,
         }
@@ -842,7 +821,10 @@ class PipelinedCluster:
     # Live updates
     # ------------------------------------------------------------------
     def submit_updates(
-        self, epoch: int, replacements: list[tuple[Fragment, NPDIndex]]
+        self,
+        epoch: int,
+        replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
     ) -> PendingApply:
         """Fan an epoch delta out to the owning live workers; no blocking.
 
@@ -851,7 +833,9 @@ class PipelinedCluster:
         plus per-pipe FIFO make that ordering identical on all
         machines).  The returned future resolves once every involved
         live worker has swapped — or, if one dies mid-apply, once the
-        survivors have.
+        survivors have.  ``seed_keys`` scopes a keyword-only delta:
+        shared-memory workers are then sent seed-list patches and no
+        segment is packed, leased or retired (:func:`epoch_message`).
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
@@ -879,37 +863,22 @@ class PipelinedCluster:
                 self._pending_applies.pop(request_id, None)
             self._complete_apply(apply)
             return PendingApply(request_id=request_id, epoch=epoch, future=apply.future)
-        published: dict[int, object] = {}
-        if self._shm_store is not None:
-            # Pack each changed fragment once, then ship only manifests.
+        if self._shm_store is not None and seed_keys is None:
+            # Pack each changed fragment once, ahead of the fan-out lock.
             for fragment, index in replacements:
-                published[fragment.fragment_id] = self._shm_store.publish(
-                    fragment, index, epoch=epoch
-                )
+                self._shm_store.publish(fragment, index, epoch=epoch)
         sent_bytes = 0
         with self._fanout_lock:
             for machine_id in involved:
-                mine = [
-                    (fragment, index)
-                    for fragment, index in replacements
-                    if fragment.fragment_id in self._assignments[machine_id]
-                ]
-                if self._shm_store is not None:
-                    manifests = [
-                        published[fragment.fragment_id] for fragment, _index in mine
-                    ]
-                    apply.manifests[machine_id] = manifests
-                    payload = pickle.dumps(
-                        (
-                            "apply_shm",
-                            (request_id, epoch, manifests),
-                            time.perf_counter(),
-                        )
-                    )
-                else:
-                    payload = pickle.dumps(
-                        ("apply", (request_id, epoch, mine), time.perf_counter())
-                    )
+                kind, data = epoch_message(
+                    self._assignments[machine_id], replacements, epoch,
+                    self._shm_store, seed_keys,
+                )
+                if kind == "apply_shm":
+                    apply.manifests[machine_id] = data
+                payload = pickle.dumps(
+                    (kind, (request_id, epoch, data), time.perf_counter())
+                )
                 try:
                     with self._send_locks[machine_id]:
                         self._connections[machine_id].send_bytes(payload)
@@ -924,11 +893,12 @@ class PipelinedCluster:
         self,
         epoch: int,
         replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
         *,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
     ) -> dict[str, object]:
         """Synchronous convenience wrapper over :meth:`submit_updates`."""
-        pending = self.submit_updates(epoch, replacements)
+        pending = self.submit_updates(epoch, replacements, seed_keys)
         try:
             return pending.future.result(timeout=timeout_seconds)
         except FutureTimeoutError:

@@ -26,7 +26,8 @@ Live updates: constructed with an ``updater`` (an
 epoch deltas into the same cluster), the server additionally accepts
 ``update`` batches — admission-controlled like queries, applied off the
 event loop — and the ``epoch`` admin op.  Update observability:
-``epoch`` gauge, ``updates`` / ``update_ops`` counters,
+``epoch`` gauge, ``updates`` / ``update_ops`` / ``segments_published``
+counters (the last stays flat across keyword-only batches),
 ``apply_seconds`` / ``swap_seconds`` / ``staleness_seconds`` histograms
 (staleness = batch arrival to epoch publication).
 
@@ -693,6 +694,10 @@ class DisksServer:
             staleness = time.perf_counter() - arrived
             self.metrics.increment("updates")
             self.metrics.increment("update_ops", by=swap.num_ops)
+            self.metrics.increment(
+                "segments_published",
+                by=sum(ack.get("segments_published", 0) for ack in swap.cluster_acks),
+            )
             self.metrics.observe_gauge("epoch", swap.epoch)
             self.metrics.observe("apply_seconds", swap.apply_seconds)
             self.metrics.observe("swap_seconds", swap.swap_seconds)

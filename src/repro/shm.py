@@ -24,14 +24,24 @@ JSON blob (Python ``json`` round-trips floats exactly), so the manifest
 stays O(1) bytes regardless of fragment size — that is what makes the
 per-worker startup payload shrink by orders of magnitude.
 
-Epoch lifecycle (:class:`SharedSegmentStore`): an epoch swap *publishes*
-fresh segments, then the old ``(fragment, epoch)`` segments are retired
-refcount-style — a segment is unlinked only once every worker leasing
-that fragment has acknowledged a newer epoch.  Workers are serial FIFO
-loops, so an apply-ack proves the worker holds no in-flight query on
-the old epoch; in-flight queries therefore always finish on the epoch
-they started (the all-old-or-all-new guarantee is preserved end to
-end).  Worker death releases its leases; shutdown unlinks everything.
+Epoch lifecycle (:class:`SharedSegmentStore`): a segment is the
+fragment's *topology plus the seed tables as of its publish epoch*.  A
+keyword-only epoch touches no segment: workers are sent the recompiled
+seed lists of the changed keys (``FragmentKernel.seed_patch``) and
+overwrite their private copies of the tables, so a worker at a later
+epoch holds *segment + patches* and the store's leases do not move.
+Only a swap that changes topology (or a caller that passes no seed
+scope) *publishes* fresh segments — compiled from the current index, so
+they include every earlier patch — after which the old ``(fragment,
+epoch)`` segments are retired refcount-style: a segment is unlinked
+only once every worker leasing that fragment has acknowledged a newer
+one.  It follows that anything attaching later than startup must be
+handed a freshly published segment, never an old manifest.  Workers are
+serial FIFO loops, so an apply-ack proves the worker holds no in-flight
+query on the old epoch; in-flight queries therefore always finish on
+the epoch they started (the all-old-or-all-new guarantee is preserved
+end to end).  Worker death releases its leases; shutdown unlinks
+everything.
 """
 
 from __future__ import annotations

@@ -178,4 +178,4 @@ def test_cache_hits_carry_the_same_node_block_as_misses(deployment, use_shm):
                 cache = ndjson.stats()["result_cache"]
     assert cache["misses"] == len(expected) + 1
     assert cache["hits"] >= 2 * len(expected)
-    assert cache["subsumption_hits"] == 2
+    assert cache["subsumption_hits"] == 1  # derived once; the NDJSON read is an exact hit

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from repro.core import (
 from repro.core.executor import execute_fragment_task_explained
 from repro.live import AddKeyword, EpochManager, RemoveKeyword, SetEdgeWeight
 from repro.partition import BfsPartitioner
+from repro.sub.registry import compute_scope
 
 from helpers import make_random_network
 
@@ -81,16 +83,20 @@ class Harness:
             nodes |= execute_fragment_task(runtime, query).local_result
         return frozenset(nodes)
 
-    def cached(self, query):
-        hit, ticket = self.cache.probe(query)
-        if hit is not None:
-            return hit.nodes, hit.kind
+    def explained(self, query):
+        """(answer, per-fragment distance maps) — what a miss admits."""
         partials, nodes = {}, set()
         for runtime in self.runtimes.values():
             result, explanations = execute_fragment_task_explained(runtime, query)
             partials[result.fragment_id] = explanations
             nodes |= result.local_result
-        answer = frozenset(nodes)
+        return frozenset(nodes), partials
+
+    def cached(self, query):
+        hit, ticket = self.cache.probe(query)
+        if hit is not None:
+            return hit.nodes, hit.kind
+        answer, partials = self.explained(query)
         self.cache.admit(ticket, answer, partials)
         return answer, "miss"
 
@@ -303,6 +309,120 @@ class TestStoreMechanics:
         answer, kind = harness.cached(parse_query("NEAR(w0, 2)"))
         assert kind == "miss"
         assert answer == harness.direct(parse_query("NEAR(w0, 2)"))
+        stats = harness.cache.stats()  # two computed entries, nothing derived
+        assert stats["subsumption_hits"] == 0 and stats["inserts"] == stats["misses"] == 2
+
+
+class TestDerivedEntries:
+    """A subsumption hit stores its filtered answer under the probe's key."""
+
+    WIDE, MID, NARROW = "NEAR(w0, 5)", "NEAR(w0, 3)", "NEAR(w0, 2)"
+
+    def _derived(self, wide=WIDE, narrow=NARROW, **cache_kwargs):
+        _net, manager, runtimes = build_deployment()
+        harness = Harness(manager, runtimes, **cache_kwargs)
+        assert harness.cached(parse_query(wide))[1] == "miss"
+        answer, kind = harness.cached(parse_query(narrow))
+        assert kind == "subsumption"
+        assert answer == harness.direct(parse_query(narrow))
+        return manager, harness
+
+    def test_filter_runs_once_then_reads_are_exact_hits(self):
+        _manager, harness = self._derived()
+        before = harness.cache.stats()
+        for _ in range(3):
+            answer, kind = harness.cached(parse_query(self.NARROW))
+            assert kind == "exact"
+            assert answer == harness.direct(parse_query(self.NARROW))
+        stats = harness.cache.stats()
+        assert stats["entries"] == 2 and stats["inserts"] == 2
+        assert stats["subsumption_hits"] == before["subsumption_hits"] == 1
+        assert stats["hits"] == before["hits"] + 3
+
+    def test_counts_toward_the_budgets_and_can_be_the_lru_victim(self):
+        _manager, harness = self._derived(max_entries=2)
+        cache = harness.cache
+        narrow_size = 256 + 16 * len(harness.direct(parse_query(self.NARROW)))
+        wide_only = SemanticResultCache()
+        hit, ticket = wide_only.probe(parse_query(self.WIDE))
+        assert hit is None
+        wide_only.admit(ticket, *harness.explained(parse_query(self.WIDE)))
+        assert cache.stats()["bytes"] == wide_only.stats()["bytes"] + narrow_size
+        assert harness.cached(parse_query(self.WIDE))[1] == "exact"  # derived is now LRU
+        harness.cached(parse_query("NEAR(w1, 1)"))
+        stats = cache.stats()
+        assert stats["entries"] == 2 and stats["evictions"] == 1
+        # The victim was the derived entry: its shape is derived afresh.
+        assert harness.cached(parse_query(self.NARROW))[1] == "subsumption"
+        assert cache.stats()["subsumption_hits"] == 2
+
+    def test_is_never_a_subsumption_source(self):
+        _manager, harness = self._derived(narrow=self.MID, max_entries=2)
+        assert harness.cached(parse_query(self.MID))[1] == "exact"  # the parent is now LRU
+        harness.cached(parse_query("NEAR(w1, 1)"))  # ... and is evicted
+        assert harness.cache.probe(parse_query(self.WIDE))[0] is None
+        # MID subsumes NARROW by radius, but holds no distances to filter.
+        answer, kind = harness.cached(parse_query(self.NARROW))
+        assert kind == "miss"
+        assert answer == harness.direct(parse_query(self.NARROW))
+
+    @pytest.mark.parametrize(
+        "keywords, in_scope, topology, evicted",
+        [
+            (("w0",), True, False, True),  # same keyword, intersecting scope
+            (("w0",), False, False, False),  # same keyword, elsewhere
+            (("w1",), True, False, False),  # another keyword
+            ((), True, True, True),  # topology change
+        ],
+    )
+    def test_evicted_exactly_when_its_parent_is(self, keywords, in_scope, topology, evicted):
+        net, manager, runtimes = build_deployment()
+        state = manager.state
+        # A node-source restriction gives the pair a proper fragment scope.
+        scoped = [
+            (node, scope)
+            for node in net.nodes()
+            for scope in [
+                compute_scope(
+                    parse_query(f"WITHIN(0.01 OF #{node}) AND NEAR(w0, 5)"),
+                    state.fragments, state.indexes,
+                )
+            ]
+            if scope and len(scope) < len(state.fragments)
+        ]
+        node, scope = scoped[0]
+        wide = f"WITHIN(0.01 OF #{node}) AND NEAR(w0, 5)"
+        narrow = f"WITHIN(0.01 OF #{node}) AND NEAR(w0, 2)"
+        harness = Harness(manager, runtimes)
+        harness.cached(parse_query(wide))
+        assert harness.cached(parse_query(narrow))[1] == "subsumption"
+        outside = set(range(len(state.fragments))) - scope
+        swap = SimpleNamespace(
+            epoch=1,
+            topology_changed=topology,
+            changed_keywords=keywords,
+            changed_fragments=tuple(sorted(scope if in_scope else outside)),
+        )
+        harness.cache.on_swap(state, {}, swap)
+        for expression in (wide, narrow):
+            hit, _ticket = harness.cache.probe(parse_query(expression))
+            assert (hit is None) == evicted, expression
+            assert hit is None or hit.kind == "exact"
+        assert harness.cache.stats()["invalidations"] == (2 if evicted else 0)
+
+    def test_is_not_served_across_a_swap_that_changes_its_answer(self):
+        manager, harness = self._derived()
+        network = manager.state.network
+        before = harness.direct(parse_query(self.NARROW))
+        target = next(
+            node
+            for node in network.nodes()
+            if network.is_object(node) and node not in before
+        )
+        manager.apply([AddKeyword(target, "w0")])
+        answer, kind = harness.cached(parse_query(self.NARROW))
+        assert kind == "miss"  # parent and derived both went with the swap
+        assert target in answer and answer == harness.direct(parse_query(self.NARROW))
 
 
 class TestDifferential:

@@ -120,7 +120,7 @@ class TestCachedServing:
             assert set(client.query(narrow)["nodes"]) == expected[narrow]
             cache = client.stats()["result_cache"]
         assert cache["subsumption_hits"] == 1
-        assert cache["entries"] == 1  # the narrow answer was served, not stored
+        assert cache["entries"] == 2  # the narrow answer was derived once and stored
 
     def test_stats_sections_identical_on_both_protocols(self, deployment):
         server, _manager, _metrics = deployment
