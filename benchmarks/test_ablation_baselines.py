@@ -16,7 +16,7 @@ from __future__ import annotations
 import statistics
 
 from repro.baselines import PortalGraphIndex, PortalGraphStats
-from repro.dist import ProcessCluster
+from repro.serve import PipelinedCluster
 from repro.storage import index_file_size
 
 from common import DEFAULT_FRAGMENTS, dataset, engine, sgkq_batch
@@ -75,7 +75,7 @@ def test_ablation_process_cluster_validates_simulation(benchmark):
     deployment = engine("aus_mini", 8, LAMBDA)
     batch = sgkq_batch("aus_mini", 5, deployment.max_radius / 2)
 
-    with ProcessCluster.start(
+    with PipelinedCluster.start(
         list(deployment.fragments), list(deployment.indexes), num_machines=8
     ) as cluster:
         cluster.execute(batch[0])  # warm-up (imports, allocator)

@@ -1,16 +1,16 @@
 """Serving ablation: pipelined dispatch vs lockstep round trips.
 
-The lockstep :class:`~repro.dist.ProcessCluster` broadcasts one query,
-waits for every machine, and only then admits the next — so each query
-pays a full coordinator↔machine round trip, serially.  The serving
-layer's :class:`~repro.serve.PipelinedCluster` multiplexes many
+Lockstep is serial :meth:`~repro.serve.PipelinedCluster.execute`: one
+query is broadcast, every machine answers, and only then is the next
+admitted — so each query pays a full coordinator↔machine round trip,
+serially.  Submitting the whole stream at once multiplexes many
 in-flight queries over the same worker processes (request-id tagging,
 dispatcher threads), overlapping the round trips:
 
     lockstep  total ≈ Σ_q (rtt + max_m τ(q, m))
     pipelined total ≈ max_m Σ_q τ(q, m)          (rtt hidden)
 
-Both clusters run with the same emulated interconnect
+Both sides run on one cluster with an emulated interconnect
 (``network_model``: delivery at ``sent_at + latency + bytes/bw``) so
 the comparison measures the *dispatch protocol*, not the hardware.
 Single-host pipes hide the network entirely — and this CI box has one
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.dist import NetworkModel, ProcessCluster
+from repro.dist import NetworkModel
 from repro.serve import PipelinedCluster
 from repro.workloads import QueryGenConfig, QueryGenerator
 
@@ -45,7 +45,7 @@ def _query_stream(dataset_name: str, max_radius: float):
     ]
 
 
-def _lockstep_run(cluster: ProcessCluster, queries) -> tuple[float, list]:
+def _lockstep_run(cluster: PipelinedCluster, queries) -> tuple[float, list]:
     results = []
     started = time.perf_counter()
     for query in queries:
@@ -70,15 +70,6 @@ def test_pipelined_beats_lockstep(benchmark):
     deployment = engine("aus_tiny", 8)
     queries = _query_stream("aus_tiny", deployment.max_radius)
 
-    with ProcessCluster.start(
-        deployment.fragments,
-        deployment.indexes,
-        num_machines=NUM_MACHINES,
-        network_model=LINK,
-    ) as lockstep:
-        lockstep.execute(queries[0])  # warm the workers
-        lockstep_secs, lockstep_results = _lockstep_run(lockstep, queries)
-
     with PipelinedCluster.start(
         deployment.fragments,
         deployment.indexes,
@@ -86,6 +77,7 @@ def test_pipelined_beats_lockstep(benchmark):
         network_model=LINK,
     ) as pipelined:
         pipelined.execute(queries[0])  # warm the workers
+        lockstep_secs, lockstep_results = _lockstep_run(pipelined, queries)
         pipelined_secs, pipelined_results = _pipelined_run(pipelined, queries)
 
         table = Table(

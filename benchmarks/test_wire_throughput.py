@@ -1,4 +1,4 @@
-"""Data-plane ablation: zero-copy shm + binary wire vs pickle + NDJSON.
+"""Data-plane ablation: zero-copy shm + binary frames vs pickled hand-off + NDJSON.
 
 Two ends of the data plane changed and this benchmark measures both on
 the same deployment and the same emulated link:
@@ -8,15 +8,17 @@ the same deployment and the same emulated link:
   few-hundred-byte segment manifest and attach the CSR arrays read-only
   from shared memory (:mod:`repro.shm`).  Measured as bytes shipped per
   worker at fork time (``cluster.startup_bytes``).
-* **query path**: NDJSON frontend + pickled worker pipes vs the DSKW
-  binary frames of :mod:`repro.serve.wire` end to end (client → TCP
-  frontend → worker pipe), with queries prepared once per connection
-  and ``BATCH_SIZE`` of them packed per frame.  Measured as closed-loop
-  loadgen throughput through a real socket.
+* **query path**: the NDJSON frontend, one query per line, vs DSKW
+  binary frames (:mod:`repro.serve.wire`) with queries prepared once per
+  connection and ``BATCH_SIZE`` of them packed per frame.  Both sides
+  use the binary worker-pipe frames, the only pipe encoding; the
+  measured difference is the frontend protocol plus the startup
+  hand-off.  Measured as closed-loop loadgen throughput through a real
+  socket.
 
 The workload uses a small radius on purpose: cheap point-ish queries
-are the regime where the wire overhead (text parse, JSON, pickle,
-per-query socket writes) is the cost being measured rather than the
+are the regime where the wire overhead (text parse, JSON, per-query
+socket writes) is the cost being measured rather than the
 kernel's graph traversal, which is identical on both paths.  Each path
 reports its best-of-``ROUNDS`` closed-loop run — single-core CI boxes
 are noisy, and the max is the least contaminated estimate of the
@@ -73,7 +75,7 @@ def _deployment():
     return built, expressions
 
 
-def _run_path(built, expressions, *, use_shm: bool, pipe_wire: str, protocol: str, batch: int):
+def _run_path(built, expressions, *, use_shm: bool, protocol: str, batch: int):
     """One full stack: cluster → TCP frontend → closed-loop loadgen."""
     cluster = PipelinedCluster.start(
         built.fragments,
@@ -81,7 +83,6 @@ def _run_path(built, expressions, *, use_shm: bool, pipe_wire: str, protocol: st
         num_machines=NUM_MACHINES,
         network_model=LINK,
         use_shm=use_shm,
-        pipe_wire=pipe_wire,
     )
     try:
         startup_bytes = sum(cluster.startup_bytes)
@@ -115,12 +116,10 @@ def _run_path(built, expressions, *, use_shm: bool, pipe_wire: str, protocol: st
 
 def _measure(built, expressions):
     baseline, baseline_bytes, baseline_answers = _run_path(
-        built, expressions, use_shm=False, pipe_wire="pickle",
-        protocol="ndjson", batch=1,
+        built, expressions, use_shm=False, protocol="ndjson", batch=1,
     )
     fast, fast_bytes, fast_answers = _run_path(
-        built, expressions, use_shm=True, pipe_wire="binary",
-        protocol="binary", batch=BATCH_SIZE,
+        built, expressions, use_shm=True, protocol="binary", batch=BATCH_SIZE,
     )
     assert baseline_answers == fast_answers
     return baseline, baseline_bytes, fast, fast_bytes
@@ -152,7 +151,7 @@ def test_binary_shm_path_beats_pickle_ndjson():
         ["data plane", "qps", "p99 (ms)", "startup B/cluster"],
     )
     table.add_row(
-        "pickle + NDJSON", baseline.throughput_qps,
+        "pickled hand-off + NDJSON", baseline.throughput_qps,
         baseline.percentile(0.99) * 1e3, baseline_bytes,
     )
     table.add_row(

@@ -82,7 +82,7 @@ class _Entry:
     canonical: CanonicalQuery
     run: array  # the answer, sorted once at admission; exact hits reuse it
     # fragment_id -> {node -> per-term distance tuple (entry term order)};
-    # None when the cluster cannot explain — the entry then serves exact
+    # None when the miss was dispatched traced — the entry then serves exact
     # hits only, never subsumption.
     partials: dict[int, dict[int, tuple]] | None
     epoch: int

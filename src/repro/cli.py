@@ -168,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also append sampled traces to this JSONL file (rotated)",
     )
     serve.add_argument(
-        "--wire", default="binary", choices=("binary", "pickle"),
-        help="coordinator<->worker pipe encoding (binary is the fast path)",
-    )
-    serve.add_argument(
         "--no-shm", action="store_false", dest="shm",
         help="ship fragments to workers by pickle instead of shared memory",
     )
@@ -515,7 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             indexes,
             num_machines=args.machines,
             use_shm=args.shm,
-            pipe_wire=args.wire,
         )
     updater = None
     sub_engine = None

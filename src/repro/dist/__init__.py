@@ -11,7 +11,9 @@ experiment shapes on one host:
   :class:`TrafficLedger`, which *enforces* the paper's zero
   worker-to-worker communication guarantee (Theorem 3);
 * :mod:`repro.dist.parallel` additionally runs tasks in real OS
-  processes for genuine parallelism.
+  processes for genuine parallelism, and
+  :mod:`repro.dist.process_cluster` is the worker loop and coordinator
+  core both serving clusters run on.
 """
 
 from repro.dist.messages import (
@@ -31,14 +33,11 @@ from repro.dist.replication import (
     ReplicatedCluster,
     ReplicatedClusterResponse,
 )
-from repro.dist.process_cluster import ProcessCluster, ProcessClusterResponse
 
 __all__ = [
     "ReplicaPlacement",
     "ReplicatedCluster",
     "ReplicatedClusterResponse",
-    "ProcessCluster",
-    "ProcessClusterResponse",
     "Message",
     "QueryTaskMessage",
     "TaskResultMessage",

@@ -1,4 +1,4 @@
-"""A real coordinator/worker deployment on OS processes.
+"""The process-cluster core: one worker loop and one coordinator.
 
 Where :class:`~repro.dist.cluster.SimulatedCluster` *models* the cluster
 (individual task timing + makespan arithmetic), this module actually
@@ -6,51 +6,76 @@ runs one: persistent worker processes each hold their fragment runtimes
 and serve queries over pipes, concurrently.  It demonstrates that the
 share-nothing design really is share-nothing — each worker process owns
 nothing but its fragments and indexes, and the only channels in the
-topology connect workers to the coordinator.
+topology connect workers to the coordinator (§4, Lemma 1).
 
-Use as a context manager::
+Both serving coordinators run on it:
 
-    with ProcessCluster.start(fragments, indexes) as cluster:
-        response = cluster.execute(query)
+* :func:`worker_main` is the one worker loop.  Every query message names
+  ``(request_id, query, trace_wire, attempt, fragment_ids)`` (empty
+  ``fragment_ids`` = every hosted fragment) and every reply echoes the
+  request id, so replies may arrive in any order; a failing task poisons
+  only its own request.  The message table is in
+  ``docs/ARCHITECTURE.md``.
+* :class:`ProcessClusterCore` is the coordinator: fork + ready
+  handshake, one dispatcher thread per worker matching replies to the
+  :class:`~concurrent.futures.Future` registered at submit time, epoch
+  apply fan-out with shared-memory leases, stats sweeps and shutdown.
 
-Workers are daemons and also shut down cleanly on ``shutdown()``; a
-worker that raises ships the traceback back instead of hanging the
-coordinator.
+A subclass decides only what differs between deployments: which worker
+each fragment task goes to (:meth:`ProcessClusterCore._route`), what a
+reply teaches it about load (:meth:`ProcessClusterCore._note_reply`) and
+what happens to a query whose worker died
+(:meth:`ProcessClusterCore._reassign`).
+:class:`repro.serve.PipelinedCluster` broadcasts and degrades;
+:class:`repro.ha.HACluster` routes per fragment and fails over.
+
+Torn-epoch prevention rests on two properties.  Each pipe is FIFO and
+each worker handles its messages serially, so relative to one worker a
+query runs entirely before or entirely after an epoch swap.  Every
+fan-out (query, apply, failover re-dispatch) happens under one
+coordinator-wide ``_fanout_lock``, so the *order* of a query relative
+to an apply is the same on every pipe.  Together: a query observes the
+old epoch on all machines or the new epoch on all machines.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
+import threading
 import time
 import traceback
 from array import array
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from multiprocessing import Pipe, Process, get_context
 from multiprocessing.connection import Connection
 
-from repro.core.coverage import FragmentRuntime
-from repro.core.executor import execute_fragment_task
+from repro.core.coverage import FragmentRuntime, sum_cache_stats
+from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
 from repro.core.fragment import Fragment
 from repro.core.kernel import FragmentKernel
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
-from repro.core.runs import RunAnswer, merge_runs
+from repro.core.runs import RunAnswer, as_run, merge_runs
 from repro.dist.network import NetworkModel
 from repro.exceptions import ClusterError
 from repro.obs.trace import Span, SpanCollector, TraceContext
 from repro.shm import SharedSegmentStore, ShmWorkerRuntimes
 
 __all__ = [
-    "ProcessClusterResponse",
-    "ProcessCluster",
+    "APPLY_KINDS",
+    "PipelinedResponse",
+    "PendingQuery",
+    "PendingApply",
+    "ProcessClusterCore",
+    "worker_main",
     "spawn_workers",
     "build_worker_runtimes",
     "apply_epoch",
     "epoch_message",
-    "segments_shipped",
     "emulate_delivery",
-    "worker_trace_collector",
-    "finish_worker_spans",
 ]
 
 _DEFAULT_TIMEOUT = 120.0
@@ -61,27 +86,26 @@ def spawn_workers(
     fragments: list[Fragment],
     indexes: list[NPDIndex],
     num_machines: int | None,
-    worker_main,
     network_model: NetworkModel | None = None,
     compiled: bool = True,
     shm_store=None,
     fragment_assignments: list[list[int]] | None = None,
 ) -> tuple[list[Process], list[Connection], list[list[int]], list[int]]:
-    """Fork one worker process per machine, fragments assigned round-robin.
+    """Fork one :func:`worker_main` process per machine.
 
-    Shared by :class:`ProcessCluster` and the pipelined serving cluster
-    (:class:`repro.serve.PipelinedCluster`); the two differ only in the
-    worker loop they run over the returned pipe connections.  The third
-    returned value maps each machine to the fragment ids it hosts, so
-    epoch deltas (:meth:`ProcessCluster.apply_updates`) can be routed to
-    only the owning worker; the fourth is the per-machine startup
-    payload size in bytes (what actually crossed the pipe at fork).
+    Fragments are assigned round-robin unless ``fragment_assignments``
+    gives an explicit machine → fragment-id mapping (one list per
+    machine, ids may repeat across machines — how the HA tier forks
+    replica groups; ``num_machines`` is then ignored).  Returns the
+    processes, the coordinator ends of their pipes, the fragment ids
+    each machine hosts, and each machine's startup payload size in bytes
+    (what actually crossed the pipe at fork).
 
     ``shm_store`` (a :class:`repro.shm.SharedSegmentStore`) switches the
     startup hand-off to the zero-copy plane: each fragment's compiled
     kernel is packed into a shared-memory segment on the coordinator and
-    the worker receives only the O(1)-byte manifests — the fragments and
-    indexes themselves never cross the pipe.  Requires ``compiled``.
+    the worker receives only the O(1)-byte manifests; a fragment hosted
+    by several machines is published once.  Requires ``compiled``.
 
     ``network_model`` turns the analytic interconnect model into *wall
     clock*: every message carries its send timestamp, and the receiving
@@ -90,17 +114,8 @@ def spawn_workers(
     delay, so concurrent transfers overlap; only the bandwidth term
     occupies the wire).  Pipes on one host are orders of magnitude
     faster than the paper's 100 Mb switch, so without this the
-    coordinator↔machine round trips the paper charges for are invisible;
-    with it, single-host experiments reproduce their cost honestly.
+    coordinator↔machine round trips the paper charges for are invisible.
     ``None`` (the default) adds nothing.
-
-    ``fragment_assignments`` overrides the round-robin layout with an
-    explicit machine → fragment-id mapping (one list per machine, ids
-    may repeat across machines).  This is how the HA tier forks replica
-    groups: :meth:`ReplicaPlacement.assignments` hands the chained
-    layout straight in, ``num_machines`` is ignored, and a fragment
-    hosted by several machines is published into shared memory exactly
-    once (``publish`` is idempotent per fragment+epoch).
     """
     if len(fragments) != len(indexes):
         raise ClusterError("fragments and indexes must align")
@@ -121,7 +136,6 @@ def spawn_workers(
         } - set(by_id)
         if unknown:
             raise ClusterError(f"assignment names unknown fragments {sorted(unknown)}")
-        num_machines = len(fragment_assignments)
         assignments: list[list[tuple[Fragment, NPDIndex]]] = [
             [by_id[fid] for fid in hosted] for hosted in fragment_assignments
         ]
@@ -159,10 +173,8 @@ def spawn_workers(
         child_end.close()
         processes.append(process)
         connections.append(parent_end)
-    fragment_assignments = [
-        [fragment.fragment_id for fragment, _index in pairs] for pairs in assignments
-    ]
-    return processes, connections, fragment_assignments, startup_bytes
+    hosted = [[fragment.fragment_id for fragment, _index in pairs] for pairs in assignments]
+    return processes, connections, hosted, startup_bytes
 
 
 def emulate_delivery(
@@ -181,58 +193,6 @@ def emulate_delivery(
     delay = sent_at + network_model.transfer_seconds(num_bytes) - time.perf_counter()
     if delay > 0:
         time.sleep(delay)
-
-
-def worker_trace_collector(
-    trace_wire: tuple[str, str | None] | None,
-    sent_at: float | None,
-    received: float,
-    wire_bytes: int,
-) -> tuple[SpanCollector | None, str | None]:
-    """Worker-side trace setup, shared by both worker loops.
-
-    For a traced query (``trace_wire`` = ``(trace_id, parent span
-    id)``) this builds the local collector and records the
-    ``queue-wait`` span — sender timestamp to post-delivery dequeue,
-    which covers pipe transit, the emulated link, and time spent
-    behind earlier messages in the FIFO.  Returns ``(None, None)`` for
-    the untraced fast path.
-    """
-    if trace_wire is None:
-        return None, None
-    trace_id, parent_id = trace_wire
-    collector = SpanCollector(trace_id)
-    if sent_at is not None:
-        collector.record(
-            "queue-wait",
-            sent_at,
-            received,
-            parent_id=parent_id,
-            bytes=wire_bytes,
-        )
-    return collector, parent_id
-
-
-def finish_worker_spans(
-    collector: SpanCollector,
-    parent_id: str | None,
-    reply_body: object,
-    elapsed: float,
-) -> list[Span]:
-    """Measure reply serialisation, then return the spans to piggyback.
-
-    The serialize span must itself travel inside the reply, so the
-    reply body is pickled once as a measured probe and the final
-    message (with spans attached) is pickled by the caller — the double
-    pickle only happens on sampled queries.
-    """
-    started = time.perf_counter()
-    probe = pickle.dumps(("results", (reply_body, elapsed), 0.0))
-    ended = time.perf_counter()
-    collector.record(
-        "serialize", started, ended, parent_id=parent_id, bytes=len(probe)
-    )
-    return collector.spans
 
 
 def build_worker_runtimes(mode: str, data, compiled: bool):
@@ -308,69 +268,140 @@ def epoch_message(hosted, replacements, epoch: int, shm_store, seed_keys=None):
     return "apply_shm", [shm_store.publish(f, i, epoch=epoch) for f, i in mine]
 
 
-def segments_shipped(manifests_by_machine: dict[int, list]) -> int:
-    """Distinct segments among the manifests one apply sent out."""
-    return len({m.name for shipped in manifests_by_machine.values() for m in shipped})
+# ----------------------------------------------------------------------
+# The worker
+# ----------------------------------------------------------------------
+def _select(hosted: dict, runtimes: list, fragment_ids) -> list:
+    """The runtimes a task names; empty ``fragment_ids`` means all."""
+    if not fragment_ids:
+        return runtimes
+    missing = [fid for fid in fragment_ids if fid not in hosted]
+    if missing:
+        raise ClusterError(f"task names fragments {missing} not hosted here")
+    return [hosted[fid] for fid in fragment_ids]
 
 
-def _worker_main(connection: Connection, payload: bytes) -> None:
-    """Worker loop: deserialise runtimes once, then serve queries."""
+def _finish_spans(
+    collector: SpanCollector, parent_id: str | None, reply: list, elapsed: float
+) -> list[Span]:
+    """Measure reply serialisation, then return the spans to piggyback.
+
+    The serialize span must itself travel inside the reply, so the
+    reply body is pickled once as a measured probe and the final
+    message (with spans attached) is pickled by the caller — the double
+    pickle only happens on traced queries.
+    """
+    started = time.perf_counter()
+    probe = pickle.dumps(("results", (reply, elapsed), 0.0))
+    ended = time.perf_counter()
+    collector.record("serialize", started, ended, parent_id=parent_id, bytes=len(probe))
+    return collector.spans
+
+
+def worker_main(connection: Connection, payload: bytes) -> None:
+    """Worker loop: build the runtimes once, then answer tagged messages.
+
+    ``payload`` is the pickled ``(mode, data, network_model, compiled)``
+    startup hand-off (:func:`build_worker_runtimes`).  Message kinds:
+
+    * ``query`` / ``explain`` — ``(request_id, query, trace_wire,
+      attempt, fragment_ids)``; the reply is ``results`` with one
+      ``(fragment_id, nodes, seconds)`` entry per named fragment.  An
+      untraced ``query`` may arrive as a binary pipe frame and is
+      answered with one; explain replies carry ``{node: per-term
+      distances}`` dicts instead of runs, traced replies piggyback the
+      worker's stage spans.
+    * :data:`APPLY_KINDS` — ``(request_id, epoch, data)``, answered with
+      ``applied``; ``cache_stats`` — ``(request_id,)``, answered with
+      ``stats``; ``config`` — ``{"machine_delay": seconds}`` slept
+      before every fragment task (a skew knob), no reply; ``stop``.
+
+    A failing message is answered with ``("error", (request_id,
+    traceback))`` and the loop keeps serving.
+    """
+    # Bound here, not at import: repro.serve imports this module.
+    from repro.serve.wire import dumps_pipe_results, loads_pipe
+
     registry = None
     try:
         mode, data, network_model, compiled = pickle.loads(payload)
         registry, runtimes = build_worker_runtimes(mode, data, compiled)
+        hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
+        machine_delay = 0.0
         connection.send(("ready", len(runtimes)))
         while True:
             raw = connection.recv_bytes()
-            kind, body, *meta = pickle.loads(raw)
+            kind, body, *meta = loads_pipe(raw)
             if kind == "stop":
                 connection.send(("stopped", None))
                 return
-            if kind in APPLY_KINDS:
-                epoch, data = body
-                emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-                started = time.perf_counter()
-                runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
-                elapsed = time.perf_counter() - started
-                connection.send_bytes(
-                    pickle.dumps(
-                        ("applied", (epoch, swapped, elapsed), time.perf_counter())
-                    )
-                )
+            if kind == "config":
+                machine_delay = float(body.get("machine_delay", machine_delay))
                 continue
-            if kind != "query":  # pragma: no cover - protocol guard
-                connection.send(("error", f"unknown message kind {kind!r}"))
-                continue
-            emulate_delivery(network_model, meta[0] if meta else None, len(raw))
+            sent_at = meta[0] if meta else None
+            emulate_delivery(network_model, sent_at, len(raw))
             received = time.perf_counter()
-            query, trace_wire = body
-            collector, parent_id = worker_trace_collector(
-                trace_wire, meta[0] if meta else None, received, len(raw)
-            )
-            started = time.perf_counter()
-            results = [
-                execute_fragment_task(
-                    runtime, query, collector=collector, parent_id=parent_id
-                )
-                for runtime in runtimes
-            ]
-            elapsed = time.perf_counter() - started
-            reply = [(r.fragment_id, r.run, r.wall_seconds) for r in results]
-            if collector is not None:
-                body_out = (
-                    reply,
-                    elapsed,
-                    finish_worker_spans(collector, parent_id, reply, elapsed),
-                )
-            else:
-                body_out = (reply, elapsed)
-            connection.send_bytes(
-                pickle.dumps(("results", body_out, time.perf_counter()))
-            )
-    except EOFError:  # coordinator went away
+            request_id = None
+            try:
+                request_id = body[0]
+                if kind in APPLY_KINDS:
+                    _request_id, epoch, data = body
+                    runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
+                    hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
+                    elapsed = time.perf_counter() - received
+                    out = ("applied", (request_id, epoch, swapped, elapsed))
+                elif kind == "cache_stats":
+                    # Serving runtimes run cacheless; the reply shape holds.
+                    out = ("stats", (request_id, sum_cache_stats(runtimes)))
+                elif kind in ("query", "explain"):
+                    _request_id, query, trace_wire, *target = body
+                    attempt, fragment_ids = target or (0, ())
+                    selected = _select(hosted, runtimes, fragment_ids)
+                    collector = parent_id = None
+                    if trace_wire is not None:
+                        collector = SpanCollector(trace_wire[0])
+                        parent_id = trace_wire[1]
+                        if sent_at is not None:
+                            # Pipe transit, the emulated link and the
+                            # time spent behind earlier messages.
+                            collector.record(
+                                "queue-wait", sent_at, received,
+                                parent_id=parent_id, bytes=len(raw),
+                            )
+                    started = time.perf_counter()
+                    reply = []
+                    for runtime in selected:
+                        if machine_delay > 0.0:
+                            time.sleep(machine_delay)
+                        if kind == "explain":
+                            result, nodes = execute_fragment_task_explained(runtime, query)
+                        else:
+                            result = execute_fragment_task(
+                                runtime, query, collector=collector, parent_id=parent_id
+                            )
+                            nodes = result.run
+                        reply.append((result.fragment_id, nodes, result.wall_seconds))
+                    elapsed = time.perf_counter() - started
+                    if kind == "query" and collector is None:
+                        connection.send_bytes(
+                            dumps_pipe_results(
+                                request_id, reply, elapsed, time.perf_counter(), attempt
+                            )
+                        )
+                        continue
+                    spans = (
+                        _finish_spans(collector, parent_id, reply, elapsed)
+                        if collector is not None
+                        else None
+                    )
+                    out = ("results", (request_id, reply, elapsed, attempt, spans))
+                else:
+                    raise ClusterError(f"unknown message kind {kind!r}")
+                connection.send_bytes(pickle.dumps((*out, time.perf_counter())))
+            except Exception:
+                connection.send(("error", (request_id, traceback.format_exc())))
+    except (EOFError, OSError):  # coordinator went away
         return
-    except Exception:  # pragma: no cover - surfaced to the coordinator
-        connection.send(("error", traceback.format_exc()))
     finally:
         # Unmap attached segments before interpreter shutdown so their
         # __del__ never races the kernels' exported memoryviews.
@@ -378,14 +409,17 @@ def _worker_main(connection: Connection, payload: bytes) -> None:
             registry.release_all()
 
 
+# ----------------------------------------------------------------------
+# The coordinator
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ProcessClusterResponse(RunAnswer):
-    """Outcome of one concurrently executed query.
+class PipelinedResponse(RunAnswer):
+    """Outcome of one query on a process cluster.
 
-    ``result_run`` is the answer as one sorted run, ``result_nodes`` the
-    same as a frozenset (built on first use).  ``spans`` holds the
-    assembled trace spans when the query was executed with a trace
-    context (empty otherwise).
+    ``result_run`` is the answer as one sorted run (what the ANSWER
+    frame and the NDJSON reply are written from); ``result_nodes`` is
+    the same as a frozenset, built on first use.  ``degraded`` marks
+    answers missing a fragment that had no live worker left.
     """
 
     result_run: array
@@ -393,79 +427,265 @@ class ProcessClusterResponse(RunAnswer):
     machine_seconds: dict[int, float]
     wall_seconds: float
     message_bytes: int
+    degraded: bool = False
     spans: tuple[Span, ...] = ()
+    # Explain mode only: fragment_id -> {node -> per-term distances}.
+    partials: dict[int, dict[int, tuple]] | None = None
+    # >0 when any failover (reroute or restart) touched this query.
+    attempt: int = 0
 
 
-class ProcessCluster:
-    """Persistent worker processes behind a pipe-based coordinator."""
+@dataclass(frozen=True)
+class PendingQuery:
+    """Handle for an in-flight query: its id plus the result future."""
+
+    request_id: int
+    future: "Future[PipelinedResponse]"
+
+
+@dataclass(frozen=True)
+class PendingApply:
+    """Handle for an in-flight epoch apply: resolves to an ack summary."""
+
+    request_id: int
+    epoch: int
+    future: "Future[dict[str, object]]"
+
+
+class _InFlight:
+    """Coordinator-side state for one query across its fragment tasks."""
+
+    __slots__ = (
+        "future",
+        "query",
+        "explain",
+        "attempt",
+        "valid_from",  # replies from attempts before this are discarded
+        "awaiting",  # fragment_id -> machine the task is routed to
+        "apply_seq",  # the apply fan-outs this query's tasks were sent after
+        "started",
+        "degraded",
+        "runs",  # fragment_id -> that fragment's sorted result run
+        "fragment_seconds",
+        "machine_seconds",
+        "message_bytes",
+        "collector",  # SpanCollector when the query is traced, else None
+        "root",  # the open "query" span
+        "dispatch_spans",  # machine_id -> open dispatch spans
+        "partials",
+    )
+
+    def __init__(
+        self, query: QClassQuery, explain: bool, awaiting: dict[int, int], apply_seq: int
+    ) -> None:
+        self.future: Future[PipelinedResponse] = Future()
+        self.query = query
+        self.explain = explain
+        self.attempt = 0
+        self.valid_from = 0
+        self.awaiting = awaiting
+        self.apply_seq = apply_seq
+        self.started = time.perf_counter()
+        self.degraded = False
+        self.runs: dict[int, array] = {}
+        self.fragment_seconds: dict[int, float] = {}
+        self.machine_seconds: dict[int, float] = {}
+        self.message_bytes = 0
+        self.collector: SpanCollector | None = None
+        self.root: Span | None = None
+        self.dispatch_spans: dict[int, list[Span]] = {}
+        self.partials: dict[int, dict[int, tuple]] = {}
+
+
+class _InFlightApply:
+    """Coordinator-side state for one epoch delta being applied."""
+
+    __slots__ = (
+        "future", "epoch", "awaiting", "started", "swapped",
+        "message_bytes", "manifests", "acked_machines",
+    )
+
+    def __init__(self, epoch: int, awaiting: set[int]) -> None:
+        self.future: Future[dict[str, object]] = Future()
+        self.epoch = epoch
+        self.awaiting = awaiting
+        self.started = time.perf_counter()
+        self.swapped: set[int] = set()
+        self.message_bytes = 0
+        # machine_id -> the segment manifests shipped to it (shm mode);
+        # an ack moves that machine's store leases to the new epoch.
+        self.manifests: dict[int, list] = {}
+        self.acked_machines: list[int] = []
+
+
+class _InFlightStats:
+    """Coordinator-side aggregation for one coverage-cache stats sweep."""
+
+    __slots__ = ("future", "awaiting", "totals")
+
+    def __init__(self, awaiting: set[int]) -> None:
+        self.future: Future[dict[str, int]] = Future()
+        self.awaiting = awaiting
+        self.totals: dict[str, int] = {"hits": 0, "misses": 0, "skipped": 0}
+
+
+def _settle(future: Future, result=None, error: Exception | None = None) -> None:
+    if future.done():
+        return
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
+
+
+class ProcessClusterCore:
+    """Worker processes behind a request-id-multiplexing coordinator.
+
+    Subclasses provide ``start`` (via :meth:`_launch`) and the three
+    policy hooks; everything else — submit, dispatch, applies, stats,
+    shutdown — is shared.  Use as a context manager::
+
+        with PipelinedCluster.start(fragments, indexes, num_machines=4) as cluster:
+            pending = [cluster.submit(q) for q in queries]   # all in flight
+            answers = [p.future.result() for p in pending]
+    """
 
     def __init__(
         self,
         processes: list[Process],
         connections: list[Connection],
+        fragment_assignments: list[list[int]],
         network_model: NetworkModel | None = None,
-        fragment_assignments: list[list[int]] | None = None,
         shm_store: SharedSegmentStore | None = None,
         startup_bytes: list[int] | None = None,
     ) -> None:
+        # Bound here, not at import: repro.serve imports this module.
+        from repro.serve.wire import dumps_pipe_query, loads_pipe
+
+        self._dumps_pipe_query = dumps_pipe_query
+        self._loads_pipe = loads_pipe
         self._processes = processes
         self._connections = connections
+        self._assignments = fragment_assignments
+        self._hosts: dict[int, list[int]] = {}
+        for machine_id, hosted in enumerate(fragment_assignments):
+            for fragment_id in hosted:
+                self._hosts.setdefault(fragment_id, []).append(machine_id)
+        self._fragment_ids = sorted(self._hosts)
         self._network_model = network_model
-        self._assignments = fragment_assignments or [[] for _ in processes]
         self._shm_store = shm_store
         self.startup_bytes = startup_bytes or []
+        self._send_locks = [threading.Lock() for _ in connections]
+        # Serialises whole fan-outs (query, apply, failover re-dispatch)
+        # so their relative order is identical on every pipe — the
+        # torn-epoch guard.  Re-entrant: a fan-out that trips over a
+        # broken pipe handles the death (which may re-dispatch, i.e.
+        # send) while already holding it.
+        self._fanout_lock = threading.RLock()
+        self._lock = threading.Lock()
+        self._pending: dict[int, _InFlight] = {}
+        self._pending_applies: dict[int, _InFlightApply] = {}
+        self._pending_stats: dict[int, _InFlightStats] = {}
+        self._ids = itertools.count()
+        self._dead: set[int] = set()
+        self._degraded = False
         self._alive = True
+        self._closing = False
+        self._dispatchers: list[threading.Thread] = []
         self.current_epoch = 0
+        # Bumped under _fanout_lock by every apply fan-out; a query
+        # snapshots it so a failover can tell whether an apply raced it.
+        self._apply_seq = 0
+
+    # ------------------------------------------------------------------
+    # Policy hooks
+    # ------------------------------------------------------------------
+    def _route(
+        self, fragment_ids, alive: set[int], current: dict[int, int] | None
+    ) -> dict[int, int]:
+        """Pick an alive worker per fragment task; drop unservable ones.
+
+        Caller holds ``_lock``.  ``current`` maps the query's tasks that
+        stay where they are (a reroute), for load-aware policies.
+        """
+        raise NotImplementedError
+
+    def _note_reply(self, machine_id: int, tasks: int, elapsed: float) -> None:
+        """Load bookkeeping for every reply, stale ones included (``_lock`` held)."""
+
+    def _reassign(
+        self, inflight: _InFlight, owed: list[int], alive: set[int]
+    ) -> dict[int, int] | None:
+        """Decide for a query that owed ``owed`` tasks to a dead worker.
+
+        Caller holds ``_lock``.  Return ``None`` to fail the query, or
+        the tasks to (re)send after updating ``inflight.awaiting``.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def start(
+    def _launch(
         cls,
         fragments: list[Fragment],
         indexes: list[NPDIndex],
         *,
-        num_machines: int | None = None,
-        timeout_seconds: float = _DEFAULT_TIMEOUT,
-        network_model: NetworkModel | None = None,
-        compiled: bool = True,
-        use_shm: bool = False,
-    ) -> "ProcessCluster":
-        """Fork the workers and wait until every one reports ready.
-
-        ``network_model`` makes workers *emulate* the modelled link by
-        sleeping for each message's transfer time (see
-        :func:`spawn_workers`).  ``compiled`` selects the packed kernel
-        (default) or the dict-based reference evaluator in the workers.
-        ``use_shm`` hands fragments to workers as shared-memory segment
-        manifests instead of pickled state (see :mod:`repro.shm`).
-        """
+        num_machines: int | None,
+        timeout_seconds: float,
+        network_model: NetworkModel | None,
+        compiled: bool,
+        use_shm: bool,
+        fragment_assignments: list[list[int]] | None = None,
+        **policy,
+    ):
+        """Fork the workers, handshake, then start the dispatchers."""
         shm_store = SharedSegmentStore() if use_shm else None
         processes, connections, assignments, startup_bytes = spawn_workers(
             fragments,
             indexes,
             num_machines,
-            _worker_main,
             network_model,
             compiled,
             shm_store,
+            fragment_assignments,
         )
         cluster = cls(
-            processes, connections, network_model, assignments, shm_store, startup_bytes
+            processes,
+            connections,
+            assignments,
+            network_model,
+            shm_store,
+            startup_bytes,
+            **policy,
         )
         for machine_id, connection in enumerate(connections):
-            try:
-                kind, body, _ = cls._receive(connection, timeout_seconds, machine_id)
-            except ClusterError:
+            if not connection.poll(timeout_seconds):
                 cluster.shutdown()
-                raise
+                raise ClusterError(
+                    f"worker {machine_id} did not report ready within {timeout_seconds}s"
+                )
+            try:
+                kind, body = connection.recv()
+            except (EOFError, OSError):
+                cluster.shutdown()
+                raise ClusterError(f"worker {machine_id} died during startup") from None
             if kind != "ready":
                 cluster.shutdown()
                 raise ClusterError(f"worker {machine_id} failed to start: {body}")
+        for machine_id, connection in enumerate(connections):
+            thread = threading.Thread(
+                target=cluster._dispatch_loop,
+                args=(machine_id, connection),
+                name=f"disks-dispatch-{machine_id}",
+                daemon=True,
+            )
+            thread.start()
+            cluster._dispatchers.append(thread)
         return cluster
 
-    def __enter__(self) -> "ProcessCluster":
+    def __enter__(self):
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -473,58 +693,414 @@ class ProcessCluster:
 
     @property
     def num_machines(self) -> int:
-        """Worker-process count."""
+        """Worker-process count (dead ones included)."""
         return len(self._processes)
 
+    @property
+    def dead_machines(self) -> frozenset[int]:
+        """Machine ids whose worker has died."""
+        with self._lock:
+            return frozenset(self._dead)
+
+    @property
+    def degraded(self) -> bool:
+        """True once some fragment has no live worker; answers are then partial."""
+        return self._degraded
+
+    def _alive_machines(self) -> set[int]:
+        return set(range(len(self._connections))) - self._dead
+
     def shutdown(self, timeout_seconds: float = 10.0) -> None:
-        """Stop every worker; forceful termination as a last resort."""
+        """Stop workers and dispatchers; fail anything still pending."""
         if not self._alive:
             return
         self._alive = False
-        for connection in self._connections:
+        self._closing = True
+        with self._lock:
+            dead = set(self._dead)
+        for machine_id, connection in enumerate(self._connections):
+            if machine_id in dead:
+                continue
             try:
-                connection.send(("stop", None))
+                with self._send_locks[machine_id]:
+                    connection.send(("stop", None))
             except (BrokenPipeError, OSError):
                 pass
         for process in self._processes:
             process.join(timeout=timeout_seconds)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
+        # Dispatchers leave on the worker's "stopped" reply (or on EOF
+        # once it is gone); only then is it safe to close the pipes —
+        # close() under a blocked recv_bytes() raises in that thread.
+        for thread in self._dispatchers:
+            thread.join(timeout=timeout_seconds)
         for connection in self._connections:
             connection.close()
         if self._shm_store is not None:
             self._shm_store.unlink_all()
+        with self._lock:
+            leftovers = [
+                (pending, what)
+                for table, what in (
+                    (self._pending, "query"),
+                    (self._pending_applies, "apply"),
+                    (self._pending_stats, "stats"),
+                )
+                for pending in table.values()
+            ]
+            self._pending.clear()
+            self._pending_applies.clear()
+            self._pending_stats.clear()
+        for pending, what in leftovers:
+            _settle(
+                pending.future,
+                error=ClusterError(f"the cluster was shut down mid-{what}"),
+            )
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    def _dispatch_loop(self, machine_id: int, connection: Connection) -> None:
+        """Match this worker's replies to pending futures, until EOF."""
+        loads_pipe = self._loads_pipe
+        while True:
+            try:
+                raw = connection.recv_bytes()
+            except (EOFError, OSError):
+                if not self._closing:
+                    self._on_worker_death(machine_id)
+                return
+            kind, body, *meta = loads_pipe(raw)
+            if kind == "stopped":
+                return
+            emulate_delivery(self._network_model, meta[0] if meta else None, len(raw))
+            if kind == "results":
+                self._absorb_reply(machine_id, len(raw), *body)
+            elif kind == "applied":
+                request_id, _epoch, swapped, _elapsed = body
+                self._absorb_apply_ack(machine_id, request_id, swapped, len(raw))
+            elif kind == "stats":
+                self._absorb_stats(machine_id, *body)
+            elif kind == "error":
+                request_id, text = body
+                if request_id is not None:
+                    self._fail_request(
+                        request_id,
+                        ClusterError(f"worker {machine_id} failed:\n{text}"),
+                    )
+
+    def _absorb_reply(
+        self,
+        machine_id: int,
+        wire_bytes: int,
+        request_id: int,
+        reply: list[tuple[int, "array | dict[int, tuple]", float]],
+        elapsed: float,
+        attempt: int = 0,
+        spans: list[Span] | None = None,
+    ) -> None:
+        with self._lock:
+            self._note_reply(machine_id, len(reply), elapsed)
+            inflight = self._pending.get(request_id)
+            if inflight is None or attempt < inflight.valid_from:
+                return  # timed out, forgotten, or a restarted query's old attempt
+            if spans and inflight.collector is not None:
+                for span in spans:
+                    span.machine_id = machine_id
+                inflight.collector.extend(spans)
+            for span in inflight.dispatch_spans.pop(machine_id, ()):
+                span.finish()
+            for fragment_id, nodes, seconds in reply:
+                if inflight.awaiting.get(fragment_id) != machine_id:
+                    continue  # task was rerouted away; a twin answer is coming
+                # Explain replies carry {node -> distances} dicts; plain
+                # replies carry the fragment's sorted run.  Keyed by
+                # fragment: a re-answered fragment replaces its run.
+                if isinstance(nodes, dict):
+                    inflight.partials[fragment_id] = nodes
+                inflight.runs[fragment_id] = as_run(nodes)
+                inflight.fragment_seconds[fragment_id] = seconds
+                del inflight.awaiting[fragment_id]
+            inflight.machine_seconds[machine_id] = (
+                inflight.machine_seconds.get(machine_id, 0.0) + elapsed
+            )
+            inflight.message_bytes += wire_bytes
+            if inflight.awaiting:
+                return
+            del self._pending[request_id]
+        self._complete_query(inflight)
+
+    def _complete_query(self, inflight: _InFlight) -> None:
+        spans: tuple[Span, ...] = ()
+        if inflight.collector is not None:
+            for open_spans in inflight.dispatch_spans.values():
+                for span in open_spans:
+                    span.finish()
+            inflight.dispatch_spans.clear()
+            if inflight.root is not None and inflight.root.end is None:
+                inflight.root.finish()
+            spans = tuple(inflight.collector.spans)
+        _settle(
+            inflight.future,
+            PipelinedResponse(
+                result_run=merge_runs(inflight.runs.values()),
+                fragment_seconds=dict(inflight.fragment_seconds),
+                machine_seconds=dict(inflight.machine_seconds),
+                wall_seconds=time.perf_counter() - inflight.started,
+                message_bytes=inflight.message_bytes,
+                degraded=inflight.degraded,
+                spans=spans,
+                partials=dict(inflight.partials) if inflight.partials else None,
+                attempt=inflight.attempt,
+            ),
+        )
+
+    def _absorb_apply_ack(
+        self, machine_id: int, request_id: int, swapped: list[int], wire_bytes: int
+    ) -> None:
+        with self._lock:
+            apply = self._pending_applies.get(request_id)
+            if apply is None:
+                return
+            apply.swapped.update(swapped)
+            apply.message_bytes += wire_bytes
+            apply.awaiting.discard(machine_id)
+            apply.acked_machines.append(machine_id)
+            shipped = apply.manifests.get(machine_id)
+            done = not apply.awaiting
+            if done:
+                del self._pending_applies[request_id]
+        if shipped is not None:
+            # Serial worker + FIFO pipe: this ack proves no in-flight
+            # query still reads the superseded epoch on that machine.
+            self._shm_store.lease(machine_id, shipped)
+        if done:
+            self._complete_apply(apply)
+
+    def _complete_apply(self, apply: _InFlightApply) -> None:
+        self.current_epoch = max(self.current_epoch, apply.epoch)
+        _settle(
+            apply.future,
+            {
+                "epoch": apply.epoch,
+                "swapped_fragments": sorted(apply.swapped),
+                "acked_machines": sorted(apply.acked_machines),
+                "segments_published": len(
+                    {m.name for shipped in apply.manifests.values() for m in shipped}
+                ),
+                "total_message_bytes": apply.message_bytes,
+                "wall_seconds": time.perf_counter() - apply.started,
+            },
+        )
+
+    def _absorb_stats(
+        self, machine_id: int, request_id: int, totals: dict[str, int]
+    ) -> None:
+        with self._lock:
+            pending = self._pending_stats.get(request_id)
+            if pending is None:
+                return
+            for name, value in totals.items():
+                pending.totals[name] = pending.totals.get(name, 0) + value
+            pending.awaiting.discard(machine_id)
+            if pending.awaiting:
+                return
+            del self._pending_stats[request_id]
+        _settle(pending.future, dict(pending.totals))
+
+    def _fail_request(self, request_id: int, error: ClusterError) -> None:
+        with self._lock:
+            pending = [
+                table.pop(request_id, None)
+                for table in (self._pending, self._pending_applies, self._pending_stats)
+            ]
+        for entry in pending:
+            if entry is not None:
+                _settle(entry.future, error=error)
+
+    def _on_worker_death(self, machine_id: int) -> None:
+        """Mark a worker dead and settle everything it still owed.
+
+        Each query that awaited it goes to :meth:`_reassign` (fail, or
+        re-dispatch to survivors); applies and stats sweeps complete on
+        the survivors.  Runs under ``_fanout_lock`` so no apply fan-out
+        can interleave between a reassignment and its re-dispatch — that
+        window is exactly where a torn epoch could sneak in.
+        """
+        if self._shm_store is not None:
+            # The dead worker's mappings died with it; dropping its
+            # leases lets superseded segments retire without waiting on
+            # an ack that will never come.
+            self._shm_store.release_machine(machine_id)
+        failed: list[_InFlight] = []
+        completed: list[_InFlight] = []
+        with self._fanout_lock:
+            with self._lock:
+                if machine_id in self._dead:
+                    return
+                self._dead.add(machine_id)
+                alive = self._alive_machines()
+                self._degraded = any(
+                    alive.isdisjoint(hosts) for hosts in self._hosts.values()
+                )
+                resends = []
+                for request_id, inflight in list(self._pending.items()):
+                    owed = [fid for fid, m in inflight.awaiting.items() if m == machine_id]
+                    if not owed:
+                        continue
+                    # The dead machine's dispatch spans will never see a
+                    # reply; close them so the trace tree stays well-formed.
+                    for span in inflight.dispatch_spans.pop(machine_id, ()):
+                        span.finish()
+                    routed = self._reassign(inflight, owed, alive)
+                    if routed is None:
+                        del self._pending[request_id]
+                        failed.append(inflight)
+                    elif not inflight.awaiting:
+                        del self._pending[request_id]
+                        completed.append(inflight)
+                    else:
+                        plan = self._plan(inflight, routed, rerouted=True)
+                        resends.append((request_id, inflight, plan))
+                # Applies and stats sweeps complete on the survivors: the
+                # dead machine's fragments are unanswerable regardless.
+                settled = []
+                for table in (self._pending_applies, self._pending_stats):
+                    for request_id, pending in list(table.items()):
+                        pending.awaiting.discard(machine_id)
+                        if not pending.awaiting:
+                            del table[request_id]
+                            settled.append(pending)
+            for request_id, inflight, plan in resends:
+                self._send_plan(request_id, inflight, plan)
+        error = ClusterError(f"worker {machine_id} died mid-query; the cluster is degraded")
+        for inflight in failed:
+            _settle(inflight.future, error=error)
+        for pending in settled:
+            if isinstance(pending, _InFlightApply):
+                self._complete_apply(pending)
+            else:
+                _settle(pending.future, dict(pending.totals))
+        for inflight in completed:
+            self._complete_query(inflight)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @staticmethod
-    def _receive(
-        connection: Connection,
-        timeout_seconds: float,
-        machine_id: int,
-        network_model: NetworkModel | None = None,
-    ):
-        """One framed reply as ``(kind, body, wire_bytes)``.
+    def _plan(
+        self, inflight: _InFlight, routed: dict[int, int], rerouted: bool
+    ) -> list[tuple[int, tuple[int, ...], tuple[str, str] | None]]:
+        """Under ``_lock``: one ``(machine, fragment ids, trace wire)`` per target.
 
-        Reads the raw pickle frame (``recv_bytes``) so byte accounting
-        and transport share one buffer, and converts a vanished worker
-        (EOF on the pipe) into a :class:`ClusterError` instead of
-        leaking :class:`EOFError` or hanging.
+        A machine asked for every fragment it hosts is sent the empty
+        list, so a broadcast shares one encoded payload.  Traced queries
+        open a ``dispatch`` span per target here.
         """
-        if not connection.poll(timeout_seconds):
-            raise ClusterError(
-                f"worker {machine_id} did not answer within {timeout_seconds}s"
+        by_machine: dict[int, list[int]] = {}
+        for fragment_id, machine_id in routed.items():
+            by_machine.setdefault(machine_id, []).append(fragment_id)
+        plan = []
+        for machine_id, fragment_ids in by_machine.items():
+            names = (
+                ()
+                if len(fragment_ids) == len(self._assignments[machine_id])
+                else tuple(fragment_ids)
             )
-        try:
-            raw = connection.recv_bytes()
-        except (EOFError, OSError):
-            raise ClusterError(
-                f"worker {machine_id} died before answering"
-            ) from None
-        kind, body, *meta = pickle.loads(raw)
-        emulate_delivery(network_model, meta[0] if meta else None, len(raw))
-        return kind, body, len(raw)
+            trace_wire = None
+            if inflight.collector is not None and inflight.root is not None:
+                span = inflight.collector.start(
+                    "dispatch",
+                    parent_id=inflight.root.span_id,
+                    machine_id=machine_id,
+                    attempt=inflight.attempt,
+                    **({"rerouted": True} if rerouted else {}),
+                )
+                inflight.dispatch_spans.setdefault(machine_id, []).append(span)
+                trace_wire = (inflight.collector.trace_id, span.span_id)
+            plan.append((machine_id, names, trace_wire))
+        return plan
+
+    def _send_plan(self, request_id: int, inflight: _InFlight, plan) -> None:
+        """Under ``_fanout_lock``: encode and send each target's task message.
+
+        Untraced queries travel as binary pipe frames; traced and explain
+        queries are pickled (spans and distance maps ride their replies).
+        """
+        payloads: dict[tuple, bytes] = {}
+        sent_bytes = 0
+        for machine_id, names, trace_wire in plan:
+            payload = payloads.get((names, trace_wire))
+            if payload is None:
+                sent_at = time.perf_counter()
+                if trace_wire is None and not inflight.explain:
+                    payload = self._dumps_pipe_query(
+                        request_id, inflight.query, sent_at, inflight.attempt, names
+                    )
+                else:
+                    kind = "explain" if inflight.explain else "query"
+                    body = (request_id, inflight.query, trace_wire, inflight.attempt, names)
+                    payload = pickle.dumps((kind, body, sent_at))
+                payloads[names, trace_wire] = payload
+            try:
+                with self._send_locks[machine_id]:
+                    self._connections[machine_id].send_bytes(payload)
+                sent_bytes += len(payload)
+            except (BrokenPipeError, OSError):
+                self._on_worker_death(machine_id)
+        with self._lock:
+            inflight.message_bytes += sent_bytes
+
+    def submit(
+        self,
+        query: QClassQuery,
+        *,
+        trace: TraceContext | None = None,
+        explain: bool = False,
+    ) -> PendingQuery:
+        """Send one task per fragment to a live worker; return immediately.
+
+        ``trace`` opts the query into span recording: the coordinator
+        opens the root ``query`` span and one ``dispatch`` span per
+        target, each worker piggybacks its ``queue-wait``/``task``/
+        ``eval``/``union``/``serialize`` spans on its reply, and the
+        resolved :class:`PipelinedResponse` carries the assembled tree.
+
+        ``explain`` asks each worker for the exact per-term distances of
+        its result nodes alongside the node sets (the semantic result
+        cache's admission payload); the response then carries
+        ``partials``.  Result nodes are identical either way.  Ignored
+        for traced queries (trace wins).
+        """
+        if not self._alive:
+            raise ClusterError("the cluster has been shut down")
+        # The whole route-register-send sequence holds _fanout_lock: if a
+        # worker death could interleave between registering the query
+        # and sending its payloads, a failover would re-dispatch the
+        # not-yet-sent tasks and an apply could slip between the two
+        # dispatches — a torn answer the apply-seq guard cannot see.
+        with self._fanout_lock:
+            with self._lock:
+                alive = self._alive_machines()
+                if not alive:
+                    raise ClusterError("every worker has died; the cluster cannot serve")
+                routed = self._route(self._fragment_ids, alive, None)
+                if not routed:
+                    raise ClusterError("no fragment has an alive replica")
+                request_id = next(self._ids)
+                inflight = _InFlight(
+                    query, explain and trace is None, dict(routed), self._apply_seq
+                )
+                inflight.degraded = len(routed) < len(self._fragment_ids)
+                if trace is not None:
+                    inflight.collector = SpanCollector(trace.trace_id)
+                    inflight.root = inflight.collector.start(
+                        "query", parent_id=trace.span_id
+                    )
+                self._pending[request_id] = inflight
+                plan = self._plan(inflight, routed, rerouted=False)
+            self._send_plan(request_id, inflight, plan)
+        return PendingQuery(request_id=request_id, future=inflight.future)
 
     def execute(
         self,
@@ -532,93 +1108,100 @@ class ProcessCluster:
         *,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
         trace: TraceContext | None = None,
-    ) -> ProcessClusterResponse:
-        """Broadcast the query, gather concurrently computed results.
+        explain: bool = False,
+    ) -> PipelinedResponse:
+        """Synchronous convenience wrapper over :meth:`submit`."""
+        pending = self.submit(query, trace=trace, explain=explain)
+        try:
+            return pending.future.result(timeout=timeout_seconds)
+        except FutureTimeoutError:
+            self.forget(pending.request_id)
+            raise ClusterError(
+                f"query was not answered within {timeout_seconds}s"
+            ) from None
 
-        With a ``trace`` context each worker records its stage spans
-        (queue wait, per-fragment task/eval/union, serialization) and
-        piggybacks them on the result message it already sends; the
-        coordinator stamps machine ids and assembles the tree.  Traced
-        queries send per-machine payloads (each machine's dispatch span
-        id differs); the untraced fast path broadcasts one shared
-        payload exactly as before.
+    def forget(self, request_id: int) -> None:
+        """Drop a pending query (e.g. after a caller-side timeout)."""
+        with self._lock:
+            self._pending.pop(request_id, None)
+
+    # ------------------------------------------------------------------
+    # Live updates and control
+    # ------------------------------------------------------------------
+    def submit_updates(
+        self,
+        epoch: int,
+        replacements: list[tuple[Fragment, NPDIndex]],
+        seed_keys: dict[int, frozenset] | None = None,
+    ) -> PendingApply:
+        """Fan an epoch delta out to every live worker hosting a changed fragment.
+
+        Queries already in every pipe run on the old epoch; queries
+        submitted after this call run on the new one (the fan-out lock
+        plus per-pipe FIFO make that ordering identical on all
+        machines).  The returned future resolves once every involved
+        live worker has swapped — or, if one dies mid-apply, once the
+        survivors have.  ``seed_keys`` scopes a keyword-only delta:
+        shared-memory workers are then sent seed-list patches and no
+        segment is packed, leased or retired (:func:`epoch_message`).
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
-        started = time.perf_counter()
-
-        collector: SpanCollector | None = None
-        root = None
-        dispatch_spans: dict[int, Span] = {}
-        total_bytes = 0
-        if trace is None:
-            payload = pickle.dumps(("query", (query, None), started))
-            for machine_id, connection in enumerate(self._connections):
-                try:
-                    connection.send_bytes(payload)
-                except (BrokenPipeError, OSError):
-                    raise ClusterError(
-                        f"worker {machine_id} is gone; the cluster is unusable"
-                    ) from None
-            total_bytes = len(payload) * len(self._connections)
-        else:
-            collector = SpanCollector(trace.trace_id)
-            root = collector.start("query", parent_id=trace.span_id)
-            for machine_id, connection in enumerate(self._connections):
-                dispatch = collector.start(
-                    "dispatch", parent_id=root.span_id, machine_id=machine_id
-                )
-                dispatch_spans[machine_id] = dispatch
-                payload = pickle.dumps(
-                    (
-                        "query",
-                        (query, (trace.trace_id, dispatch.span_id)),
-                        time.perf_counter(),
-                    )
-                )
-                try:
-                    connection.send_bytes(payload)
-                except (BrokenPipeError, OSError):
-                    raise ClusterError(
-                        f"worker {machine_id} is gone; the cluster is unusable"
-                    ) from None
-                total_bytes += len(payload)
-
-        runs: list[array] = []
-        fragment_seconds: dict[int, float] = {}
-        machine_seconds: dict[int, float] = {}
-        for machine_id, connection in enumerate(self._connections):
-            kind, body, wire_bytes = self._receive(
-                connection, timeout_seconds, machine_id, self._network_model
+        if epoch <= self.current_epoch:
+            raise ClusterError(
+                f"epoch must advance: cluster at {self.current_epoch}, got {epoch}"
             )
-            if kind == "error":
-                raise ClusterError(f"worker {machine_id} failed:\n{body}")
-            reply, elapsed, *extra = body
-            machine_seconds[machine_id] = elapsed
-            total_bytes += wire_bytes
-            for fragment_id, nodes, seconds in reply:
-                runs.append(nodes)
-                fragment_seconds[fragment_id] = seconds
-            if collector is not None:
-                worker_spans: list[Span] = extra[0] if extra else []
-                for span in worker_spans:
-                    span.machine_id = machine_id
-                collector.extend(worker_spans)
-                dispatch_spans[machine_id].finish()
-        if root is not None:
-            root.finish()
-        return ProcessClusterResponse(
-            result_run=merge_runs(runs),
-            fragment_seconds=fragment_seconds,
-            machine_seconds=machine_seconds,
-            wall_seconds=time.perf_counter() - started,
-            message_bytes=total_bytes,
-            spans=tuple(collector.spans) if collector is not None else (),
-        )
+        changed = {fragment.fragment_id for fragment, _index in replacements}
+        with self._lock:
+            involved = [
+                machine_id
+                for machine_id in sorted(self._alive_machines())
+                if not changed.isdisjoint(self._assignments[machine_id])
+            ]
+            request_id = next(self._ids)
+            apply = _InFlightApply(epoch, set(involved))
+            if involved:
+                self._pending_applies[request_id] = apply
+        if not involved:
+            # Nothing to ship (all changed fragments on dead machines, or
+            # an empty delta): publish the epoch immediately.
+            self._complete_apply(apply)
+            return PendingApply(request_id=request_id, epoch=epoch, future=apply.future)
+        if self._shm_store is not None and seed_keys is None:
+            # Pack each changed fragment once, ahead of the fan-out lock.
+            for fragment, index in replacements:
+                self._shm_store.publish(fragment, index, epoch=epoch)
+        sent_bytes = 0
+        with self._fanout_lock:
+            self._apply_seq += 1
+            # A send failure here must NOT fail over inline: the seq is
+            # already bumped, so a restarted query could reach machines
+            # later in `involved` *before* their apply payload and answer
+            # on the old epoch.  The dead fail over once every apply
+            # payload is on its pipe.
+            failed: list[int] = []
+            for machine_id in involved:
+                kind, data = epoch_message(
+                    self._assignments[machine_id], replacements, epoch,
+                    self._shm_store, seed_keys,
+                )
+                if kind == "apply_shm":
+                    apply.manifests[machine_id] = data
+                payload = pickle.dumps(
+                    (kind, (request_id, epoch, data), time.perf_counter())
+                )
+                try:
+                    with self._send_locks[machine_id]:
+                        self._connections[machine_id].send_bytes(payload)
+                    sent_bytes += len(payload)
+                except (BrokenPipeError, OSError):
+                    failed.append(machine_id)
+            for machine_id in failed:
+                self._on_worker_death(machine_id)
+        with self._lock:
+            apply.message_bytes += sent_bytes
+        return PendingApply(request_id=request_id, epoch=epoch, future=apply.future)
 
-    # ------------------------------------------------------------------
-    # Live updates
-    # ------------------------------------------------------------------
     def apply_updates(
         self,
         epoch: int,
@@ -627,75 +1210,50 @@ class ProcessCluster:
         *,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
     ) -> dict[str, object]:
-        """Ship an epoch delta to the owning workers and await their acks.
+        """Synchronous convenience wrapper over :meth:`submit_updates`."""
+        pending = self.submit_updates(epoch, replacements, seed_keys)
+        try:
+            return pending.future.result(timeout=timeout_seconds)
+        except FutureTimeoutError:
+            with self._lock:
+                self._pending_applies.pop(pending.request_id, None)
+            raise ClusterError(
+                f"epoch {epoch} was not applied within {timeout_seconds}s"
+            ) from None
 
-        Each worker receives only what it hosts (:func:`epoch_message`:
-        seed-list patches when ``seed_keys`` scopes a keyword-only delta
-        on shared-memory workers, else whole fragments), swaps in place
-        and acks with the epoch and the swapped fragment ids.  Lockstep
-        like :meth:`execute`: the call returns only after every involved
-        worker has swapped, so a subsequent query observes the new epoch
-        everywhere.
+    def coverage_cache_stats(self, *, timeout_seconds: float = 10.0) -> dict[str, int]:
+        """Cluster-wide coverage-cache counters, summed over live workers.
+
+        Same shape as :meth:`SimulatedCluster.coverage_cache_stats`, so
+        the serve layer's ``stats`` op surfaces any cluster kind
+        identically.  Rides the multiplexed pipes as a control
+        round-trip; dead workers are skipped (their counters died with
+        them), and a worker dying mid-sweep completes the sweep on the
+        survivors.
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
-        if epoch <= self.current_epoch:
+        with self._lock:
+            live = sorted(self._alive_machines())
+            request_id = next(self._ids)
+            pending = _InFlightStats(set(live))
+            if live:
+                self._pending_stats[request_id] = pending
+        if not live:
+            return dict(pending.totals)
+        payload = pickle.dumps(("cache_stats", (request_id,), time.perf_counter()))
+        with self._fanout_lock:
+            for machine_id in live:
+                try:
+                    with self._send_locks[machine_id]:
+                        self._connections[machine_id].send_bytes(payload)
+                except (BrokenPipeError, OSError):
+                    self._on_worker_death(machine_id)
+        try:
+            return pending.future.result(timeout=timeout_seconds)
+        except FutureTimeoutError:
+            with self._lock:
+                self._pending_stats.pop(request_id, None)
             raise ClusterError(
-                f"epoch must advance: cluster at {self.current_epoch}, got {epoch}"
-            )
-        started = time.perf_counter()
-        involved: list[int] = []
-        leases: dict[int, list] = {}
-        total_bytes = 0
-        for machine_id, connection in enumerate(self._connections):
-            kind, data = epoch_message(
-                self._assignments[machine_id], replacements, epoch, self._shm_store, seed_keys
-            )
-            if not data:
-                continue
-            if kind == "apply_shm":
-                leases[machine_id] = data
-            payload = pickle.dumps((kind, (epoch, data), time.perf_counter()))
-            total_bytes += len(payload)
-            try:
-                connection.send_bytes(payload)
-            except (BrokenPipeError, OSError):
-                raise ClusterError(
-                    f"worker {machine_id} is gone; the cluster is unusable"
-                ) from None
-            involved.append(machine_id)
-
-        swapped: list[int] = []
-        for machine_id in involved:
-            kind, body, wire_bytes = self._receive(
-                self._connections[machine_id],
-                timeout_seconds,
-                machine_id,
-                self._network_model,
-            )
-            if kind == "error":
-                raise ClusterError(f"worker {machine_id} failed to apply:\n{body}")
-            if kind != "applied":  # pragma: no cover - protocol guard
-                raise ClusterError(
-                    f"worker {machine_id} sent {kind!r} instead of an epoch ack"
-                )
-            acked_epoch, machine_swapped, _elapsed = body
-            if acked_epoch != epoch:  # pragma: no cover - protocol guard
-                raise ClusterError(
-                    f"worker {machine_id} acked epoch {acked_epoch}, expected {epoch}"
-                )
-            swapped.extend(machine_swapped)
-            total_bytes += wire_bytes
-            if machine_id in leases:
-                # The ack proves the serial worker holds no old-epoch
-                # reads; its lease moves forward and fully superseded
-                # segments are unlinked.
-                self._shm_store.lease(machine_id, leases[machine_id])
-        self.current_epoch = epoch
-        return {
-            "epoch": epoch,
-            "swapped_fragments": sorted(swapped),
-            "segments_published": segments_shipped(leases),
-            "total_message_bytes": total_bytes,
-            "wall_seconds": time.perf_counter() - started,
-        }
+                f"coverage cache stats were not collected within {timeout_seconds}s"
+            ) from None

@@ -223,7 +223,6 @@ class EpochManager:
 
         ``cluster`` needs an ``apply_updates(epoch, replacements,
         seed_keys=...)`` method (the process clusters:
-        :class:`repro.dist.ProcessCluster`,
         :class:`repro.serve.PipelinedCluster`, :class:`repro.ha.HACluster`),
         which lets a keyword-only swap ship seed-list patches instead of
         whole fragments.  Returns the registered subscriber so callers

@@ -19,8 +19,8 @@ timed stage pinned to a machine and optionally a fragment:
 
 Span timestamps are ``time.perf_counter()`` values — system-wide
 monotonic on Linux, so they are directly comparable across the forked
-worker processes of :class:`~repro.dist.process_cluster.ProcessCluster`
-and :class:`~repro.serve.pipeline.PipelinedCluster`.  Workers record
+worker processes of the process clusters
+(:mod:`repro.dist.process_cluster`).  Workers record
 spans into a local :class:`SpanCollector` and piggyback them on the
 result messages they already send, so tracing preserves the
 zero-extra-round-trips property.

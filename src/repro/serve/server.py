@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import inspect
 import threading
 import time
 from array import array
@@ -319,7 +318,6 @@ class DisksServer:
         if updater is not None and self.retention is not None:
             updater.subscribe_swaps(self._note_swap)
         self.result_cache = None
-        self._cluster_explains = False
         if self.config.cache:
             self.result_cache = SemanticResultCache(
                 max_entries=self.config.cache_max_entries,
@@ -329,15 +327,6 @@ class DisksServer:
             self.result_cache.bind(self.metrics)
             if updater is not None:
                 self.result_cache.attach(updater)
-            # Subsumption needs the per-term distances only explain-mode
-            # dispatch returns; clusters without it still get the
-            # exact-key memo behaviour.
-            try:
-                self._cluster_explains = (
-                    "explain" in inspect.signature(cluster.submit).parameters
-                )
-            except (TypeError, ValueError):  # pragma: no cover - exotic callables
-                self._cluster_explains = False
         self._slow_queries: deque[dict] = deque(
             maxlen=max(1, self.config.slow_ring_size)
         )
@@ -1044,7 +1033,7 @@ class DisksServer:
         try:
             if trace is not None:
                 pending = self._cluster.submit(query, trace=trace)
-            elif ticket is not None and self._cluster_explains:
+            elif ticket is not None:
                 pending = self._cluster.submit(query, explain=True)
             else:
                 pending = self._cluster.submit(query)
@@ -1071,14 +1060,14 @@ class DisksServer:
             and not self._cluster.degraded
         ):
             outcome = self.result_cache.admit_outcome(
-                ticket, response.result_run, getattr(response, "partials", None)
+                ticket, response.result_run, response.partials
             )
             cache_stale = outcome == "stale"
         degraded = bool(response.degraded or self._cluster.degraded)
-        attempt = getattr(response, "attempt", 0)
+        attempt = response.attempt
         if self.slo is not None:
             self.slo.record("query", True, latency)
-        spans = getattr(response, "spans", ())
+        spans = response.spans
         if spans:
             self.hotspots.feed_spans(spans)
         slow = latency * 1000.0 >= self.config.slow_query_ms
@@ -1254,7 +1243,7 @@ class DisksServer:
         self, trace, text, response, latency, slow, categories=()
     ) -> None:
         """Store a retained query's spans; feed stage histograms and sinks."""
-        spans = getattr(response, "spans", ())
+        spans = response.spans
         for span in spans:
             histogram = self._STAGE_HISTOGRAMS.get(span.name)
             if histogram is not None and span.end is not None:
@@ -1289,7 +1278,7 @@ class DisksServer:
             "latency_ms": latency * 1000.0,
             "wall_ms": response.wall_seconds * 1000.0,
             "degraded": bool(response.degraded),
-            "attempt": getattr(response, "attempt", 0),
+            "attempt": response.attempt,
             "epoch": self._current_epoch(),
             "wall_time": time.time(),
         }

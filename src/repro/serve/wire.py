@@ -53,8 +53,9 @@ client and the fuzz tests.
 The same payload codecs run on the worker pipes: pickle frames start
 with 0x80 (protocol ≥ 2 opcode) and binary pipe frames with the tags
 ``Q``/``R``, so :func:`loads_pipe` sniffs one byte and returns the
-exact ``(kind, body, sent_at)`` tuples the pickled protocol produced —
-workers and dispatchers accept both encodings on one pipe, no flag day.
+``(kind, body, sent_at)`` tuples of the pickled protocol.  Untraced
+queries and their results travel binary; traced, explain, apply and
+control traffic stays pickled on the same pipe.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ _BIG_ENDIAN = sys.byteorder == "big"  # array('Q') is native; the wire is little
 
 _PIPE_QUERY_TAG = 0x51  # 'Q'
 _PIPE_RESULTS_TAG = 0x52  # 'R'
+_PIPE_TARGETED = 0x20  # 'q' / 'r': the frame carries attempt (+ fragment ids)
 _PICKLE_OPCODE = 0x80  # every pickle protocol ≥ 2 stream starts with this
 
 _OPCODE_LEAF = 0
@@ -634,14 +636,32 @@ def decode_update_ack(payload: bytes) -> dict:
 # ----------------------------------------------------------------------
 # Worker-pipe payloads (coexist with pickle on the same pipes)
 # ----------------------------------------------------------------------
-def dumps_pipe_query(request_id: int, query: QClassQuery, sent_at: float) -> bytes:
-    """Binary pipe frame for one untraced query request."""
-    return (
-        bytes((_PIPE_QUERY_TAG,))
-        + _F64.pack(sent_at)
-        + _U64.pack(request_id)
-        + encode_query_body(query)
-    )
+def dumps_pipe_query(
+    request_id: int,
+    query: QClassQuery,
+    sent_at: float,
+    attempt: int = 0,
+    fragment_ids: tuple[int, ...] = (),
+) -> bytes:
+    """Binary pipe frame for one untraced query request.
+
+    Layout: ``u8 'Q' | f64 sent_at | u64 id | query``.  A non-zero
+    ``attempt`` or a fragment subset (empty means every fragment the
+    worker hosts) switches the tag to ``'q'`` and inserts ``u32 attempt
+    | u32 n | n×u32 fragment`` after the id, so a default frame stays
+    byte-identical to one that predates the fields.
+    """
+    targeted = bool(attempt or fragment_ids)
+    out = bytearray((_PIPE_QUERY_TAG | (_PIPE_TARGETED if targeted else 0),))
+    out += _F64.pack(sent_at)
+    out += _U64.pack(request_id)
+    if targeted:
+        out += _U32.pack(attempt)
+        out += _U32.pack(len(fragment_ids))
+        for fragment_id in fragment_ids:
+            out += _U32.pack(fragment_id)
+    out += encode_query_body(query)
+    return bytes(out)
 
 
 def dumps_pipe_results(
@@ -649,17 +669,21 @@ def dumps_pipe_results(
     reply: list[tuple[int, "array | set[int]", float]],
     elapsed: float,
     sent_at: float,
+    attempt: int = 0,
 ) -> bytes:
     """Binary pipe frame for one result reply.
 
     Layout: ``u8 'R' | f64 sent_at | u64 id | f64 elapsed | u32 nfrag |
-    nfrag × (u32 fragment | f64 seconds | u32 n | n×u64 nodes)``.  Each
-    fragment's nodes are its sorted run, copied in as raw bytes; a plain
-    set is accepted and sorted on entry.
+    nfrag × (u32 fragment | f64 seconds | u32 n | n×u64 nodes)``; a
+    non-zero ``attempt`` switches the tag to ``'r'`` and inserts ``u32
+    attempt`` after the id.  Each fragment's nodes are its sorted run,
+    copied in as raw bytes; a plain set is accepted and sorted on entry.
     """
-    out = bytearray((_PIPE_RESULTS_TAG,))
+    out = bytearray((_PIPE_RESULTS_TAG | (_PIPE_TARGETED if attempt else 0),))
     out += _F64.pack(sent_at)
     out += _U64.pack(request_id)
+    if attempt:
+        out += _U32.pack(attempt)
     out += _F64.pack(elapsed)
     out += _U32.pack(len(reply))
     for fragment_id, nodes, seconds in reply:
@@ -672,14 +696,15 @@ def dumps_pipe_results(
 def loads_pipe(raw: bytes):
     """Decode one pipe payload, binary or pickled, by first-byte sniff.
 
-    Returns the exact ``(kind, body, sent_at)`` tuples the pickled
-    protocol uses, so both worker loops and both dispatcher loops stay
-    encoding-agnostic:
+    Returns the ``(kind, body, sent_at)`` tuples of the pickled protocol,
+    so the worker loop and the dispatchers stay encoding-agnostic:
 
-    * ``("query", (request_id, query, None), sent_at)``
-    * ``("results", (request_id, reply, elapsed), sent_at)`` — each
-      ``reply`` entry is ``(fragment_id, run, seconds)`` with the run an
-      ``array('Q')`` filled straight from the frame's bytes
+    * ``("query", (request_id, query, None[, attempt, fragment_ids]), sent_at)``
+    * ``("results", (request_id, reply, elapsed[, attempt]), sent_at)`` —
+      each ``reply`` entry is ``(fragment_id, run, seconds)`` with the
+      run an ``array('Q')`` filled straight from the frame's bytes
+
+    The bracketed fields appear only on ``'q'``/``'r'`` frames.
     """
     first = raw[0]
     if first == _PICKLE_OPCODE:
@@ -687,13 +712,18 @@ def loads_pipe(raw: bytes):
     reader = _Reader(raw)
     tag = reader.u8()
     sent_at = reader.f64()
+    request_id = reader.u64()
+    targeted = tag & _PIPE_TARGETED
+    tag &= ~_PIPE_TARGETED
     if tag == _PIPE_QUERY_TAG:
-        request_id = reader.u64()
-        query = _read_query(reader)
-        reader.finish()
-        return "query", (request_id, query, None), sent_at
-    if tag == _PIPE_RESULTS_TAG:
-        request_id = reader.u64()
+        target = ()
+        if targeted:
+            attempt = reader.u32()
+            target = (attempt, tuple(reader.u32() for _ in range(reader.u32())))
+        body = (request_id, _read_query(reader), None, *target)
+        kind = "query"
+    elif tag == _PIPE_RESULTS_TAG:
+        target = (reader.u32(),) if targeted else ()
         elapsed = reader.f64()
         nfrag = reader.u32()
         reply = []
@@ -701,6 +731,9 @@ def loads_pipe(raw: bytes):
             fragment_id = reader.u32()
             seconds = reader.f64()
             reply.append((fragment_id, reader.run(reader.u32()), seconds))
-        reader.finish()
-        return "results", (request_id, reply, elapsed), sent_at
-    raise WireProtocolError(f"unknown pipe payload tag {tag:#x}")
+        body = (request_id, reply, elapsed, *target)
+        kind = "results"
+    else:
+        raise WireProtocolError(f"unknown pipe payload tag {raw[0]:#x}")
+    reader.finish()
+    return kind, body, sent_at

@@ -2,8 +2,8 @@
 
 An answer leaves the kernel as a sorted ``array('Q')`` run and stays one
 through the worker pipe, the coordinator's merge, the result cache and
-the reply encoders.  Every process-backed cluster — both pipe wires,
-shared memory on and off, replica groups with a worker killed mid-run —
+the reply encoders.  Every process-backed cluster — lockstep and
+pipelined, shared memory on and off, replica groups with a worker killed mid-run —
 must return, for ≥50 generated SGKQ/RKQ/Q-class expressions, exactly
 the answer of :class:`CentralizedEvaluator` and :class:`SimulatedCluster`
 (which share none of that path), as a run in ascending order; and a
@@ -21,7 +21,7 @@ import pytest
 
 from repro.baselines import CentralizedEvaluator
 from repro.core import NPDBuildConfig, build_all_indexes, build_fragments, parse_query
-from repro.dist import ProcessCluster, SimulatedCluster
+from repro.dist import SimulatedCluster
 from repro.ha import HACluster
 from repro.obs.trace import TraceContext, new_trace_id
 from repro.partition import BfsPartitioner
@@ -83,7 +83,7 @@ def assert_exact(response, expected: frozenset[int]) -> None:
 
 
 @pytest.mark.parametrize("use_shm", [False, True])
-@pytest.mark.parametrize("pipe_wire", ["binary", "pickle"])
+@pytest.mark.parametrize("pipe_wire", ["binary"])
 def test_pipelined_cluster(deployment, pipe_wire, use_shm):
     fragments, indexes, expected = deployment
     with PipelinedCluster.start(
@@ -110,8 +110,9 @@ def test_pipelined_cluster(deployment, pipe_wire, use_shm):
 
 @pytest.mark.parametrize("use_shm", [False, True])
 def test_process_cluster(deployment, use_shm):
+    """Lockstep use of the process-cluster core: one query at a time."""
     fragments, indexes, expected = deployment
-    with ProcessCluster.start(fragments, indexes, num_machines=2, use_shm=use_shm) as cluster:
+    with PipelinedCluster.start(fragments, indexes, num_machines=2, use_shm=use_shm) as cluster:
         for expression, nodes in expected.items():
             assert_exact(cluster.execute(parse_query(expression)), nodes)
         traced = cluster.execute(

@@ -194,5 +194,29 @@ class TestClusterStatsRoundTrip:
             assert isinstance(value, int) and value >= 0
 
 
+class TestReplicatedSubsumption:
+    def test_narrow_sibling_is_a_subsumption_hit_over_replicas(self):
+        """Explain mode rides the replica tier too, so --replicas keeps subsumption."""
+        from repro.baselines import CentralizedEvaluator
+        from repro.ha import HACluster
+
+        net, _partition, fragments, indexes = build_state()
+        oracle = CentralizedEvaluator(net)
+        wide = "NEAR(w0, 6) OR NEAR(w1, 6)"
+        narrow = "NEAR(w1, 2) OR NEAR(w0, 2)"
+        with HACluster.start(
+            fragments, indexes, num_machines=3, replication_factor=2
+        ) as cluster:
+            with serve_in_thread(cluster, ServeConfig(max_inflight=16, cache=True)) as server:
+                with ServeClient(server.host, server.port) as client:
+                    for expression in (wide, narrow):
+                        reply = client.query(expression)
+                        assert reply["ok"], reply
+                        assert set(reply["nodes"]) == oracle.results(parse_query(expression))
+                    cache = client.stats()["result_cache"]
+        assert cache["misses"] == 1
+        assert cache["subsumption_hits"] >= 1
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

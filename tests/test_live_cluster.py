@@ -1,4 +1,4 @@
-"""Distributed epoch application: simulated, process, and pipelined clusters.
+"""Distributed epoch application: simulated and process clusters.
 
 The contract under test: after ``apply_updates`` ships an epoch delta,
 every cluster answers queries exactly as a centralized oracle on the
@@ -17,7 +17,7 @@ import pytest
 from repro import sgkq
 from repro.baselines import CentralizedEvaluator
 from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
-from repro.dist import ProcessCluster, SimulatedCluster
+from repro.dist import SimulatedCluster
 from repro.exceptions import ClusterError
 from repro.live import AddKeyword, EpochManager, RemoveKeyword
 from repro.partition import BfsPartitioner
@@ -102,13 +102,15 @@ class TestSimulatedCluster:
 
 
 class TestProcessCluster:
+    """Lockstep use of the process-cluster core: serial apply, then execute."""
+
     def test_apply_then_query_matches_oracle(self, built):
         net, _partition, fragments, indexes = built
         manager, swap, replacements = swap_via_manager(built, seed=23)
         old_oracle = CentralizedEvaluator(net)
         new_oracle = CentralizedEvaluator(manager.state.network)
         query = next(probe_queries(net))
-        with ProcessCluster.start(fragments, indexes, num_machines=4) as cluster:
+        with PipelinedCluster.start(fragments, indexes, num_machines=4) as cluster:
             assert cluster.execute(query).result_nodes == old_oracle.results(query)
             report = cluster.apply_updates(swap.epoch, replacements)
             assert report["epoch"] == 1
@@ -122,7 +124,7 @@ class TestProcessCluster:
         _net, _partition, fragments, indexes = built
         manager, swap, replacements = swap_via_manager(built, seed=24)
         new_oracle = CentralizedEvaluator(manager.state.network)
-        with ProcessCluster.start(fragments, indexes, num_machines=2) as cluster:
+        with PipelinedCluster.start(fragments, indexes, num_machines=2) as cluster:
             cluster.apply_updates(swap.epoch, replacements)
             for probe in probe_queries(manager.state.network):
                 assert cluster.execute(probe).result_nodes == new_oracle.results(probe)

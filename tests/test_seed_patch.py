@@ -26,7 +26,6 @@ from repro import sgkq
 from repro.baselines import CentralizedEvaluator
 from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
 from repro.core.kernel import FragmentKernel
-from repro.dist import ProcessCluster
 from repro.ha import HACluster
 from repro.live import AddKeyword, EpochManager, RemoveKeyword, SetEdgeWeight
 from repro.partition import BfsPartitioner
@@ -136,10 +135,6 @@ def _ha(fragments, indexes):
     )
 
 
-def _process(fragments, indexes):
-    return ProcessCluster.start(fragments, indexes, num_machines=2, use_shm=True)
-
-
 def assert_matches_oracle(cluster, network, keywords=("w0", "w1", "w2")):
     oracle = CentralizedEvaluator(network)
     for keyword in keywords:
@@ -154,7 +149,7 @@ def keyword_batch(network, fresh: str):
     return [AddKeyword(objects[0], fresh), AddKeyword(objects[-1], fresh), RemoveKeyword(carrier, "w0")]
 
 
-@pytest.mark.parametrize("start", [_pipelined, _ha, _process], ids=["pipelined", "ha", "process"])
+@pytest.mark.parametrize("start", [_pipelined, _ha], ids=["pipelined", "ha"])
 class TestKeywordEpochsMoveNoSegment:
     def test_keyword_apply_patches_then_topology_apply_republishes(self, start):
         net, partition, fragments, indexes = build(650)

@@ -184,6 +184,37 @@ class TestSansIOFuzz:
                 continue
             assert all(isinstance(run, array) and run.typecode == "Q" for _f, run, _s in decoded)
 
+    def test_targeted_pipe_frames_fail_cleanly(self):
+        """'q'/'r' frames: every cut and every trailing byte raises."""
+        from array import array
+
+        from repro.core.queries import sgkq
+
+        query = sgkq(["cafe", "fuel"], 5.0)
+        frames = [
+            wire.dumps_pipe_query(5, query, 1.25, 3, (0, 7, 2**32 - 1)),
+            wire.dumps_pipe_query(5, query, 1.25, 0, (4,)),
+            wire.dumps_pipe_query(5, query, 1.25, 9, ()),
+            wire.dumps_pipe_results(5, [(1, array("Q", [2, 9]), 0.5)], 0.75, 1.25, 4),
+        ]
+        assert [chr(frame[0]) for frame in frames] == ["q", "q", "q", "r"]
+        rng = random.Random(0xB0B)
+        for frame in frames:
+            kind, body, _sent = wire.loads_pipe(frame)
+            assert body[0] == 5 and len(body) == (5 if kind == "query" else 4)
+            for cut in range(1, len(frame)):
+                with pytest.raises(wire.WireProtocolError):
+                    wire.loads_pipe(frame[:cut])
+            with pytest.raises(wire.WireProtocolError, match="trailing garbage"):
+                wire.loads_pipe(frame + b"\x00")
+            for _ in range(MALFORMED_FLOOR // 10):
+                blob = bytearray(frame)
+                blob[rng.randrange(1, len(blob))] ^= rng.randrange(1, 256)
+                try:
+                    wire.loads_pipe(bytes(blob))
+                except wire.WireProtocolError:
+                    pass
+
     def test_truncations_of_every_valid_frame_fail_cleanly(self):
         """Every proper prefix either waits for more bytes or raises."""
         for frame in _valid_frames():

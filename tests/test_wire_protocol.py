@@ -289,6 +289,48 @@ class TestRoundTrips:
 
     @given(
         request_id=_request_id,
+        query=_queries(),
+        sent_at=_finite,
+        attempt=st.integers(min_value=0, max_value=2**32 - 1),
+        fragment_ids=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=8),
+    )
+    def test_targeted_pipe_query(self, request_id, query, sent_at, attempt, fragment_ids):
+        """Attempt and fragment ids ride a 'q' frame; the defaults keep 'Q'."""
+        fragment_ids = tuple(fragment_ids)
+        frame = wire.dumps_pipe_query(request_id, query, sent_at, attempt, fragment_ids)
+        kind, body, back_sent = wire.loads_pipe(frame)
+        assert kind == "query" and back_sent == sent_at
+        if attempt or fragment_ids:
+            assert frame[0] == ord("q")
+            assert body == (request_id, query, None, attempt, fragment_ids)
+        else:
+            assert frame == wire.dumps_pipe_query(request_id, query, sent_at)
+            assert body == (request_id, query, None)
+
+    @given(
+        request_id=_request_id,
+        reply=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.sets(_node_id, max_size=20),
+                _finite,
+            ),
+            max_size=4,
+        ),
+        elapsed=_finite,
+        sent_at=_finite,
+        attempt=st.integers(min_value=1, max_value=2**32 - 1),
+    )
+    def test_retried_pipe_results(self, request_id, reply, elapsed, sent_at, attempt):
+        frame = wire.dumps_pipe_results(request_id, reply, elapsed, sent_at, attempt)
+        assert frame[0] == ord("r")
+        assert len(frame) == len(wire.dumps_pipe_results(request_id, reply, elapsed, sent_at)) + 4
+        kind, body, back_sent = wire.loads_pipe(frame)
+        runs = [(fragment_id, as_run(nodes), seconds) for fragment_id, nodes, seconds in reply]
+        assert (kind, body, back_sent) == ("results", (request_id, runs, elapsed, attempt), sent_at)
+
+    @given(
+        request_id=_request_id,
         reply=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=2**32 - 1),
