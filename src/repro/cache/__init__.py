@@ -7,7 +7,7 @@ shape so that commuted-but-equivalent expressions share an entry.  Two
 semantic features make it more than a memo table:
 
 * **subsumption** — a cached ``R(ω, 500)`` answers ``R(ω, 300)`` by
-  filtering the stored per-term distance maps (see
+  filtering the stored per-term distance columns (see
   :func:`repro.cache.keys.subsumes` for the exact-safety predicate);
 * **epoch-delta invalidation** — the cache rides
   :meth:`repro.live.epochs.EpochManager.subscribe_swaps` and evicts

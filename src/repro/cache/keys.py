@@ -3,7 +3,7 @@
 Two queries that differ only in the *order* of commutative operands
 (``A AND B`` vs ``B AND A``) should share one cache entry, and a query
 that differs from a cached one only by *smaller* radii on monotone
-terms should be answerable by filtering the cached distance maps.  Both
+terms should be answerable by filtering the cached distance columns.  Both
 needs reduce to one normal form:
 
 * the expression tree is flattened over same-op chains of the
@@ -26,25 +26,29 @@ leaf ``j``
   answer): ``rᑫⱼ ≤ rᵉⱼ`` — the answer is monotone non-decreasing in a
   positive radius, so the probe's answer is a subset of the entry's,
   and membership is re-decidable from the stored distances (a stored
-  distance is exact; ``None`` means the true distance exceeds ``rᵉⱼ``
-  and therefore exceeds ``rᑫⱼ``);
+  distance within ``rᵉⱼ`` is exact; ``nextafter(rᵉⱼ, inf)`` means the
+  true distance exceeds ``rᵉⱼ`` and therefore exceeds ``rᑫⱼ``);
 * negative polarity (under the right side of a ``SUBTRACT``):
   ``rᑫⱼ = rᵉⱼ`` exactly.  Shrinking a subtracted radius *grows* the
   answer beyond the stored node set, and growing it is undecidable
-  from the stored maps (``None`` cannot distinguish "just past rᵉ"
+  from the stored columns ("past rᵉ" cannot distinguish "just past"
   from "unreachable"), so only equality is exact-safe.
 
 :func:`filter_answer` then re-evaluates the boolean form of the shape
-per stored node — set ∪/∩/− are pointwise or/and/and-not — which is
-exact under the predicate above.
+over one fragment's stored columns at once — one threshold mask per
+leaf, combined with ``|``/``&``/``& ~`` — which is exact under the
+predicate above.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.core.dfunction import DExpression, SetOp
 from repro.core.queries import KeywordSource, NodeSource, QClassQuery
+from repro.core.runs import EMPTY_RUN
 from repro.exceptions import QueryError
 
 __all__ = ["CanonicalQuery", "canonicalize", "filter_answer", "subsumes"]
@@ -58,7 +62,7 @@ class CanonicalQuery:
     hashable, orderable); the remaining fields are parallel per-leaf
     vectors in canonical leaf order.  ``term_indexes[j]`` maps canonical
     leaf ``j`` back to the originating query's ``terms`` tuple, which is
-    also the column order of the per-node distance tuples produced by
+    also the order of the distance columns produced by
     :func:`repro.core.executor.execute_fragment_task_explained`.
     """
 
@@ -167,64 +171,45 @@ def subsumes(entry: CanonicalQuery, probe: CanonicalQuery) -> bool:
     return True
 
 
-def _evaluate(
-    shape: tuple,
-    position: int,
-    distances: tuple,
-    term_indexes: tuple[int, ...],
-    radii: tuple[float, ...],
-) -> tuple[bool, int]:
-    """Evaluate the boolean form of ``shape`` for one node.
+def _mask(shape: tuple, leaves, columns) -> int:
+    """The boolean form of ``shape`` over every stored node at once.
 
-    ``distances`` is the node's stored per-term tuple (entry term
-    order); ``term_indexes`` maps the canonical leaf cursor into it and
-    ``radii`` supplies the *probe's* per-leaf radius.  Returns the truth
-    value and the advanced leaf cursor.
+    ``leaves`` yields ``(column index, probe radius)`` per canonical
+    leaf, in leaf order.  A leaf is one threshold pass over its column,
+    one byte per node read as an int, so ∪/∩/− are ``|``/``&``/``& ~``.
     """
     tag = shape[0]
     if tag == "term":
-        distance = distances[term_indexes[position]]
-        return (distance is not None and distance <= radii[position]), position + 1
+        index, radius = next(leaves)
+        return int.from_bytes(bytes(map(float(radius).__ge__, columns[index])), "little")
     if tag == "not":
-        left, position = _evaluate(shape[1], position, distances, term_indexes, radii)
-        right, position = _evaluate(shape[2], position, distances, term_indexes, radii)
-        return (left and not right), position
-    if tag == "and":
-        value = True
-        for child in shape[1]:
-            child_value, position = _evaluate(
-                child, position, distances, term_indexes, radii
-            )
-            value = value and child_value
-        return value, position
-    value = False
-    for child in shape[1]:
-        child_value, position = _evaluate(
-            child, position, distances, term_indexes, radii
-        )
-        value = value or child_value
-    return value, position
+        left = _mask(shape[1], leaves, columns)
+        return left & ~_mask(shape[2], leaves, columns)
+    masks = [_mask(child, leaves, columns) for child in shape[1]]
+    value = masks[0]
+    for mask in masks[1:]:
+        value = value & mask if tag == "and" else value | mask
+    return value
 
 
 def filter_answer(
     entry: CanonicalQuery,
     probe: CanonicalQuery,
-    distances: dict[int, tuple],
-) -> frozenset[int]:
-    """Exact probe answer, filtered from an entry's stored distance maps.
+    partial: tuple[array, list[array]],
+) -> array:
+    """Exact probe answer, filtered from one fragment's stored partial.
 
-    ``distances`` maps each node of the *entry's* answer to its per-term
-    distance tuple.  Sound only when ``subsumes(entry, probe)`` holds:
-    shrinking positive radii can only shrink the answer (monotone
-    boolean over monotone leaves), so no node outside the stored set
-    can enter, and every stored node's membership is re-decidable from
-    the stored distances.
+    ``partial`` is the *entry's* ``(run, columns)`` for one fragment
+    (:func:`repro.core.executor.execute_fragment_task_explained`); the
+    result is the probe's run on that fragment.  Sound only when
+    ``subsumes(entry, probe)`` holds: shrinking positive radii can only
+    shrink the answer (monotone boolean over monotone leaves), so no
+    node outside the stored run can enter, and every stored node's
+    membership is re-decidable from the stored distances.
     """
-    result = set()
-    for node, node_distances in distances.items():
-        keep, _position = _evaluate(
-            entry.shape, 0, node_distances, entry.term_indexes, probe.radii
-        )
-        if keep:
-            result.add(node)
-    return frozenset(result)
+    run, columns = partial
+    if not run:
+        return EMPTY_RUN
+    leaves = zip(entry.term_indexes, probe.radii)
+    keep = _mask(entry.shape, leaves, columns).to_bytes(len(run), "little")
+    return array("Q", compress(run, keep))

@@ -20,6 +20,10 @@ and the swap's eviction scan (or, for entries the swap does not
 touch, the fact that the answer is identical at both epochs) makes it
 safe.
 
+Stored distances: an entry admitted from an explain-mode answer keeps
+each non-empty fragment's partial ``(run, per-term array('d') columns)``,
+``8 + 8k`` bytes a node for ``k`` terms.
+
 Derived entries: a subsumption hit filters a wider sibling's stored
 distances down to the probe's radii, and stores the filtered run under
 the probe's own key so the next read of that shape is an exact hit —
@@ -41,13 +45,17 @@ from functools import cached_property
 
 from repro.cache.keys import CanonicalQuery, canonicalize, filter_answer, subsumes
 from repro.core.queries import QClassQuery
-from repro.core.runs import as_run
+from repro.core.runs import as_run, merge_runs
 from repro.sub.registry import compute_scope
 
 __all__ = ["AdmissionTicket", "CacheHit", "SemanticResultCache"]
 
-# Deterministic size model (bytes) — an estimate for LRU budgeting, not
-# an exact measurement; stable across interpreters so tests can pin it.
+# A fragment's stored answer: its run and one distance column per term.
+Partial = tuple[array, list[array]]
+
+# Deterministic size model (bytes) — an estimate for LRU budgeting,
+# stable across interpreters so tests can pin it, and at least what an
+# entry holds resident (``tests/test_cache_semantics.py`` checks that).
 _ENTRY_OVERHEAD = 256
 _PER_FRAGMENT_OVERHEAD = 64
 _PER_NODE = 16
@@ -81,21 +89,19 @@ class AdmissionTicket:
 class _Entry:
     canonical: CanonicalQuery
     run: array  # the answer, sorted once at admission; exact hits reuse it
-    # fragment_id -> {node -> per-term distance tuple (entry term order)};
-    # None when the miss was dispatched traced — the entry then serves exact
-    # hits only, never subsumption.
-    partials: dict[int, dict[int, tuple]] | None
+    # fragment_id -> partial (columns in entry term order); None when the
+    # miss was dispatched traced — the entry then serves exact hits only,
+    # never subsumption.
+    partials: dict[int, Partial] | None
     epoch: int
     scope: frozenset[int] | None  # None = depends on every fragment
     size_bytes: int = field(default=0)
 
 
-def _entry_bytes(run: array, partials: dict[int, dict[int, tuple]] | None) -> int:
+def _entry_bytes(run: array, partials: dict[int, Partial] | None) -> int:
     total = _ENTRY_OVERHEAD + _PER_NODE * len(run)
-    for nodes in (partials or {}).values():
-        total += _PER_FRAGMENT_OVERHEAD
-        for distances in nodes.values():
-            total += _PER_NODE + _PER_DISTANCE * len(distances)
+    for nodes, columns in (partials or {}).values():
+        total += _PER_FRAGMENT_OVERHEAD + (_PER_NODE + _PER_DISTANCE * len(columns)) * len(nodes)
     return total
 
 
@@ -175,16 +181,16 @@ class SemanticResultCache:
                 for other_key in self._by_shape.get(canonical.shape, ()):
                     other = self._entries[other_key]
                     if other.partials is None:
-                        continue  # no distance maps — exact hits only
+                        continue  # no distance columns — exact hits only
                     if not subsumes(other.canonical, canonical):
                         continue
-                    nodes: set[int] = set()
-                    for partial in other.partials.values():
-                        nodes |= filter_answer(other.canonical, canonical, partial)
+                    run = merge_runs(
+                        filter_answer(other.canonical, canonical, partial)
+                        for partial in other.partials.values()
+                    )
                     self._entries.move_to_end(other_key)
                     self._subsumption_hits += 1
                     self._count("cache_subsumption_hits")
-                    run = as_run(nodes)
                     # Derive once: the next read of this shape is an exact hit.
                     self._insert(
                         _Entry(canonical, run, None, other.epoch, other.scope, _entry_bytes(run, None))
@@ -198,7 +204,7 @@ class SemanticResultCache:
         self,
         ticket: AdmissionTicket,
         answer: "array | frozenset[int]",
-        partials: dict[int, dict[int, tuple]] | None,
+        partials: dict[int, Partial] | None,
     ) -> bool:
         """Insert a computed answer — unless the epoch moved since the probe."""
         return self.admit_outcome(ticket, answer, partials) == "admitted"
@@ -207,18 +213,21 @@ class SemanticResultCache:
         self,
         ticket: AdmissionTicket,
         answer: "array | frozenset[int]",
-        partials: dict[int, dict[int, tuple]] | None,
+        partials: dict[int, Partial] | None,
     ) -> str:
         """Like :meth:`admit`, but names the outcome.
 
         ``answer`` is the response's sorted run (kept as it is) or a
-        plain node set (sorted once, here).  Returns ``"admitted"``,
-        ``"stale"`` (epoch moved since the probe — the race window
-        tail-based trace retention keeps), ``"oversize"`` or
-        ``"duplicate"``.
+        plain node set (sorted once, here); ``partials`` maps fragment
+        ids to explain-mode partials, of which only non-empty ones are
+        kept.  Returns ``"admitted"``, ``"stale"`` (epoch moved since the
+        probe — the race window tail-based trace retention keeps),
+        ``"oversize"`` or ``"duplicate"``.
         """
         scope = self._compute_scope(ticket.query)
         run = as_run(answer)
+        if partials is not None:
+            partials = {fid: partial for fid, partial in partials.items() if partial[0]}
         size = _entry_bytes(run, partials)
         entry = _Entry(ticket.canonical, run, partials, ticket.epoch, scope, size)
         with self._lock:

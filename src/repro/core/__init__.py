@@ -10,7 +10,7 @@ Public entry points:
 """
 
 from repro.core.fragment import Fragment, build_fragments
-from repro.core.npd import NPDIndex, DLNodePolicy, PortalDistance
+from repro.core.npd import NPDIndex, DLNodePolicy
 from repro.core.builder import NPDBuildConfig, build_npd_index, build_all_indexes
 from repro.core.dfunction import SetOp, DFunction
 from repro.core.queries import (
@@ -39,7 +39,6 @@ __all__ = [
     "build_fragments",
     "NPDIndex",
     "DLNodePolicy",
-    "PortalDistance",
     "NPDBuildConfig",
     "build_npd_index",
     "build_all_indexes",

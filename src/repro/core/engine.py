@@ -352,7 +352,7 @@ class DisksEngine:
         (possible under ∪ and − operators).  Distances are globally
         exact (Theorem 3).
         """
-        from repro.core.executor import execute_fragment_task_explained
+        from repro.core.executor import execute_fragment_task_explained, explanations
 
         plan = plan_query(
             query,
@@ -369,8 +369,8 @@ class DisksEngine:
         merged: dict[int, tuple[float | None, ...]] = {}
         for machine in cluster.coordinator.machines:
             for runtime in machine.runtimes:
-                _result, explanations = execute_fragment_task_explained(runtime, query)
-                merged.update(explanations)
+                _result, partial = execute_fragment_task_explained(runtime, query)
+                merged.update(explanations(query, partial))
         return merged
 
     def top_k(self, query: TopKQuery) -> TopKResult:

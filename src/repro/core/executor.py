@@ -10,7 +10,9 @@ result leaves as a sorted run (:mod:`repro.core.runs`) without a node
 ever being hashed; the reference runtime evaluates node sets and sorts.
 :func:`execute_fragment_task_explained` additionally keeps the exact
 per-term distances of every result node (Theorem 3 makes them globally
-correct), powering the engine's ``explain`` mode.
+correct) as a *partial* ``(run, columns)``: one ``array('d')`` per term,
+aligned with the run.  The result cache filters partials as they are;
+:func:`explanations` turns one into the engine's ``explain`` dict.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf, nextafter
 
 from repro.core.coverage import CoverageStats, FragmentRuntime, settle_terms
 from repro.core.queries import QClassQuery
@@ -28,6 +31,7 @@ __all__ = [
     "FragmentTaskResult",
     "execute_fragment_task",
     "execute_fragment_task_explained",
+    "explanations",
 ]
 
 
@@ -64,18 +68,18 @@ class FragmentTaskResult:
         return frozenset(self.run)
 
 
-def _apply_dfunction(runtime, query: QClassQuery, settled: list) -> tuple[array, tuple[int, ...]]:
-    """``(result run, coverage sizes)`` from one fragment's settled terms."""
+def _apply_dfunction(runtime, query: QClassQuery, settled: list):
+    """``(run, coverage sizes, dense-id result mask or None)`` from settled terms."""
     if runtime.compiled:
         masks = [int.from_bytes(marks, "little") for marks, _dist, _count in settled]
-        run = runtime.kernel.run(query.expression.evaluate_masks(masks))
-        return run, tuple(count for _marks, _dist, count in settled)
+        mask = query.expression.evaluate_masks(masks)
+        return runtime.kernel.run(mask), tuple(count for _marks, _dist, count in settled), mask
     run = as_run(query.expression.evaluate([set(distances) for distances in settled]))
-    return run, tuple(len(distances) for distances in settled)
+    return run, tuple(len(distances) for distances in settled), None
 
 
 def _run_task(runtime, query: QClassQuery, collector=None, parent_id: str | None = None):
-    """One task: ``(FragmentTaskResult, settled terms)``."""
+    """One task: ``(FragmentTaskResult, settled terms, result mask)``."""
     started = time.perf_counter()
     stats = CoverageStats()
     fragment_id = runtime.fragment.fragment_id
@@ -83,17 +87,17 @@ def _run_task(runtime, query: QClassQuery, collector=None, parent_id: str | None
         # Batched term evaluation: every term of the query runs through
         # the same kernel instance, duplicates memoised.
         settled = settle_terms(runtime, query.terms, stats)
-        run, sizes = _apply_dfunction(runtime, query, settled)
+        run, sizes, mask = _apply_dfunction(runtime, query, settled)
     else:
         with collector.span("task", parent_id=parent_id, fragment_id=fragment_id) as task_span:
             settled = settle_terms(
                 runtime, query.terms, stats, collector=collector, parent_id=task_span.span_id
             )
             with collector.span("union", parent_id=task_span.span_id, fragment_id=fragment_id):
-                run, sizes = _apply_dfunction(runtime, query, settled)
+                run, sizes, mask = _apply_dfunction(runtime, query, settled)
             task_span.tags["result_nodes"] = len(run)
     result = FragmentTaskResult(fragment_id, run, sizes, time.perf_counter() - started, stats)
-    return result, settled
+    return result, settled, mask
 
 
 def execute_fragment_task(
@@ -118,19 +122,33 @@ def execute_fragment_task(
 
 def execute_fragment_task_explained(
     runtime: FragmentRuntime, query: QClassQuery
-) -> tuple[FragmentTaskResult, dict[int, tuple[float | None, ...]]]:
+) -> tuple[FragmentTaskResult, tuple[array, list[array]]]:
     """Like :func:`execute_fragment_task`, plus per-term result distances.
 
-    The second return value maps each local result node to one distance
-    per query term — ``d(node, source_i)`` where the node lies inside
-    that term's coverage, ``None`` where it does not (e.g. the excluded
-    side of a subtraction term).  The distance maps are read off the
-    same settled state the result mask came from.
+    The second return value is the fragment's partial ``(run, columns)``:
+    ``columns[i][j]`` is ``d(run[j], source_i)`` where that node lies
+    inside term ``i``'s coverage, and ``nextafter(radius_i, inf)`` where
+    it does not (e.g. the excluded side of a subtraction term).
     """
-    result, settled = _run_task(runtime, query)
+    result, settled, mask = _run_task(runtime, query)
     began = time.perf_counter()
+    radii = [term.radius for term in query.terms]
     if runtime.compiled:
-        settled = [runtime.kernel.distances(marks, dist) for marks, dist, _count in settled]
-    explanations = {node: tuple(m.get(node) for m in settled) for node in result.run}
+        columns = runtime.kernel.columns(mask, settled, radii)
+    else:
+        columns = [
+            array("d", [found.get(node, nextafter(radius, inf)) for node in result.run])
+            for found, radius in zip(settled, radii)
+        ]
     result.wall_seconds += time.perf_counter() - began
-    return result, explanations
+    return result, (result.run, columns)
+
+
+def explanations(query: QClassQuery, partial) -> dict[int, tuple[float | None, ...]]:
+    """A partial as ``{node: (d₀, d₁, …)}``, ``None`` past a term's radius."""
+    run, columns = partial
+    radii = [term.radius for term in query.terms]
+    return {
+        node: tuple(d if d <= r else None for d, r in zip(distances, radii))
+        for node, *distances in zip(run, *columns)
+    }

@@ -18,10 +18,11 @@ evaluations allocate two flat objects per search and nothing per node:
   CPython unpacks a prebuilt ``(node, weight)`` tuple faster than it
   re-boxes two ``array`` elements per edge.
 * **Precompiled seed lists** — per keyword, the fragment-local carriers
-  (zero-weight seeds) and the DL portal pairs as parallel
-  dense-id/distance arrays sorted by distance with per-portal minima
-  pre-deduplicated, so one :func:`bisect.bisect_right` replaces the
-  query-time scan-and-merge; likewise per DL node entry.
+  (zero-weight seeds) and the DL value list with its portals renumbered
+  to dense ids; the distance array is the index's own (one pair per
+  portal, distance-sorted — :data:`~repro.core.npd.ValueList`), so one
+  :func:`bisect.bisect_right` replaces the query-time scan-and-merge;
+  likewise per DL node entry.
 * **Dense settle state** — a search fills two flat per-search objects
   indexed by dense id: a ``marks`` bytearray (1 = settled) and a
   ``dist`` list pre-filled with ``nextafter(radius, inf)``, so a
@@ -29,9 +30,10 @@ evaluations allocate two flat objects per search and nothing per node:
   ``nd <= radius``) and no clearing or stamping is ever needed.  Both
   views of a coverage come from that one state: set-valued queries take
   ``int.from_bytes(marks)`` as a mask and combine masks with ``|``,
-  ``&``, ``& ~``; explain/top-k callers take :meth:`distances`.  Dense
-  ids follow sorted global order, so :meth:`run` turns a result mask
-  into an already-sorted ``array('Q')`` of global ids.
+  ``&``, ``& ~``; top-k callers take :meth:`distances`, explain callers
+  :meth:`columns`.  Dense ids follow sorted global order, so :meth:`run`
+  turns a result mask into an already-sorted ``array('Q')`` of global
+  ids.
 * **Bounded bucket queue** — every coverage search is truncated at the
   term radius (at most ``maxR`` on a bounded level, Theorem 3), and
   edge weights have a positive minimum ``δ``, so the frontier fits a
@@ -145,15 +147,13 @@ class FragmentKernel:
             kw: tuple(dense[node] for node in nodes)
             for kw, nodes in fragment.keyword_index.to_postings().items()
         }
-        # DL entries as parallel (dense portal, distance) arrays, sorted
-        # by distance, per-portal minimum only (the first occurrence in
-        # the sorted list is the minimum, so later duplicates can be
-        # dropped at compile time without changing any radius cutoff).
+        # DL value lists with dense portal ids; the distances are shared
+        # with the index, read-only.
         self._kw_portals = {
-            kw: _pack_portal_list(pairs, dense) for kw, pairs in index.keyword_entries.items()
+            kw: _to_dense(entry, dense.__getitem__) for kw, entry in index.keyword_entries.items()
         }
         self._node_portals = {
-            node: _pack_portal_list(pairs, dense) for node, pairs in index.node_entries.items()
+            node: _to_dense(entry, dense.__getitem__) for node, entry in index.node_entries.items()
         }
 
         # Bucket-queue compilation: with bucket width just under the
@@ -214,18 +214,18 @@ class FragmentKernel:
 
         What a keyword-only epoch ships instead of a kernel: per key
         (a keyword, or the node of a DL node entry) its fragment-local
-        carriers and its DL portal list, packed by the same rule as a
-        fresh compile; ``None`` where the index no longer has the entry.
-        A few hundred bytes, applied by :meth:`apply_seed_patch`.
+        carriers and its DL value list as the index holds it; ``None``
+        where the index no longer has the entry.  A few hundred bytes,
+        applied by :meth:`apply_seed_patch`.
         """
         patch = {}
         for key in keys:
             if isinstance(key, str):
                 local = fragment.keyword_index.local_nodes_with(key)
-                pairs = index.keyword_entries.get(key)
+                entry = index.keyword_entries.get(key)
             else:
-                local, pairs = (), index.node_entries.get(key)
-            patch[key] = (local, None if pairs is None else _portal_minima(pairs))
+                local, entry = (), index.node_entries.get(key)
+            patch[key] = (local, entry)
         return patch
 
     def apply_seed_patch(self, patch: dict) -> None:
@@ -236,7 +236,7 @@ class FragmentKernel:
         the part that may live in shared memory — is not read or written.
         """
         dense = self._dense_id
-        for key, (local, portals) in patch.items():
+        for key, (local, entry) in patch.items():
             if isinstance(key, str):
                 table = self._kw_portals
                 if local:
@@ -245,10 +245,10 @@ class FragmentKernel:
                     self._kw_local.pop(key, None)
             else:
                 table = self._node_portals
-            if portals is None:
+            if entry is None:
                 table.pop(key, None)
             else:
-                table[key] = (array("q", map(dense, portals[0])), portals[1])
+                table[key] = _to_dense(entry, dense)
 
     def _dense_id(self, node: int) -> int | None:
         """Global node id -> dense id, or ``None`` if not a member.
@@ -353,6 +353,23 @@ class FragmentKernel:
             return array("Q", compress(self._globals, raw))
         return array("Q", map(self._globals.__getitem__, _hops(raw)))
 
+    def columns(self, mask: int, settled: list, radii) -> list[array]:
+        """Per-term distances of the nodes of :meth:`run` ``(mask)``, in run order.
+
+        One ``array('d')`` per settled state in ``settled``: the exact
+        distance where the node lies within that term's radius, and the
+        search's initial label ``nextafter(radius, inf)`` — "farther than
+        the radius" — where it does not (a state with no seed in reach
+        has no ``dist`` to read it from).
+        """
+        raw = mask.to_bytes(self.num_nodes, "little")
+        return [
+            array("d", compress(dist, raw))
+            if dist
+            else array("d", [nextafter(radius, inf)]) * mask.bit_count()
+            for (_marks, dist, _count), radius in zip(settled, radii)
+        ]
+
     def _settle_buckets(self, seeds: list[int], radius: float, marks: bytearray, dist: list) -> None:
         """Bucket-queue settle loop (the fast path for bounded radii).
 
@@ -434,26 +451,7 @@ def _row_view(indptr, indices, weights, n: int) -> tuple:
     )
 
 
-def _portal_minima(pairs) -> tuple[list[int], array]:
-    """One sorted DL value list -> parallel (portals, distance array).
-
-    ``pairs`` is already distance-sorted (``NPDIndex.seal``); only the
-    first (= minimum-distance) occurrence of each portal is kept.
-    """
-    ids: list[int] = []
-    dists: list[float] = []
-    seen: set[int] = set()
-    for pd in pairs:
-        portal = pd.portal
-        if portal in seen:
-            continue
-        seen.add(portal)
-        ids.append(portal)
-        dists.append(pd.distance)
-    return ids, array("d", dists)
-
-
-def _pack_portal_list(pairs, dense: dict[int, int]) -> tuple[array, array]:
-    """:func:`_portal_minima` with the portals renumbered to dense ids."""
-    portals, dists = _portal_minima(pairs)
-    return array("q", map(dense.__getitem__, portals)), dists
+def _to_dense(entry, dense) -> tuple[array, array]:
+    """A DL value list with new, ``dense``-renumbered portals and its own distances."""
+    portals, distances = entry
+    return array("q", list(map(dense, portals))), distances

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable
 
 from repro.core.builder import NPDBuildConfig, build_npd_index
 from repro.core.coverage import FragmentRuntime
 from repro.core.fragment import Fragment
-from repro.core.npd import DLNodePolicy, NPDIndex, PortalDistance
+from repro.core.npd import DLNodePolicy, NPDIndex, pack_value_list
 from repro.exceptions import DisksError, GraphError
 from repro.graph.road_network import RoadNetwork
 from repro.partition.base import Partition
@@ -119,20 +120,6 @@ def edge_impact_fragments(
         order, _dist, _tag = (search or DenseSearch(network)).run(sources, max_radius, interior)
         affected.update(assignment[node] for node in order)
     return affected
-
-
-def _merge_sorted(
-    pairs: tuple[PortalDistance, ...], updates: dict[int, float]
-) -> tuple[PortalDistance, ...]:
-    """Merge minimum-per-portal ``updates`` into a sorted DL value list."""
-    merged: dict[int, float] = {pd.portal: pd.distance for pd in pairs}
-    for portal, dist in updates.items():
-        if dist < merged.get(portal, math.inf):
-            merged[portal] = dist
-    return tuple(
-        PortalDistance(portal, dist)
-        for portal, dist in sorted(merged.items(), key=lambda kv: (kv[1], kv[0]))
-    )
 
 
 @dataclass
@@ -229,8 +216,10 @@ class KeywordMaintainer:
             if fragment_id == home:
                 continue
             index = self.indexes[fragment_id]
+            # A new list with the minima merged in: an older epoch may
+            # still read ``before``.
             before = index.keyword_entries.get(keyword, ())
-            merged = _merge_sorted(before, portal_distances)
+            merged = pack_value_list(chain(zip(*before), portal_distances.items()))
             touched = merged != before
             if touched:
                 index.keyword_entries[keyword] = merged
@@ -253,7 +242,7 @@ class KeywordMaintainer:
         if index.node_policy is DLNodePolicy.OBJECTS and not self.network.is_object(node):
             return False
         if node not in index.node_entries:
-            index.node_entries[node] = _merge_sorted((), portal_distances)
+            index.node_entries[node] = pack_value_list(portal_distances.items())
             return True
         return False
 
@@ -298,7 +287,7 @@ class KeywordMaintainer:
             before = index.keyword_entries.get(keyword)
             fresh = per_fragment.get(index.fragment_id)
             if fresh:
-                after = _merge_sorted((), fresh)
+                after = pack_value_list(fresh.items())
                 if after != before:
                     index.keyword_entries[keyword] = after
                     index.touch()

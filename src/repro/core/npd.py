@@ -8,7 +8,9 @@
   is computable locally (Theorem 1), and the set is minimal (Theorem 2).
 * **DL** (*Distance List*, §3.4) — entry-value lists mapping an outside
   source to sorted ``(portal, distance)`` pairs whose shortest path first
-  touches ``P`` at that portal (Rule 2).  Two entry families are kept:
+  touches ``P`` at that portal (Rule 2).  A value list is stored packed,
+  as one :data:`ValueList`: parallel ``array('q')`` portals and
+  ``array('d')`` distances, 16 bytes a pair.  Two entry families are kept:
 
   - *keyword entries* ``(ω, P)`` — the §3.7 virtual-keyword-node form:
     per portal, the minimum qualifying distance from any outside node
@@ -25,13 +27,21 @@ All recorded distances are truncated at ``max_radius`` (the paper's
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
 from repro.exceptions import IndexBuildError
 
-__all__ = ["DLNodePolicy", "PortalDistance", "NPDIndex"]
+__all__ = ["DLNodePolicy", "NPDIndex", "ValueList", "pack_value_list"]
+
+#: One DL value list: ``(portals, distances)`` as parallel ``array('q')``
+#: and ``array('d')``, sorted by ``(distance, portal)``, one pair per
+#: portal.  Never mutated once built: maintenance replaces whole lists,
+#: so epochs and kernels may share them.
+ValueList = tuple[array, array]
 
 
 class DLNodePolicy(Enum):
@@ -50,12 +60,31 @@ class DLNodePolicy(Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
-class PortalDistance:
-    """One ``(N_i, d_i)`` pair of a DL value list."""
+def pack_value_list(pairs: Iterable[tuple[int, float]]) -> ValueList:
+    """``(portal, distance)`` pairs as one :data:`ValueList`.
 
-    portal: int
-    distance: float
+    A portal named twice keeps its minimum distance, the one a query
+    seed would take anyway.
+    """
+    best: dict[int, float] = {}
+    for portal, distance in pairs:
+        if distance < best.get(portal, math.inf):
+            best[portal] = distance
+    ordered = sorted(best.items(), key=lambda pd: (pd[1], pd[0]))
+    return array("q", [p for p, _d in ordered]), array("d", [d for _p, d in ordered])
+
+
+def _seeds(entry: ValueList | None, radius: float) -> dict[int, float]:
+    """``{portal: distance}`` of the pairs within ``radius``."""
+    if entry is None:
+        return {}
+    portals, distances = entry
+    cut = bisect_right(distances, radius)
+    return dict(zip(portals[:cut], distances[:cut]))
+
+
+def _num_pairs(entries: Mapping) -> int:
+    return sum(len(portals) for portals, _distances in entries.values())
 
 
 @dataclass
@@ -80,11 +109,10 @@ class NPDIndex:
         key is normalised with ``u < v``; for directed networks the key
         is the arc direction ``u -> v``.
     keyword_entries:
-        ``DL(P)`` keyword entries: ``{keyword: (PortalDistance, ...)}``
-        sorted by distance (Rule 2 condition 3).
+        ``DL(P)`` keyword entries: ``{keyword: ValueList}``, sorted by
+        distance (Rule 2 condition 3).
     node_entries:
-        ``DL(P)`` node entries: ``{node: (PortalDistance, ...)}`` sorted
-        by distance.
+        ``DL(P)`` node entries: ``{node: ValueList}``, sorted by distance.
     directed:
         Whether the parent network is directed.
     version:
@@ -100,8 +128,8 @@ class NPDIndex:
     node_policy: DLNodePolicy
     directed: bool = False
     shortcuts: dict[tuple[int, int], float] = field(default_factory=dict)
-    keyword_entries: dict[str, tuple[PortalDistance, ...]] = field(default_factory=dict)
-    node_entries: dict[int, tuple[PortalDistance, ...]] = field(default_factory=dict)
+    keyword_entries: dict[str, ValueList] = field(default_factory=dict)
+    node_entries: dict[int, ValueList] = field(default_factory=dict)
     version: int = field(default=0, compare=False, repr=False)
 
     # ------------------------------------------------------------------
@@ -115,8 +143,8 @@ class NPDIndex:
     def copy(self) -> "NPDIndex":
         """A shallow-copied shadow of this index.
 
-        The entry dicts are copied (their value tuples are immutable and
-        shared), so a :class:`~repro.core.maintenance.KeywordMaintainer`
+        The entry dicts are copied (their value lists are shared: no one
+        writes into them), so a :class:`~repro.core.maintenance.KeywordMaintainer`
         can mutate the copy while readers of the original keep an
         untouched epoch — the basis of shadow application in
         :mod:`repro.live.epochs`.
@@ -152,21 +180,9 @@ class NPDIndex:
         keyword_lists: Mapping[str, Iterable[tuple[int, float]]],
         node_lists: Mapping[int, Iterable[tuple[int, float]]],
     ) -> None:
-        """Finalise DL entries, sorting each value list by distance."""
-        self.keyword_entries = {
-            kw: tuple(
-                PortalDistance(portal, dist)
-                for portal, dist in sorted(pairs, key=lambda pd: (pd[1], pd[0]))
-            )
-            for kw, pairs in keyword_lists.items()
-        }
-        self.node_entries = {
-            node: tuple(
-                PortalDistance(portal, dist)
-                for portal, dist in sorted(pairs, key=lambda pd: (pd[1], pd[0]))
-            )
-            for node, pairs in node_lists.items()
-        }
+        """Finalise DL entries, packing each value list (:func:`pack_value_list`)."""
+        self.keyword_entries = {kw: pack_value_list(pairs) for kw, pairs in keyword_lists.items()}
+        self.node_entries = {node: pack_value_list(pairs) for node, pairs in node_lists.items()}
 
     # ------------------------------------------------------------------
     # Query-time lookups (Alg. 2 step 2)
@@ -175,27 +191,13 @@ class NPDIndex:
         """Portal seeds for keyword ``keyword`` within ``radius``.
 
         Returns ``{portal: distance}`` — the retained node-distance pairs
-        of Alg. 2 step 2, exploiting the sorted order to stop early.
+        of Alg. 2 step 2, cut at the radius by one bisection.
         """
-        seeds: dict[int, float] = {}
-        for pd in self.keyword_entries.get(keyword, ()):
-            if pd.distance > radius:
-                break
-            current = seeds.get(pd.portal)
-            if current is None or pd.distance < current:
-                seeds[pd.portal] = pd.distance
-        return seeds
+        return _seeds(self.keyword_entries.get(keyword), radius)
 
     def node_seeds(self, node: int, radius: float) -> dict[int, float]:
         """Portal seeds for an outside source node within ``radius``."""
-        seeds: dict[int, float] = {}
-        for pd in self.node_entries.get(node, ()):
-            if pd.distance > radius:
-                break
-            current = seeds.get(pd.portal)
-            if current is None or pd.distance < current:
-                seeds[pd.portal] = pd.distance
-        return seeds
+        return _seeds(self.node_entries.get(node), radius)
 
     def has_node_entry(self, node: int) -> bool:
         """Whether a node entry exists for ``node``."""
@@ -211,15 +213,14 @@ class NPDIndex:
 
     def alpha(self, keyword: str) -> int:
         """α_ω: node-distance pairs in entry ``(ω, P)`` (Theorem 5)."""
-        return len(self.keyword_entries.get(keyword, ()))
+        entry = self.keyword_entries.get(keyword)
+        return 0 if entry is None else len(entry[0])
 
     @property
     def num_recorded_distances(self) -> int:
         """Total distances recorded — the paper's index-size measure (Thm 4)."""
         return (
-            len(self.shortcuts)
-            + sum(len(v) for v in self.keyword_entries.values())
-            + sum(len(v) for v in self.node_entries.values())
+            len(self.shortcuts) + _num_pairs(self.keyword_entries) + _num_pairs(self.node_entries)
         )
 
     def size_summary(self) -> dict[str, int]:
@@ -227,8 +228,8 @@ class NPDIndex:
         return {
             "shortcuts": len(self.shortcuts),
             "keyword_entries": len(self.keyword_entries),
-            "keyword_pairs": sum(len(v) for v in self.keyword_entries.values()),
+            "keyword_pairs": _num_pairs(self.keyword_entries),
             "node_entries": len(self.node_entries),
-            "node_pairs": sum(len(v) for v in self.node_entries.values()),
+            "node_pairs": _num_pairs(self.node_entries),
             "total_distances": self.num_recorded_distances,
         }

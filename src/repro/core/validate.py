@@ -60,20 +60,14 @@ def _validate_structure(fragment: Fragment, index: NPDIndex) -> None:
         ("keyword", index.keyword_entries.items()),
         ("node", index.node_entries.items()),
     ):
-        for key, pairs in entries:
-            distances = [pd.distance for pd in pairs]
-            if distances != sorted(distances):
+        for key, (portals, distances) in entries:
+            if list(distances) != sorted(distances):
                 _fail(f"{family} entry {key!r} is not distance-sorted")
-            for pd in pairs:
-                if pd.portal not in fragment.portals:
-                    _fail(
-                        f"{family} entry {key!r} references non-portal {pd.portal}"
-                    )
-                if not (0.0 <= pd.distance <= max_radius):
-                    _fail(
-                        f"{family} entry {key!r} distance {pd.distance} "
-                        "violates [0, maxR]"
-                    )
+            for portal, distance in zip(portals, distances):
+                if portal not in fragment.portals:
+                    _fail(f"{family} entry {key!r} references non-portal {portal}")
+                if not (0.0 <= distance <= max_radius):
+                    _fail(f"{family} entry {key!r} distance {distance} violates [0, maxR]")
 
     if index.node_policy is DLNodePolicy.NONE and index.node_entries:
         _fail("node entries present despite DLNodePolicy.NONE")
@@ -102,19 +96,14 @@ def _validate_spot_checks(
 
     node_items = list(index.node_entries.items())
     rng.shuffle(node_items)
-    for node, pairs in node_items[:samples]:
-        if not pairs:
+    for node, (portals, distances) in node_items[:samples]:
+        if not portals:
             continue
-        pd = pairs[0]
-        dist = shortest_path_distances(
-            adjacency, [pd.portal], bound=pd.distance * (1 + 1e-9)
-        )
+        portal, recorded = portals[0], distances[0]
+        dist = shortest_path_distances(adjacency, [portal], bound=recorded * (1 + 1e-9))
         true = dist.get(node, math.inf)
-        if not math.isclose(true, pd.distance, rel_tol=1e-9, abs_tol=1e-9):
-            _fail(
-                f"node entry {node} -> portal {pd.portal} records "
-                f"{pd.distance}, network says {true}"
-            )
+        if not math.isclose(true, recorded, rel_tol=1e-9, abs_tol=1e-9):
+            _fail(f"node entry {node} -> portal {portal} records {recorded}, network says {true}")
 
 
 def validate_index(

@@ -308,9 +308,9 @@ def worker_main(connection: Connection, payload: bytes) -> None:
       attempt, fragment_ids)``; the reply is ``results`` with one
       ``(fragment_id, nodes, seconds)`` entry per named fragment.  An
       untraced ``query`` may arrive as a binary pipe frame and is
-      answered with one; explain replies carry ``{node: per-term
-      distances}`` dicts instead of runs, traced replies piggyback the
-      worker's stage spans.
+      answered with one; explain replies carry ``(run, per-term
+      distance columns)`` partials instead of runs, traced replies
+      piggyback the worker's stage spans.
     * :data:`APPLY_KINDS` — ``(request_id, epoch, data)``, answered with
       ``applied``; ``cache_stats`` — ``(request_id,)``, answered with
       ``stats``; ``config`` — ``{"machine_delay": seconds}`` slept
@@ -429,8 +429,8 @@ class PipelinedResponse(RunAnswer):
     message_bytes: int
     degraded: bool = False
     spans: tuple[Span, ...] = ()
-    # Explain mode only: fragment_id -> {node -> per-term distances}.
-    partials: dict[int, dict[int, tuple]] | None = None
+    # Explain mode only: fragment_id -> (run, per-term distance columns).
+    partials: dict[int, tuple[array, list[array]]] | None = None
     # >0 when any failover (reroute or restart) touched this query.
     attempt: int = 0
 
@@ -494,7 +494,7 @@ class _InFlight:
         self.collector: SpanCollector | None = None
         self.root: Span | None = None
         self.dispatch_spans: dict[int, list[Span]] = {}
-        self.partials: dict[int, dict[int, tuple]] = {}
+        self.partials: dict[int, tuple[array, list[array]]] = {}
 
 
 class _InFlightApply:
@@ -795,7 +795,7 @@ class ProcessClusterCore:
         machine_id: int,
         wire_bytes: int,
         request_id: int,
-        reply: list[tuple[int, "array | dict[int, tuple]", float]],
+        reply: list[tuple[int, "array | tuple[array, list[array]]", float]],
         elapsed: float,
         attempt: int = 0,
         spans: list[Span] | None = None,
@@ -814,11 +814,12 @@ class ProcessClusterCore:
             for fragment_id, nodes, seconds in reply:
                 if inflight.awaiting.get(fragment_id) != machine_id:
                     continue  # task was rerouted away; a twin answer is coming
-                # Explain replies carry {node -> distances} dicts; plain
+                # Explain replies carry a (run, columns) partial; plain
                 # replies carry the fragment's sorted run.  Keyed by
                 # fragment: a re-answered fragment replaces its run.
-                if isinstance(nodes, dict):
+                if isinstance(nodes, tuple):
                     inflight.partials[fragment_id] = nodes
+                    nodes = nodes[0]
                 inflight.runs[fragment_id] = as_run(nodes)
                 inflight.fragment_seconds[fragment_id] = seconds
                 del inflight.awaiting[fragment_id]
@@ -1025,7 +1026,7 @@ class ProcessClusterCore:
         """Under ``_fanout_lock``: encode and send each target's task message.
 
         Untraced queries travel as binary pipe frames; traced and explain
-        queries are pickled (spans and distance maps ride their replies).
+        queries are pickled (spans and distance columns ride their replies).
         """
         payloads: dict[tuple, bytes] = {}
         sent_bytes = 0

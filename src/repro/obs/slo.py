@@ -13,8 +13,10 @@ rate** over a window is ``bad_fraction / error_budget`` — 1.0 means the
 budget is being consumed exactly as provisioned; 10 means it will be
 gone in a tenth of the period.  Burn is computed over three windows
 (1m / 5m / 1h by default) from a ring of per-second buckets, so a
-long-running server pays O(window) integer sums per read and O(1) per
-request recorded.
+long-running server pays O(window) integer sums per read.  Recording a
+request is O(1) amortised: the two alert windows keep running sums that
+retire each second once as it slides out, and the longest window is
+never read on that path.
 
 Alerting follows the multi-window rule: an alert fires only when
 *both* a short and a long window burn fast (the short window proves
@@ -132,9 +134,11 @@ class SLOTracker:
         self._clock = clock
         self._lock = threading.Lock()
         self._ring = _BucketRing(self.windows[-1][1])
-        self._total = 0
-        self._avail_bad = 0
-        self._latency_bad = 0
+        # (total, avail_bad, latency_bad): lifetime, and running over the
+        # two alert windows.
+        self._counts = [0, 0, 0]
+        self._alert_sums = [[0, 0, 0] for _window in self.windows[:2]]
+        self._second = float("-inf")  # the newest second recorded
         self._alerts = 0
         self._last_alert: dict[str, float] = {}
 
@@ -145,49 +149,62 @@ class SLOTracker:
         )
         now = self._clock()
         with self._lock:
-            self._ring.record(int(now), not ok, latency_bad)
-            self._total += 1
-            if not ok:
-                self._avail_bad += 1
-            if latency_bad:
-                self._latency_bad += 1
-        self._maybe_alert(now)
+            second = max(int(now), self._second)
+            self._slide(second)
+            self._ring.record(second, not ok, latency_bad)
+            for sums in (self._counts, *self._alert_sums):
+                sums[0] += 1
+                sums[1] += not ok
+                sums[2] += latency_bad
+            alert_sums = [tuple(sums) for sums in self._alert_sums]
+        if len(alert_sums) == 2:
+            self._maybe_alert(now, *alert_sums)
+
+    def _slide(self, second: int) -> None:
+        """Retire from the alert sums the seconds that left their windows.
+
+        Each second is retired once, before the ring reuses its bucket,
+        so the cost is O(seconds since the last request), not O(window).
+        """
+        last, self._second = self._second, second
+        for (_label, window), sums in zip(self.windows, self._alert_sums):
+            if second - last >= window:
+                sums[:] = (0, 0, 0)
+            elif second > last:
+                for i, gone in enumerate(self._ring.sums(second - window, second - last)):
+                    sums[i] -= gone
 
     # ------------------------------------------------------------------
     # Burn computation
     # ------------------------------------------------------------------
+    def _burns(self, total: int, avail_bad: int, latency_bad: int) -> tuple[float, float]:
+        """``(availability, latency)`` burn of one window's sums; 0.0 when empty."""
+        if total == 0:
+            return 0.0, 0.0
+        good = total - avail_bad
+        avail = (avail_bad / total) / (1.0 - self.objectives.availability_target)
+        return avail, (latency_bad / good) / (1.0 - self.objectives.latency_target) if good else 0.0
+
     def burn_rates(self, now: float | None = None) -> dict[str, dict[str, float]]:
         """``{objective: {window_label: burn}}`` over every window.
 
         An empty window burns 0.0 — no traffic consumes no budget.
         """
         now = self._clock() if now is None else now
-        avail_budget = 1.0 - self.objectives.availability_target
-        latency_budget = 1.0 - self.objectives.latency_target
         burns: dict[str, dict[str, float]] = {"availability": {}, "latency": {}}
         with self._lock:
             for label, seconds in self.windows:
-                total, avail_bad, latency_bad = self._ring.sums(int(now), seconds)
-                if total == 0:
-                    burns["availability"][label] = 0.0
-                    burns["latency"][label] = 0.0
-                    continue
-                burns["availability"][label] = (avail_bad / total) / avail_budget
-                good = total - avail_bad
-                burns["latency"][label] = (
-                    (latency_bad / good) / latency_budget if good else 0.0
-                )
+                avail, latency = self._burns(*self._ring.sums(int(now), seconds))
+                burns["availability"][label] = avail
+                burns["latency"][label] = latency
         return burns
 
-    def _maybe_alert(self, now: float) -> None:
+    def _maybe_alert(self, now: float, short_sums: tuple, long_sums: tuple) -> None:
         """Multi-window alert: short AND long window both burning hot."""
-        if len(self.windows) < 2:
-            return
-        burns = self.burn_rates(now)
         short_label, long_label = self.windows[0][0], self.windows[1][0]
-        for objective in ("availability", "latency"):
-            short = burns[objective][short_label]
-            long = burns[objective][long_label]
+        for objective, short, long in zip(
+            ("availability", "latency"), self._burns(*short_sums), self._burns(*long_sums)
+        ):
             if (
                 short < self.objectives.alert_burn
                 or long < self.objectives.alert_burn_long
@@ -215,9 +232,7 @@ class SLOTracker:
     def snapshot(self) -> dict[str, object]:
         """JSON-able state for the ``slo`` stats block."""
         with self._lock:
-            total = self._total
-            avail_bad = self._avail_bad
-            latency_bad = self._latency_bad
+            total, avail_bad, latency_bad = self._counts
             alerts = self._alerts
         good = total - avail_bad
         return {

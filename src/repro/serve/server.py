@@ -994,7 +994,7 @@ class DisksServer:
         (their spans must describe a real dispatch), degraded clusters
         bypass it (partial answers must be neither served from nor
         admitted to it), and a miss dispatches in explain mode so the
-        admission carries the per-term distance maps subsumption
+        admission carries the per-term distance columns subsumption
         filters on.  Under tail sampling every query is traced, so the
         cache is probed anyway and a miss dispatches traced — the
         admission then carries no partials (exact-key entry only).  The

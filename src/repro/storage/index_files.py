@@ -21,7 +21,7 @@ import zlib
 from pathlib import Path
 
 from repro.core.fragment import Fragment
-from repro.core.npd import DLNodePolicy, NPDIndex, PortalDistance
+from repro.core.npd import DLNodePolicy, NPDIndex, ValueList
 from repro.exceptions import StorageError
 from repro.storage.codec import RecordReader, RecordWriter, pack_string, unpack_string
 from repro.text.inverted import FragmentKeywordIndex
@@ -62,21 +62,20 @@ class _CompressingWriter(RecordWriter):
             super().write(zlib.compress(payload, level=6))
 
 
-def _pack_pairs(pairs: tuple[PortalDistance, ...]) -> bytes:
-    chunks = [struct.pack("<I", len(pairs))]
-    chunks.extend(_PAIR.pack(pd.portal, pd.distance) for pd in pairs)
+def _pack_pairs(entry: ValueList) -> bytes:
+    portals, distances = entry
+    chunks = [struct.pack("<I", len(portals))]
+    chunks.extend(map(_PAIR.pack, portals, distances))
     return b"".join(chunks)
 
 
-def _unpack_pairs(buffer: bytes, offset: int) -> tuple[list[tuple[int, float]], int]:
+def _unpack_pairs(buffer: bytes, offset: int) -> list[tuple[int, float]]:
     (count,) = struct.unpack_from("<I", buffer, offset)
     offset += 4
-    pairs = []
-    for _ in range(count):
-        portal, dist = _PAIR.unpack_from(buffer, offset)
-        offset += _PAIR.size
-        pairs.append((portal, dist))
-    return pairs, offset
+    pairs = list(_PAIR.iter_unpack(buffer[offset : offset + count * _PAIR.size]))
+    if len(pairs) != count:
+        raise struct.error(f"DL record holds {len(pairs)} of its {count} pairs")
+    return pairs
 
 
 def write_index_file(index: NPDIndex, path: str | Path, *, compress: bool = False) -> int:
@@ -169,12 +168,10 @@ def read_index_file(path: str | Path) -> NPDIndex:
             tag = payload[:1]
             if tag == b"K":
                 keyword, offset = unpack_string(payload, 1)
-                pairs, _ = _unpack_pairs(payload, offset)
-                keyword_lists[keyword] = pairs
+                keyword_lists[keyword] = _unpack_pairs(payload, offset)
             elif tag == b"N":
                 (node,) = struct.unpack_from("<q", payload, 1)
-                pairs, _ = _unpack_pairs(payload, 1 + 8)
-                node_lists[node] = pairs
+                node_lists[node] = _unpack_pairs(payload, 1 + 8)
             else:
                 raise StorageError(f"unknown DL record tag {tag!r} in {path}")
         if len(keyword_lists) != kw_count or len(node_lists) != node_count:
@@ -195,11 +192,11 @@ def index_file_size(index: NPDIndex) -> int:
     record_overhead = 8  # length + crc framing per record
     size = record_overhead + len(_INDEX_MAGIC) + struct.calcsize("<qdBBII")
     size += record_overhead + 4 + _SHORTCUT.size * len(index.shortcuts)
-    for keyword, pairs in index.keyword_entries.items():
+    for keyword, (portals, _distances) in index.keyword_entries.items():
         size += record_overhead + 1 + 2 + len(keyword.encode("utf-8"))
-        size += 4 + _PAIR.size * len(pairs)
-    for _node, pairs in index.node_entries.items():
-        size += record_overhead + 1 + 8 + 4 + _PAIR.size * len(pairs)
+        size += 4 + _PAIR.size * len(portals)
+    for portals, _distances in index.node_entries.values():
+        size += record_overhead + 1 + 8 + 4 + _PAIR.size * len(portals)
     return size
 
 

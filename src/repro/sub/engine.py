@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.coverage import FragmentRuntime
-from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
+from repro.core.executor import execute_fragment_task, execute_fragment_task_explained, explanations
 from repro.core.queries import QClassQuery
 from repro.exceptions import DisksError
 from repro.live.epochs import EpochManager, EpochState, EpochSwap
@@ -230,11 +230,9 @@ class SubscriptionEngine:
         """Recompute one fragment's share of a subscription's answer."""
         runtime = self._runtimes[fragment_id]
         if subscription.scored:
-            task, explained = execute_fragment_task_explained(
-                runtime, subscription.query
-            )
-            if explained:
-                subscription.partials[fragment_id] = dict(explained)
+            _task, partial = execute_fragment_task_explained(runtime, subscription.query)
+            if partial[0]:
+                subscription.partials[fragment_id] = explanations(subscription.query, partial)
             else:
                 subscription.partials.pop(fragment_id, None)
         else:

@@ -98,7 +98,7 @@ def test_pipelined_cluster(deployment, pipe_wire, use_shm):
             query = parse_query(expression)
             explained = cluster.execute(query, explain=True)
             assert_exact(explained, expected[expression])
-            partial_nodes = {n for partial in (explained.partials or {}).values() for n in partial}
+            partial_nodes = {n for run, _ in (explained.partials or {}).values() for n in run}
             assert partial_nodes == expected[expression]
             traced = cluster.execute(query, trace=TraceContext(trace_id=new_trace_id()))
             assert_exact(traced, expected[expression])

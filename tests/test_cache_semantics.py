@@ -11,8 +11,12 @@ assertion.
 
 from __future__ import annotations
 
+import gc
 import math
+import pickle
 import random
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import SemanticResultCache, canonicalize, subsumes
 from repro.cache.keys import filter_answer
+from repro.cache.store import _entry_bytes
 from repro.core import (
     FragmentRuntime,
     NPDBuildConfig,
@@ -29,9 +34,12 @@ from repro.core import (
     parse_query,
 )
 from repro.core.executor import execute_fragment_task_explained
+from repro.core.runs import as_run
 from repro.live import AddKeyword, EpochManager, RemoveKeyword, SetEdgeWeight
-from repro.partition import BfsPartitioner
+from repro.partition import BfsPartitioner, MultilevelPartitioner
+from repro.serve import PipelinedCluster
 from repro.sub.registry import compute_scope
+from repro.workloads.datasets import load_dataset
 
 from helpers import make_random_network
 
@@ -212,13 +220,13 @@ class TestSubsumptionPredicate:
         entry = canonicalize(entry_query)
         probe = canonicalize(probe_query)
         assert subsumes(entry, probe)
-        merged: dict[int, tuple] = {}
+        merged: set[int] = set()
         for runtime in runtimes.values():
-            _result, explanations = execute_fragment_task_explained(
+            _result, partial = execute_fragment_task_explained(
                 runtime, entry_query
             )
-            merged.update(explanations)
-        assert filter_answer(entry, probe, merged) == harness.direct(probe_query)
+            merged.update(filter_answer(entry, probe, partial))
+        assert merged == harness.direct(probe_query)
 
 
 class TestStoreMechanics:
@@ -226,7 +234,8 @@ class TestStoreMechanics:
         query = parse_query(expression)
         hit, ticket = cache.probe(query)
         assert hit is None
-        partials = {0: {node: (1.0,) * len(query.terms) for node in nodes}}
+        run = as_run(nodes)
+        partials = {0: (run, [array("d", [1.0]) * len(run) for _ in query.terms])}
         return cache.admit(ticket, frozenset(nodes), partials)
 
     def test_lru_evicts_oldest_entry(self):
@@ -423,6 +432,37 @@ class TestDerivedEntries:
         answer, kind = harness.cached(parse_query(self.NARROW))
         assert kind == "miss"  # parent and derived both went with the swap
         assert target in answer and answer == harness.direct(parse_query(self.NARROW))
+
+
+class TestEntrySizeModel:
+    def test_entry_bytes_cover_what_a_real_explain_entry_holds(self):
+        """The byte budget bounds real memory: the size model charges at
+        least what a stored entry occupies, measured with tracemalloc."""
+        net = load_dataset("bri_tiny").network
+        fragments = build_fragments(net, MultilevelPartitioner(seed=0).partition(net, 4))
+        indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(lambda_factor=40.0))
+        a, b, c = load_dataset("bri_tiny").frequent_keywords(3)
+        radius = indexes[0].max_radius / 4
+        query = parse_query(
+            f"(NEAR({a}, {radius}) OR NEAR({b}, {radius})) NOT NEAR({c}, {radius / 2})"
+        )
+        cache = SemanticResultCache()
+        with PipelinedCluster.start(fragments, indexes, num_machines=2) as cluster:
+            _hit, ticket = cache.probe(query)
+            response = cluster.execute(query, explain=True)
+        assert cache.admit(ticket, response.result_run, response.partials)
+        entry = cache._entries[ticket.canonical.key]
+        assert len(entry.run) > 100 and entry.partials
+        blob = pickle.dumps((entry.run, entry.partials))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stored = pickle.loads(blob)
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del stored
+        assert _entry_bytes(entry.run, entry.partials) == entry.size_bytes >= resident
 
 
 class TestDifferential:

@@ -66,8 +66,8 @@ class TestDirectedIndexRules:
         for fragment, index in zip(engine.fragments, engine.indexes):
             for node, pairs in index.node_entries.items():
                 oracle = oracle_distances(net, [node])
-                for pd in pairs:
-                    assert pd.distance == pytest.approx(oracle[pd.portal])
+                for portal, distance in zip(*pairs):
+                    assert distance == pytest.approx(oracle[portal])
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 400))

@@ -55,10 +55,8 @@ class TestStrictTieRules:
         for rel, str_ in zip(relaxed, strict):
             assert set(str_.shortcuts) <= set(rel.shortcuts)
             for kw, pairs in str_.keyword_entries.items():
-                strict_pairs = {(pd.portal, pd.distance) for pd in pairs}
-                relaxed_pairs = {
-                    (pd.portal, pd.distance) for pd in rel.keyword_entries.get(kw, ())
-                }
+                strict_pairs = set(zip(*pairs))
+                relaxed_pairs = set(zip(*rel.keyword_entries.get(kw, ())))
                 assert strict_pairs <= relaxed_pairs
 
     @settings(max_examples=15, deadline=None)

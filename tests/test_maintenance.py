@@ -124,14 +124,14 @@ class TestAddKeyword:
         # The patched entry must agree with the rebuilt entry (same
         # portals, distances equal up to float summation order).
         for patched, fresh in zip(maintainer.indexes, rebuilt):
-            patched_pairs = patched.keyword_entries.get("brandnew", ())
-            fresh_pairs = fresh.keyword_entries.get("brandnew", ())
-            assert {pd.portal for pd in patched_pairs} == {
-                pd.portal for pd in fresh_pairs
+            patched_pairs = list(zip(*patched.keyword_entries.get("brandnew", ())))
+            fresh_pairs = list(zip(*fresh.keyword_entries.get("brandnew", ())))
+            assert {portal for portal, _d in patched_pairs} == {
+                portal for portal, _d in fresh_pairs
             }
-            fresh_by_portal = {pd.portal: pd.distance for pd in fresh_pairs}
-            for pd in patched_pairs:
-                assert pd.distance == pytest.approx(fresh_by_portal[pd.portal])
+            fresh_by_portal = dict(fresh_pairs)
+            for portal, distance in patched_pairs:
+                assert distance == pytest.approx(fresh_by_portal[portal])
 
     def test_add_existing_is_noop(self):
         maintainer = build_state(seed=30)
@@ -162,8 +162,8 @@ class TestAddKeyword:
         node = next(iter(maintainer.network.object_nodes()))
         maintainer.add_keyword(node, "near")
         for index in maintainer.indexes:
-            for pd in index.keyword_entries.get("near", ()):
-                assert pd.distance <= 3.0
+            for distance in index.keyword_entries.get("near", ((), ()))[1]:
+                assert distance <= 3.0
 
 
 class TestRemoveKeyword:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import networkx as nx
 import pytest
@@ -33,7 +34,6 @@ from repro.core import (
     build_npd_index,
 )
 from repro.core.coverage import FragmentRuntime
-from repro.core.npd import PortalDistance
 from repro.partition import BfsPartitioner, Partition
 from repro.search import shortest_path_distances
 from repro.search.dense import DenseSearch
@@ -124,8 +124,8 @@ class TestRule2DistanceLists:
             for pairs in list(index.keyword_entries.values()) + list(
                 index.node_entries.values()
             ):
-                for pd in pairs:
-                    assert pd.portal in fragment.portals
+                for portal in pairs[0]:
+                    assert portal in fragment.portals
 
     def test_dl_lists_sorted_by_distance(self):
         _net, _p, _fragments, indexes = build_case(seed=6)
@@ -133,7 +133,7 @@ class TestRule2DistanceLists:
             for pairs in list(index.keyword_entries.values()) + list(
                 index.node_entries.values()
             ):
-                dists = [pd.distance for pd in pairs]
+                dists = list(pairs[1])
                 assert dists == sorted(dists)
 
     def test_node_entries_are_outside_objects(self):
@@ -148,8 +148,8 @@ class TestRule2DistanceLists:
         for index in indexes:
             for node, pairs in index.node_entries.items():
                 oracle = oracle_distances(net, [node])
-                for pd in pairs:
-                    assert pd.distance == pytest.approx(oracle[pd.portal])
+                for portal, distance in zip(*pairs):
+                    assert distance == pytest.approx(oracle[portal])
 
     def test_keyword_entry_is_min_over_outside_nodes(self):
         net, _p, fragments, indexes = build_case(seed=9)
@@ -163,10 +163,10 @@ class TestRule2DistanceLists:
                 if not outside_nodes:
                     continue
                 oracle = oracle_distances(net, outside_nodes)
-                for pd in pairs:
+                for portal, distance in zip(*pairs):
                     # Recorded distance is a real path length, never below
                     # the true multi-source minimum.
-                    assert pd.distance >= oracle[pd.portal] - 1e-9
+                    assert distance >= oracle[portal] - 1e-9
 
     def test_max_radius_prunes_entries(self):
         _net, _p, _fragments, indexes = build_case(seed=10, max_radius=2.0)
@@ -174,8 +174,8 @@ class TestRule2DistanceLists:
             for pairs in list(index.keyword_entries.values()) + list(
                 index.node_entries.values()
             ):
-                for pd in pairs:
-                    assert pd.distance <= 2.0
+                for distance in pairs[1]:
+                    assert distance <= 2.0
             for _edge, w in index.shortcuts.items():
                 assert w <= 2.0
 
@@ -339,13 +339,11 @@ def expected_index(net, fragment, facts, *, max_radius, strict, policy):
             node_pairs.setdefault(p, {})[portal] = d
 
     def sealed(entries):
-        return {
-            key: tuple(
-                PortalDistance(portal, d)
-                for portal, d in sorted(pairs.items(), key=lambda kv: (kv[1], kv[0]))
-            )
-            for key, pairs in entries.items()
-        }
+        out = {}
+        for key, pairs in entries.items():
+            ordered = sorted(pairs.items(), key=lambda kv: (kv[1], kv[0]))
+            out[key] = (array("q", [p for p, _d in ordered]), array("d", [d for _p, d in ordered]))
+        return out
 
     return shortcuts, sealed(keyword_best), sealed(node_pairs)
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.obs.events import global_events
-from repro.obs.slo import DEFAULT_WINDOWS, SLOEngine, SLOObjectives, SLOTracker
+from repro.obs.slo import DEFAULT_WINDOWS, SLOEngine, SLOObjectives, SLOTracker, _BucketRing
 
 
 class FakeClock:
@@ -166,6 +168,42 @@ class TestMultiWindowAlert:
         tracker.record(False, 0.010)
         assert len(slo_burn_events()) == before + 2
         assert tracker.snapshot()["alerts"] == 2
+
+
+class TestRecordCost:
+    """``record`` is O(1) amortised: it never sums a window, least of all 1 h."""
+
+    def test_record_never_reads_the_hour_window(self):
+        read: list[int] = []
+
+        class SpyRing(_BucketRing):
+            def sums(self, now_second, window):
+                read.extend(range(now_second - window + 1, now_second + 1))
+                return super().sums(now_second, window)
+
+        clock = FakeClock()
+        tracker = SLOTracker("query", windows=DEFAULT_WINDOWS, clock=clock)
+        tracker._ring = SpyRing(DEFAULT_WINDOWS[-1][1])
+        for step in range(2000):
+            at = int(clock.now)
+            tracker.record(step % 7 != 0, 0.010)
+            # Only the few seconds that slid out of the 1m and 5m windows
+            # since the last request (1.7 s ago) are read.
+            assert all(at - 302 <= second <= at - 60 for second in read)
+            assert len(read) <= 6
+            read.clear()
+            clock.advance(1.7)
+        assert tracker.burn_rates()["availability"]["1h"] > 0  # the ring still has the hour
+
+    def test_running_sums_equal_the_ring(self):
+        clock = FakeClock()
+        tracker = make_tracker(clock)
+        rng = random.Random(5)
+        for _ in range(3000):
+            clock.advance(rng.choice([0.0, 0.0, 0.3, 1.0, 7.0, 45.0, 400.0]))
+            tracker.record(rng.random() > 0.1, rng.choice([0.01, 0.5]))
+            for sums, (_label, seconds) in zip(tracker._alert_sums, WINDOWS):
+                assert tuple(sums) == tracker._ring.sums(int(clock.now), seconds)
 
 
 class TestEngine:

@@ -227,10 +227,10 @@ class TestWorkerMain:
         kind, body, _sent = ask(worker, "explain", (3, query, None, 0, (1,)))
         request_id, reply, _elapsed, attempt, spans = body
         assert (kind, request_id, attempt, spans) == ("results", 3, 0, None)
-        ((fragment_id, partial, _seconds),) = reply
+        ((fragment_id, (run, columns), _seconds),) = reply
         assert fragment_id == 1
-        assert sorted(partial) == list(expected_runs(built, query, (1,))[0])
-        assert all(len(distances) == 2 for distances in partial.values())
+        assert list(run) == list(expected_runs(built, query, (1,))[0])
+        assert len(columns) == 2 and all(len(column) == len(run) for column in columns)
 
     def test_apply_seeds_then_query(self, built, worker):
         net, partition, fragments, indexes = built

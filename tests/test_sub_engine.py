@@ -18,6 +18,7 @@ from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
 from repro.core.executor import (
     execute_fragment_task,
     execute_fragment_task_explained,
+    explanations,
 )
 from repro.core.queries import rkq, sgkq
 from repro.exceptions import DisksError
@@ -60,8 +61,8 @@ def fresh_answer(manager: EpochManager, query) -> frozenset[int]:
 def fresh_scores(manager: EpochManager, query) -> dict:
     merged: dict = {}
     for runtime in manager.state.runtimes():
-        _task, explained = execute_fragment_task_explained(runtime, query)
-        merged.update(explained)
+        _task, partial = execute_fragment_task_explained(runtime, query)
+        merged.update(explanations(query, partial))
     return merged
 
 

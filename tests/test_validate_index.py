@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from repro.core import (
     build_fragments,
     validate_index,
 )
-from repro.core.npd import DLNodePolicy, NPDIndex, PortalDistance
+from repro.core.npd import DLNodePolicy
 from repro.exceptions import IndexBuildError
 from repro.partition import BfsPartitioner
 
@@ -83,15 +84,12 @@ class TestCorruptionDetected:
         net, fragments, indexes = self._fresh()
         index = indexes[0]
         keyword = next(iter(index.keyword_entries))
-        pairs = index.keyword_entries[keyword]
-        if len(pairs) < 2:
-            portals = sorted(fragments[0].portals)[:2]
-            pairs = (
-                PortalDistance(portals[0], 2.0),
-                PortalDistance(portals[-1], 1.0),
-            )
+        portals, distances = index.keyword_entries[keyword]
+        if len(portals) < 2:
+            ends = sorted(fragments[0].portals)[:2]
+            pairs = (array("q", [ends[0], ends[-1]]), array("d", [2.0, 1.0]))
         else:
-            pairs = tuple(reversed(pairs))
+            pairs = (array("q", reversed(portals)), array("d", reversed(distances)))
         index.keyword_entries[keyword] = pairs
         with pytest.raises(IndexBuildError):
             validate_index(fragments[0], index)
@@ -102,7 +100,7 @@ class TestCorruptionDetected:
         non_portal = next(
             n for n in fragments[0].members if n not in fragments[0].portals
         )
-        index.keyword_entries["bogus"] = (PortalDistance(non_portal, 1.0),)
+        index.keyword_entries["bogus"] = (array("q", [non_portal]), array("d", [1.0]))
         with pytest.raises(IndexBuildError):
             validate_index(fragments[0], index)
 
@@ -111,7 +109,8 @@ class TestCorruptionDetected:
         index = indexes[0]
         member_portal = next(iter(fragments[0].portals))
         index.node_entries[next(iter(fragments[0].members))] = (
-            PortalDistance(member_portal, 1.0),
+            array("q", [member_portal]),
+            array("d", [1.0]),
         )
         with pytest.raises(IndexBuildError):
             validate_index(fragments[0], index)
