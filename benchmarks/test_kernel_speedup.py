@@ -105,7 +105,7 @@ def _evaluate_masks(runtime: FragmentRuntime, batches) -> list[int]:
     """The compiled searches read as dense-id bitmasks, no dicts built."""
     masks = []
     for terms in batches:
-        masks.extend(int.from_bytes(state[0], "little") for state in settle_terms(runtime, terms))
+        masks.extend(runtime.kernel.mask(state[0]) for state in settle_terms(runtime, terms))
     return masks
 
 

@@ -25,14 +25,18 @@ Two interchangeable evaluators produce the step-3 search:
   :func:`~repro.search.dijkstra.shortest_path_distances`, kept as the
   executable spec the differential tests pin the kernel against.
 
-:func:`settle_term` is the one entry point to both (radius guard,
-coverage cache, evaluator); distance maps are bit-identical either way,
-see ``tests/test_kernel.py``.
+:func:`settle_term` is the one entry point to both (radius guard, then
+evaluator) and returns the full state, as explain and top-k need;
+:func:`term_members` returns only the term's membership, from the
+:class:`CoverageCache` when it holds the term, as set-valued queries
+need.  Distance maps are bit-identical either way, see
+``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -48,11 +52,15 @@ __all__ = [
     "CoverageCache",
     "FragmentRuntime",
     "batch_distance_maps",
+    "coverage_members",
     "local_coverage",
     "local_distance_map",
+    "member_count",
+    "members_of",
     "settle_term",
     "settle_terms",
     "sum_cache_stats",
+    "term_members",
 ]
 
 
@@ -66,72 +74,95 @@ class CoverageStats:
 
 
 class CacheStats(NamedTuple):
-    """Coverage-cache counters: ``(hits, misses, skipped)``.
-
-    ``skipped`` counts coverages *not* cached because they exceeded the
-    runtime's ``cache_max_entry_nodes`` guard.
-    """
+    """Coverage-cache counters: ``(hits, misses)``."""
 
     hits: int
     misses: int
-    skipped: int
+
+
+_RADIUS = struct.Struct("<d").pack
+
+
+def _source_key(source) -> bytes:
+    if isinstance(source, KeywordSource):
+        return b"k" + source.keyword.encode()
+    return b"n" + str(source.node).encode()
+
+
+def _entry_key(term: CoverageTerm) -> bytes:
+    """``(source, radius)`` as one small bytes object: the cache's key.
+
+    About 50 bytes where a :class:`CoverageTerm` kept alive with its
+    source, keyword and radius objects costs over 250, so an entry costs
+    its mask plus under 128 bytes (``tests/test_term_cache.py`` pins
+    it).  Layout: ``_source_key(source) + radius``; the radius is the
+    fixed-size 8-byte suffix, so the key is unambiguous.
+    """
+    return _source_key(term.source) + _RADIUS(term.radius)
 
 
 class CoverageCache:
-    """LRU of settled coverages keyed by coverage term; capacity 0 = off.
+    """LRU of settled coverage *sets* keyed by coverage term; capacity 0 = off.
 
-    Holds whatever :func:`settle_term` got from the runtime's evaluator.
-    ``last`` names the outcome of the most recent lookup-then-store
-    (``hit``/``miss``/``skip``, or ``off``) for the traced ``eval`` span.
+    An entry is the term's membership only — on a compiled runtime the
+    kernel's dense-id bitmask (at most ⌈n/8⌉ bytes, see
+    :meth:`FragmentKernel.mask`), on a reference runtime a frozenset of
+    member ids — and never a distance list: explain and top-k read
+    distances and settle afresh.  Entries are a pure function of the
+    kernel's seed lists and CSR, so a seed-list patch invalidates exactly
+    the sources it rewrites (:meth:`discard`).  ``last`` names the
+    outcome of the most recent lookup (``hit``/``miss``, or ``off``) for
+    the traced ``eval`` span.
     """
 
-    def __init__(self, capacity: int = 0, max_entry_nodes: int | None = None) -> None:
+    def __init__(self, capacity: int = 0) -> None:
         self._capacity = max(0, capacity)
-        self._max_entry_nodes = max_entry_nodes
-        self._entries: dict[CoverageTerm, object] = {}
-        self.hits = self.misses = self.skipped = 0
+        self._entries: dict[bytes, object] = {}
+        self.hits = self.misses = 0
         self.last = "off"
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
-        """``(hits, misses, skipped)`` so far."""
-        return CacheStats(self.hits, self.misses, self.skipped)
+        """``(hits, misses)`` so far."""
+        return CacheStats(self.hits, self.misses)
 
     def clear(self) -> None:
         """Drop every entry (counters survive)."""
         self._entries.clear()
 
+    def discard(self, sources) -> None:
+        """Drop the entries of every term whose source is in ``sources``."""
+        stale = {_source_key(source) for source in sources}
+        for key in [key for key in self._entries if key[:-8] in stale]:
+            del self._entries[key]
+
     def get(self, term: CoverageTerm):
-        """The cached coverage for ``term`` (refreshing its LRU slot) or None."""
+        """The cached members of ``term`` (refreshing its LRU slot) or None."""
         if not self._capacity:
             return None
-        found = self._entries.pop(term, None)
+        key = _entry_key(term)
+        found = self._entries.pop(key, None)
         if found is None:
             self.misses += 1
             self.last = "miss"
             return None
-        self._entries[term] = found  # reinsert: most recently used
+        self._entries[key] = found  # reinsert: most recently used
         self.hits += 1
         self.last = "hit"
         return found
 
-    def put(self, term: CoverageTerm, found) -> None:
-        """Cache a coverage, evicting the LRU entry if full.
-
-        Coverages larger than ``max_entry_nodes`` are not cached — they
-        are the fragment-sized outliers that would evict many small hot
-        entries at once; the skip is counted.
-        """
+    def put(self, term: CoverageTerm, members) -> None:
+        """Cache a term's members, evicting the LRU entry if full."""
         if not self._capacity:
             return
-        if self._max_entry_nodes is not None and _settled_count(found) > self._max_entry_nodes:
-            self.skipped += 1
-            self.last = "skip"
-            return
-        self._entries.pop(term, None)
+        key = _entry_key(term)
+        self._entries.pop(key, None)
         while len(self._entries) >= self._capacity:
             del self._entries[next(iter(self._entries))]
-        self._entries[term] = found
+        self._entries[key] = members
 
 
 class FragmentRuntime:
@@ -145,11 +176,8 @@ class FragmentRuntime:
 
     ``cache_capacity`` enables an LRU :class:`CoverageCache` keyed by
     ``(source, radius)`` — query workloads repeat popular keywords at
-    common radiuses, so hits skip the whole local Dijkstra.
-    ``cache_max_entry_nodes`` bounds how large a coverage may be and
-    still be cached: popular wide-radius terms can settle most of the
-    fragment, and a handful of such entries would dominate worker memory
-    for little hit-rate gain.  Skips are counted in the cache's ``stats``.
+    common radiuses, so set-valued hits skip the whole local Dijkstra.
+    It stays 0 (off) by default; serving workers size it themselves.
 
     Staleness: in-place index mutations (every
     :class:`repro.core.maintenance.KeywordMaintainer` operation) bump
@@ -168,7 +196,6 @@ class FragmentRuntime:
         index: NPDIndex,
         *,
         cache_capacity: int = 0,
-        cache_max_entry_nodes: int | None = None,
         compiled: bool = True,
     ) -> None:
         if fragment.fragment_id != index.fragment_id:
@@ -181,7 +208,7 @@ class FragmentRuntime:
         self._compiled = bool(compiled)
         self._kernel: FragmentKernel | None = None
         self._index_version = index.version
-        self._cache = CoverageCache(cache_capacity, cache_max_entry_nodes)
+        self._cache = CoverageCache(cache_capacity)
         self._build_extended()
         if self._compiled:
             self._kernel = FragmentKernel(fragment, index)
@@ -325,33 +352,50 @@ def _reference_distances(
     return distances
 
 
-def _settled_count(found) -> int:
-    return len(found) if isinstance(found, dict) else found[2]
+def members_of(runtime, found):
+    """A settled state's membership: the kernel's bitmask, or a frozenset.
+
+    What :func:`term_members` returns and the coverage cache holds.
+    """
+    return frozenset(found) if isinstance(found, dict) else runtime.kernel.mask(found[0])
+
+
+def member_count(members) -> int:
+    """How many nodes a membership (bitmask or frozenset) holds."""
+    return members.bit_count() if isinstance(members, int) else len(members)
 
 
 def settle_term(runtime, term: CoverageTerm, stats: CoverageStats | None = None):
-    """Evaluate one coverage term on one fragment — the single entry point.
+    """Settle one coverage term afresh: its full state, distances included.
 
-    Radius guard, coverage cache, then the runtime's evaluator.  A
-    compiled runtime returns the kernel's dense ``(marks, dist, count)``
-    state (see :meth:`FragmentKernel.settle`), a reference runtime its
-    ``{member: distance}`` dict; :func:`local_distance_map` reads either
-    as a distance map.
+    Radius guard, then the runtime's evaluator.  A compiled runtime
+    returns the kernel's dense ``(marks, dist, count)`` state (see
+    :meth:`FragmentKernel.settle`), a reference runtime its ``{member:
+    distance}`` dict; :func:`local_distance_map` reads either as a
+    distance map.  The coverage cache holds no distances, so this path
+    never touches it.
     """
     if term.radius > runtime.max_radius:
         raise RadiusExceededError(term.radius, runtime.max_radius)
-    cache = runtime.coverage_cache
-    found = cache.get(term)
-    if found is not None:
-        if stats is not None:
-            stats.settled_nodes += _settled_count(found)
-        return found
     if runtime.compiled:
-        found = runtime.kernel.settle(term, stats)
-    else:
-        found = _reference_distances(runtime, term, stats)
-    cache.put(term, found)
-    return found
+        return runtime.kernel.settle(term, stats)
+    return _reference_distances(runtime, term, stats)
+
+
+def term_members(runtime, term: CoverageTerm, stats: CoverageStats | None = None):
+    """One term's membership ``R(source, r) ∩ P``: a cache hit or a fresh settle.
+
+    The read set-valued queries take.  A compiled runtime answers with a
+    dense-id bitmask (:meth:`FragmentKernel.run` turns it into nodes), a
+    reference runtime with a frozenset of member ids.  A hit settles
+    nothing, so it adds nothing to ``stats``.
+    """
+    cache = runtime.coverage_cache
+    members = cache.get(term)
+    if members is None:
+        members = members_of(runtime, settle_term(runtime, term, stats))
+        cache.put(term, members)
+    return members
 
 
 def _distance_view(runtime, found) -> dict[int, float]:
@@ -365,7 +409,8 @@ def local_distance_map(
 ) -> dict[int, float]:
     """Exact distances from the term's source to members within the radius.
 
-    The returned map is ``{A ∈ P : d(A, source) ≤ r} -> d(A, source)``.
+    The returned map is ``{A ∈ P : d(A, source) ≤ r} -> d(A, source)``,
+    always from a fresh settle.
     """
     return _distance_view(runtime, settle_term(runtime, term, stats))
 
@@ -376,6 +421,22 @@ def _describe_source(term: CoverageTerm) -> str:
 
 
 def settle_terms(
+    runtime, terms: Sequence[CoverageTerm], stats: CoverageStats | None = None
+) -> list:
+    """:func:`settle_term` for every term of one query, in term order.
+
+    Duplicate ``(source, radius)`` terms — common in machine-written
+    expressions such as ``AND(cafe:2, OR(cafe:2, fuel:3))`` — are
+    settled once.
+    """
+    memo: dict[CoverageTerm, object] = {}
+    for term in terms:
+        if term not in memo:
+            memo[term] = settle_term(runtime, term, stats)
+    return [memo[term] for term in terms]
+
+
+def coverage_members(
     runtime,
     terms: Sequence[CoverageTerm],
     stats: CoverageStats | None = None,
@@ -383,23 +444,20 @@ def settle_terms(
     collector=None,
     parent_id: str | None = None,
 ) -> list:
-    """:func:`settle_term` for every term of one query, in term order.
+    """:func:`term_members` for every term of one query, in term order.
 
-    How executors evaluate a k-term D-function: duplicate ``(source,
-    radius)`` terms — common in machine-written expressions such as
-    ``AND(cafe:2, OR(cafe:2, fuel:3))`` — are evaluated once.
-
-    ``collector`` (a :class:`repro.obs.trace.SpanCollector`, duck-typed
-    so this module stays obs-agnostic) records one ``eval`` span per
-    *evaluated* term, tagged with the term's source/radius, the
-    settled-node count and ``cache=hit|miss|skip|off``.
+    How executors evaluate a set-valued D-function; duplicate terms are
+    read once.  ``collector`` (a :class:`repro.obs.trace.SpanCollector`,
+    duck-typed so this module stays obs-agnostic) records one ``eval``
+    span per *distinct* term, tagged with the term's source/radius, its
+    member count (``settled``) and ``cache=hit|miss|off``.
     """
     memo: dict[CoverageTerm, object] = {}
     for i, term in enumerate(terms):
         if term in memo:
             continue
         if collector is None:
-            memo[term] = settle_term(runtime, term, stats)
+            memo[term] = term_members(runtime, term, stats)
             continue
         with collector.span(
             "eval",
@@ -409,9 +467,9 @@ def settle_terms(
             source=_describe_source(term),
             radius=term.radius,
         ) as span:
-            memo[term] = settle_term(runtime, term, stats)
+            memo[term] = term_members(runtime, term, stats)
         span.tags["cache"] = runtime.coverage_cache.last
-        span.tags["settled"] = _settled_count(memo[term])
+        span.tags["settled"] = member_count(memo[term])
     return [memo[term] for term in terms]
 
 
@@ -427,5 +485,9 @@ def local_coverage(
     term: CoverageTerm,
     stats: CoverageStats | None = None,
 ) -> set[int]:
-    """The fragment-local keyword coverage ``R(source, r) ∩ P``."""
-    return set(local_distance_map(runtime, term, stats))
+    """The fragment-local keyword coverage ``R(source, r) ∩ P``.
+
+    Set-valued, so served from the coverage cache when it holds the term.
+    """
+    members = term_members(runtime, term, stats)
+    return set(runtime.kernel.run(members) if isinstance(members, int) else members)

@@ -58,10 +58,7 @@ class EngineConfig:
     strict_keywords:
         Unknown query keywords raise instead of yielding empty coverages.
     coverage_cache_capacity:
-        Per-fragment LRU size for coverage distance maps (0 disables).
-    coverage_cache_max_entry_nodes:
-        Skip caching distance maps larger than this many nodes (None
-        caches everything); skips show up in the cache stats.
+        Per-fragment LRU size for coverage memberships (0 disables).
     compiled:
         Evaluate coverage through the packed per-fragment kernel
         (:mod:`repro.core.kernel`).  Defaults on; ``False`` selects the
@@ -79,7 +76,6 @@ class EngineConfig:
     network_model: NetworkModel | None = None
     strict_keywords: bool = True
     coverage_cache_capacity: int = 0
-    coverage_cache_max_entry_nodes: int | None = None
     compiled: bool = True
 
     def build_config(self) -> NPDBuildConfig:
@@ -161,7 +157,6 @@ class DisksEngine:
             num_machines=config.num_machines,
             network=config.network_model,
             cache_capacity=config.coverage_cache_capacity,
-            cache_max_entry_nodes=config.coverage_cache_max_entry_nodes,
             compiled=config.compiled,
         )
         self._unbounded_cluster = (
@@ -171,7 +166,6 @@ class DisksEngine:
                 num_machines=config.num_machines,
                 network=config.network_model,
                 cache_capacity=config.coverage_cache_capacity,
-                cache_max_entry_nodes=config.coverage_cache_max_entry_nodes,
                 compiled=config.compiled,
             )
             if bilevel.unbounded is not None

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, nextafter
 
-from repro.core.coverage import CoverageStats, FragmentRuntime, settle_terms
+from repro.core.coverage import (
+    CoverageStats,
+    FragmentRuntime,
+    coverage_members,
+    member_count,
+    members_of,
+    settle_terms,
+)
 from repro.core.queries import QClassQuery
 from repro.core.runs import as_run
 
@@ -68,36 +75,13 @@ class FragmentTaskResult:
         return frozenset(self.run)
 
 
-def _apply_dfunction(runtime, query: QClassQuery, settled: list):
-    """``(run, coverage sizes, dense-id result mask or None)`` from settled terms."""
+def _apply_dfunction(runtime, query: QClassQuery, members: list):
+    """``(run, coverage sizes, dense-id result mask or None)`` from term memberships."""
+    sizes = tuple(map(member_count, members))
     if runtime.compiled:
-        masks = [int.from_bytes(marks, "little") for marks, _dist, _count in settled]
-        mask = query.expression.evaluate_masks(masks)
-        return runtime.kernel.run(mask), tuple(count for _marks, _dist, count in settled), mask
-    run = as_run(query.expression.evaluate([set(distances) for distances in settled]))
-    return run, tuple(len(distances) for distances in settled), None
-
-
-def _run_task(runtime, query: QClassQuery, collector=None, parent_id: str | None = None):
-    """One task: ``(FragmentTaskResult, settled terms, result mask)``."""
-    started = time.perf_counter()
-    stats = CoverageStats()
-    fragment_id = runtime.fragment.fragment_id
-    if collector is None:
-        # Batched term evaluation: every term of the query runs through
-        # the same kernel instance, duplicates memoised.
-        settled = settle_terms(runtime, query.terms, stats)
-        run, sizes, mask = _apply_dfunction(runtime, query, settled)
-    else:
-        with collector.span("task", parent_id=parent_id, fragment_id=fragment_id) as task_span:
-            settled = settle_terms(
-                runtime, query.terms, stats, collector=collector, parent_id=task_span.span_id
-            )
-            with collector.span("union", parent_id=task_span.span_id, fragment_id=fragment_id):
-                run, sizes, mask = _apply_dfunction(runtime, query, settled)
-            task_span.tags["result_nodes"] = len(run)
-    result = FragmentTaskResult(fragment_id, run, sizes, time.perf_counter() - started, stats)
-    return result, settled, mask
+        mask = query.expression.evaluate_masks(members)
+        return runtime.kernel.run(mask), sizes, mask
+    return as_run(query.expression.evaluate(members)), sizes, None
 
 
 def execute_fragment_task(
@@ -109,15 +93,31 @@ def execute_fragment_task(
 ) -> FragmentTaskResult:
     """Run ``query`` on one fragment and return its local result.
 
+    Terms are read as memberships (:func:`~repro.core.coverage.
+    coverage_members`), so a term the fragment's coverage cache holds
+    costs a dict hit instead of a search.
+
     ``collector`` (a :class:`repro.obs.trace.SpanCollector`, duck-typed)
     opts into stage tracing: one ``task`` span per fragment wrapping
-    per-term ``eval`` spans (see
-    :func:`~repro.core.coverage.settle_terms`) and one ``union`` span
-    for the D-expression evaluation.  The evaluation itself is
-    identical either way — tracing only observes, so answers are
-    bit-identical with it on or off.
+    per-term ``eval`` spans and one ``union`` span for the D-expression
+    evaluation.  The evaluation itself is identical either way — tracing
+    only observes, so answers are bit-identical with it on or off.
     """
-    return _run_task(runtime, query, collector, parent_id)[0]
+    started = time.perf_counter()
+    stats = CoverageStats()
+    fragment_id = runtime.fragment.fragment_id
+    if collector is None:
+        members = coverage_members(runtime, query.terms, stats)
+        run, sizes, _mask = _apply_dfunction(runtime, query, members)
+    else:
+        with collector.span("task", parent_id=parent_id, fragment_id=fragment_id) as task_span:
+            members = coverage_members(
+                runtime, query.terms, stats, collector=collector, parent_id=task_span.span_id
+            )
+            with collector.span("union", parent_id=task_span.span_id, fragment_id=fragment_id):
+                run, sizes, _mask = _apply_dfunction(runtime, query, members)
+            task_span.tags["result_nodes"] = len(run)
+    return FragmentTaskResult(fragment_id, run, sizes, time.perf_counter() - started, stats)
 
 
 def execute_fragment_task_explained(
@@ -128,20 +128,27 @@ def execute_fragment_task_explained(
     The second return value is the fragment's partial ``(run, columns)``:
     ``columns[i][j]`` is ``d(run[j], source_i)`` where that node lies
     inside term ``i``'s coverage, and ``nextafter(radius_i, inf)`` where
-    it does not (e.g. the excluded side of a subtraction term).
+    it does not (e.g. the excluded side of a subtraction term).  The
+    distances need full search states, so every term is settled afresh,
+    bypassing the coverage cache.
     """
-    result, settled, mask = _run_task(runtime, query)
-    began = time.perf_counter()
+    started = time.perf_counter()
+    stats = CoverageStats()
+    settled = settle_terms(runtime, query.terms, stats)
+    members = [members_of(runtime, found) for found in settled]
+    run, sizes, mask = _apply_dfunction(runtime, query, members)
     radii = [term.radius for term in query.terms]
     if runtime.compiled:
         columns = runtime.kernel.columns(mask, settled, radii)
     else:
         columns = [
-            array("d", [found.get(node, nextafter(radius, inf)) for node in result.run])
+            array("d", [found.get(node, nextafter(radius, inf)) for node in run])
             for found, radius in zip(settled, radii)
         ]
-    result.wall_seconds += time.perf_counter() - began
-    return result, (result.run, columns)
+    result = FragmentTaskResult(
+        runtime.fragment.fragment_id, run, sizes, time.perf_counter() - started, stats
+    )
+    return result, (run, columns)
 
 
 def explanations(query: QClassQuery, partial) -> dict[int, tuple[float | None, ...]]:

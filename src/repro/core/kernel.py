@@ -29,11 +29,12 @@ evaluations allocate two flat objects per search and nothing per node:
   relaxation is the single test ``nd < dist[v]`` (it implies
   ``nd <= radius``) and no clearing or stamping is ever needed.  Both
   views of a coverage come from that one state: set-valued queries take
-  ``int.from_bytes(marks)`` as a mask and combine masks with ``|``,
-  ``&``, ``& ~``; top-k callers take :meth:`distances`, explain callers
-  :meth:`columns`.  Dense ids follow sorted global order, so :meth:`run`
-  turns a result mask into an already-sorted ``array('Q')`` of global
-  ids.
+  :meth:`mask` — one bit per dense id, so at most ⌈n/8⌉ bytes, small
+  enough to keep in a per-fragment cache — and combine masks with
+  ``|``, ``&``, ``& ~``; top-k callers take :meth:`distances`, explain
+  callers :meth:`columns`.  Dense ids follow sorted global order, so
+  :meth:`run` turns a result mask into an already-sorted ``array('Q')``
+  of global ids.
 * **Bounded bucket queue** — every coverage search is truncated at the
   term radius (at most ``maxR`` on a bounded level, Theorem 3), and
   edge weights have a positive minimum ``δ``, so the frontier fits a
@@ -76,6 +77,10 @@ __all__ = ["FragmentKernel"]
 # is allocated: every view of it (mask 0, ``{}``) falls out of the
 # ordinary code.
 _NOTHING: tuple[bytes, tuple, int] = (b"", (), 0)
+
+# Marks (0/1 bytes) <-> base-2 digits, for the bitmask conversions.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class FragmentKernel:
@@ -289,11 +294,11 @@ class FragmentKernel:
 
         ``marks[v] == 1`` iff dense node ``v`` lies within the radius,
         and then ``dist[v]`` is its exact distance; ``count`` is how many
-        do.  Every caller reads this one state — ``int.from_bytes(marks,
-        "little")`` is the coverage mask, :meth:`distances` the
-        ``{member: distance}`` map — so there is a single search path
-        whatever the query needs.  ``stats`` is an optional
-        :class:`~repro.core.coverage.CoverageStats` to update.
+        do.  Every caller reads this one state — :meth:`mask` is the
+        coverage bitmask, :meth:`distances` the ``{member: distance}``
+        map — so there is a single search path whatever the query needs.
+        ``stats`` is an optional :class:`~repro.core.coverage.CoverageStats`
+        to update.
         """
         radius = term.radius
         source = term.source
@@ -338,6 +343,15 @@ class FragmentKernel:
             stats.settled_nodes += settled
         return marks, dist, settled
 
+    @staticmethod
+    def mask(marks) -> int:
+        """The bitmask of one settled state: bit ``v`` set iff ``marks[v]``.
+
+        Three C-level passes over the ``n`` marks (bytes to ASCII digits,
+        reversed, parsed in base 2); the int holds ⌈n/8⌉ bytes of bits.
+        """
+        return int(marks.translate(_TO_DIGITS)[::-1], 2) if marks else 0
+
     def distances(self, marks, dist) -> dict[int, float]:
         """The exact ``{member: distance}`` map of one settled state."""
         if marks.count(1) * 32 > len(marks):
@@ -345,10 +359,10 @@ class FragmentKernel:
         return {self._globals[i]: dist[i] for i in _hops(marks)}
 
     def run(self, mask: int) -> array:
-        """The sorted global-id run of a dense-id mask (one byte per node)."""
+        """The sorted global-id run of a dense-id bitmask."""
         if not mask:
             return EMPTY_RUN
-        raw = mask.to_bytes(self.num_nodes, "little")
+        raw = _marks_of(mask)
         if mask.bit_count() * 32 > self.num_nodes:
             return array("Q", compress(self._globals, raw))
         return array("Q", map(self._globals.__getitem__, _hops(raw)))
@@ -362,7 +376,7 @@ class FragmentKernel:
         the radius" — where it does not (a state with no seed in reach
         has no ``dist`` to read it from).
         """
-        raw = mask.to_bytes(self.num_nodes, "little")
+        raw = _marks_of(mask)
         return [
             array("d", compress(dist, raw))
             if dist
@@ -426,6 +440,11 @@ class FragmentKernel:
                 if nd < dist[v]:
                     dist[v] = nd
                     push(heap, (nd, v))
+
+
+def _marks_of(mask: int) -> bytes:
+    """A bitmask back as marks, one 0/1 byte per dense id up to its top bit."""
+    return format(mask, "b").encode()[::-1].translate(_FROM_DIGITS)
 
 
 def _hops(marks):

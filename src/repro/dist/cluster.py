@@ -39,7 +39,6 @@ class SimulatedCluster:
         num_machines: int | None = None,
         network: NetworkModel | None = None,
         cache_capacity: int = 0,
-        cache_max_entry_nodes: int | None = None,
         compiled: bool = True,
     ) -> "SimulatedCluster":
         """Build a cluster hosting ``fragments`` with their ``indexes``."""
@@ -61,7 +60,6 @@ class SimulatedCluster:
                     fragment,
                     index,
                     cache_capacity=cache_capacity,
-                    cache_max_entry_nodes=cache_max_entry_nodes,
                     compiled=compiled,
                 )
             )

@@ -52,12 +52,12 @@ from dataclasses import dataclass
 from multiprocessing import Pipe, Process, get_context
 from multiprocessing.connection import Connection
 
-from repro.core.coverage import FragmentRuntime, sum_cache_stats
+from repro.core.coverage import CacheStats, FragmentRuntime, sum_cache_stats
 from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
 from repro.core.fragment import Fragment
 from repro.core.kernel import FragmentKernel
 from repro.core.npd import NPDIndex
-from repro.core.queries import QClassQuery
+from repro.core.queries import KeywordSource, NodeSource, QClassQuery
 from repro.core.runs import RunAnswer, as_run, merge_runs
 from repro.dist.network import NetworkModel
 from repro.exceptions import ClusterError
@@ -66,6 +66,7 @@ from repro.shm import SharedSegmentStore, ShmWorkerRuntimes
 
 __all__ = [
     "APPLY_KINDS",
+    "TERM_CACHE_ENTRIES",
     "PipelinedResponse",
     "PendingQuery",
     "PendingApply",
@@ -80,6 +81,10 @@ __all__ = [
 
 _DEFAULT_TIMEOUT = 120.0
 APPLY_KINDS = ("apply_shm", "apply_seeds", "apply")
+# Coverage-cache entries per hosted fragment on a serving worker.  An
+# entry is one term's membership mask (at most ⌈n/8⌉ bytes), never a
+# distance list, so a full cache costs about 256 × (n/8 + 100) bytes.
+TERM_CACHE_ENTRIES = 256
 
 
 def spawn_workers(
@@ -205,15 +210,20 @@ def build_worker_runtimes(mode: str, data, compiled: bool):
     the pipe, and the flat arrays are mapped, not copied.  Returns
     ``(registry, runtimes)`` — the registry is ``None`` in pickle mode
     and the attach point for ``apply_shm`` epoch swaps otherwise.
+
+    Either way each runtime keeps a coverage cache of
+    :data:`TERM_CACHE_ENTRIES` term masks: the §6 query stream repeats
+    popular ``(keyword, radius)`` terms, and a hit replaces the term's
+    bounded search with a dict lookup.
     """
     if mode == "shm":
-        registry = ShmWorkerRuntimes()
+        registry = ShmWorkerRuntimes(TERM_CACHE_ENTRIES)
         registry.attach(data)
         return registry, registry.runtimes()
     if mode != "pickle":
         raise ClusterError(f"unknown worker startup mode {mode!r}")
     runtimes = [
-        FragmentRuntime(fragment, index, compiled=compiled)
+        FragmentRuntime(fragment, index, cache_capacity=TERM_CACHE_ENTRIES, compiled=compiled)
         for fragment, index in data
     ]
     return None, runtimes
@@ -228,6 +238,13 @@ def apply_epoch(kind: str, data, registry, runtimes: list) -> tuple[list, list[i
     ``apply`` refreshes pickled runtimes from ``(fragment, index)`` pairs.
     Runs between two queries of a serial worker, so each query sees one
     epoch.
+
+    Coverage caches follow the seed lists: a patch drops exactly the
+    entries of the sources it rewrites — ``KeywordSource`` per keyword
+    key, ``NodeSource`` per DL-node key — since a cached mask is a pure
+    function of the kernel's seed lists and CSR.  An attached segment is
+    a new runtime and a refreshed one drops its cache, so both start
+    empty.
     """
     if kind == "apply_shm":
         swapped = registry.attach(data)
@@ -236,7 +253,11 @@ def apply_epoch(kind: str, data, registry, runtimes: list) -> tuple[list, list[i
     swapped = []
     if kind == "apply_seeds":
         for fragment_id, patch in data.items():
-            hosted[fragment_id].kernel.apply_seed_patch(patch)
+            runtime = hosted[fragment_id]
+            runtime.kernel.apply_seed_patch(patch)
+            runtime.coverage_cache.discard(
+                KeywordSource(key) if isinstance(key, str) else NodeSource(key) for key in patch
+            )
             swapped.append(fragment_id)
         return runtimes, swapped
     for fragment, index in data:
@@ -351,7 +372,6 @@ def worker_main(connection: Connection, payload: bytes) -> None:
                     elapsed = time.perf_counter() - received
                     out = ("applied", (request_id, epoch, swapped, elapsed))
                 elif kind == "cache_stats":
-                    # Serving runtimes run cacheless; the reply shape holds.
                     out = ("stats", (request_id, sum_cache_stats(runtimes)))
                 elif kind in ("query", "explain"):
                     _request_id, query, trace_wire, *target = body
@@ -526,7 +546,7 @@ class _InFlightStats:
     def __init__(self, awaiting: set[int]) -> None:
         self.future: Future[dict[str, int]] = Future()
         self.awaiting = awaiting
-        self.totals: dict[str, int] = {"hits": 0, "misses": 0, "skipped": 0}
+        self.totals: dict[str, int] = dict.fromkeys(CacheStats._fields, 0)
 
 
 def _settle(future: Future, result=None, error: Exception | None = None) -> None:

@@ -1361,7 +1361,7 @@ class DisksServer:
         }
         # Duck-typed like the rest of the cluster interface: clusters
         # that aggregate per-runtime coverage-cache counters (hits /
-        # misses / skipped-by-size) surface them here.
+        # misses) surface them here.
         cache_stats = getattr(self._cluster, "coverage_cache_stats", None)
         if callable(cache_stats):
             try:

@@ -197,21 +197,28 @@ class SharedKernelRuntime:
 
     Implements exactly the surface
     :func:`repro.core.executor.execute_fragment_task` and
-    :func:`repro.core.coverage.settle_term` touch: ``fragment`` (id
-    only), ``compiled``, ``kernel``, ``max_radius`` and a switched-off
-    ``coverage_cache`` (caching is a simulation-policy feature; shm
-    workers run cacheless like the default serving runtimes).  No
-    ``Fragment`` or ``NPDIndex`` objects exist in the worker at all.
+    :func:`repro.core.coverage.term_members` touch: ``fragment`` (id
+    only), ``compiled``, ``kernel``, ``max_radius`` and its own
+    ``coverage_cache`` of ``cache_capacity`` term masks.  The cache is
+    local to this runtime: a seed-list patch drops the entries of the
+    sources it names (``apply_seeds``), and a fresh segment attaches as a
+    new runtime, so it starts empty.  No ``Fragment`` or ``NPDIndex``
+    objects exist in the worker at all.
     """
 
     compiled = True
-    coverage_cache = CoverageCache()  # capacity 0: stateless, safe to share
 
-    def __init__(self, manifest: SegmentManifest, shm: shared_memory.SharedMemory) -> None:
+    def __init__(
+        self,
+        manifest: SegmentManifest,
+        shm: shared_memory.SharedMemory,
+        cache_capacity: int = 0,
+    ) -> None:
         self.manifest = manifest
         self._shm = shm
         self.fragment = _FragmentHandle(manifest.fragment_id)
         self.max_radius = manifest.max_radius
+        self.coverage_cache = CoverageCache(cache_capacity)
         buf = shm.buf
         views = {
             field: buf[offset : offset + count * _ITEMSIZE].cast(typecode)
@@ -265,10 +272,12 @@ class ShmWorkerRuntimes:
     ``attach`` is idempotent by segment name (double-attach keeps the
     existing mapping), and an epoch swap replaces the runtime for a
     fragment in place — dict key overwrite preserves fragment order, so
-    ``runtimes()`` is stable across epochs.
+    ``runtimes()`` is stable across epochs.  Every runtime gets a
+    coverage cache of ``cache_capacity`` entries.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cache_capacity: int = 0) -> None:
+        self._cache_capacity = cache_capacity
         self._by_fragment: dict[int, SharedKernelRuntime] = {}
 
     def attach(self, manifests: list[SegmentManifest]) -> list[int]:
@@ -279,7 +288,9 @@ class ShmWorkerRuntimes:
             if current is not None and current.manifest.name == manifest.name:
                 continue
             shm = attach_segment(manifest.name)
-            self._by_fragment[manifest.fragment_id] = SharedKernelRuntime(manifest, shm)
+            self._by_fragment[manifest.fragment_id] = SharedKernelRuntime(
+                manifest, shm, self._cache_capacity
+            )
             if current is not None:
                 current.release()
             swapped.append(manifest.fragment_id)

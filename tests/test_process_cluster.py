@@ -271,7 +271,7 @@ class TestWorkerMain:
 
     def test_cache_stats(self, worker):
         assert ask(worker, "cache_stats", (6,))[:2] == (
-            "stats", (6, {"hits": 0, "misses": 0, "skipped": 0})
+            "stats", (6, {"hits": 0, "misses": 0})
         )
 
     def test_config_delay_is_slept_per_task(self, worker):

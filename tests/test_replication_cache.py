@@ -135,7 +135,7 @@ class TestCoverageCache:
         term = CoverageTerm(KeywordSource("w0"), 3.0)
         local_coverage(runtime, term)
         local_coverage(runtime, term)
-        assert runtime.coverage_cache.stats == (0, 0, 0)
+        assert runtime.coverage_cache.stats == (0, 0)
 
     def test_hit_returns_same_result(self):
         net, runtime = self._runtime(8)
@@ -143,7 +143,7 @@ class TestCoverageCache:
         first = local_coverage(runtime, term)
         second = local_coverage(runtime, term)
         assert first == second
-        hits, misses, _skipped = runtime.coverage_cache.stats
+        hits, misses = runtime.coverage_cache.stats
         assert hits == 1 and misses == 1
 
     def test_distinct_radiuses_are_distinct_entries(self):
@@ -151,7 +151,7 @@ class TestCoverageCache:
         a = local_coverage(runtime, CoverageTerm(KeywordSource("w0"), 2.0))
         b = local_coverage(runtime, CoverageTerm(KeywordSource("w0"), 4.0))
         assert a <= b
-        hits, _misses, _skipped = runtime.coverage_cache.stats
+        hits, _misses = runtime.coverage_cache.stats
         assert hits == 0
 
     def test_lru_eviction(self):
@@ -163,7 +163,7 @@ class TestCoverageCache:
         local_coverage(runtime, t2)
         local_coverage(runtime, t3)  # evicts t1
         local_coverage(runtime, t1)  # miss again
-        hits, misses, _skipped = runtime.coverage_cache.stats
+        hits, misses = runtime.coverage_cache.stats
         assert hits == 0 and misses == 4
 
     def test_invalidate(self):
@@ -172,38 +172,8 @@ class TestCoverageCache:
         local_coverage(runtime, term)
         runtime.coverage_cache.clear()
         local_coverage(runtime, term)
-        hits, misses, _skipped = runtime.coverage_cache.stats
+        hits, misses = runtime.coverage_cache.stats
         assert hits == 0 and misses == 2
-
-    def test_max_entry_nodes_guard_skips_large_maps(self):
-        net = make_random_network(seed=810, num_junctions=20, num_objects=10, vocabulary=4)
-        partition = BfsPartitioner(seed=1).partition(net, 2)
-        fragments = build_fragments(net, partition)
-        indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))
-        runtime = FragmentRuntime(
-            fragments[0], indexes[0], cache_capacity=8, cache_max_entry_nodes=0
-        )
-        term = CoverageTerm(KeywordSource("w0"), 3.0)
-        first = local_coverage(runtime, term)
-        assert first  # a non-empty map, i.e. larger than the guard
-        second = local_coverage(runtime, term)  # recomputed, not cached
-        assert second == first
-        hits, misses, skipped = runtime.coverage_cache.stats
-        assert hits == 0 and misses == 2 and skipped == 2
-
-    def test_guard_leaves_small_maps_cacheable(self):
-        net = make_random_network(seed=810, num_junctions=20, num_objects=10, vocabulary=4)
-        partition = BfsPartitioner(seed=1).partition(net, 2)
-        fragments = build_fragments(net, partition)
-        indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))
-        runtime = FragmentRuntime(
-            fragments[0], indexes[0], cache_capacity=8, cache_max_entry_nodes=10_000
-        )
-        term = CoverageTerm(KeywordSource("w0"), 3.0)
-        local_coverage(runtime, term)
-        local_coverage(runtime, term)
-        hits, misses, skipped = runtime.coverage_cache.stats
-        assert hits == 1 and misses == 1 and skipped == 0
 
     def test_cluster_aggregates_cache_stats(self):
         net = make_random_network(seed=812, num_junctions=24, num_objects=12, vocabulary=4)
@@ -212,17 +182,13 @@ class TestCoverageCache:
         partition = BfsPartitioner(seed=3).partition(net, 3)
         fragments = build_fragments(net, partition)
         indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))
-        cluster = SimulatedCluster.from_fragments(
-            fragments, indexes, cache_capacity=8, cache_max_entry_nodes=0
-        )
+        cluster = SimulatedCluster.from_fragments(fragments, indexes, cache_capacity=8)
         query = sgkq(["w0"], 3.0)
         cluster.execute(query)
         cluster.execute(query)
-        totals = cluster.coverage_cache_stats()
-        # Every term evaluation consults the cache once; maps above the
-        # guard (here: any non-empty map) are recomputed, not cached.
-        assert totals["hits"] + totals["misses"] == 2 * len(fragments)
-        assert totals["skipped"] >= 1  # at least one fragment produced a map
+        # Every term evaluation consults the cache once: the first run
+        # misses on every fragment, the repeat hits on every fragment.
+        assert cluster.coverage_cache_stats() == {"hits": len(fragments), "misses": len(fragments)}
 
     def test_engine_with_cache_matches_oracle(self):
         net = make_random_network(seed=811, num_junctions=25, num_objects=12, vocabulary=4)

@@ -70,7 +70,7 @@ class TestProtocol:
             assert stats["cluster"]["machines"] == 4
             # Worker-process clusters aggregate the coverage-cache
             # counters over a control round-trip to every worker.
-            assert set(stats["coverage_cache"]) == {"hits", "misses", "skipped"}
+            assert set(stats["coverage_cache"]) == {"hits", "misses"}
             for value in stats["coverage_cache"].values():
                 assert isinstance(value, int) and value >= 0
             # No ServeConfig(cache=True): the result cache stays absent.
@@ -81,9 +81,7 @@ class TestProtocol:
         from repro.serve.server import DisksServer
 
         _net, fragments, indexes = built
-        sim = SimulatedCluster.from_fragments(
-            fragments, indexes, cache_capacity=8, cache_max_entry_nodes=0
-        )
+        sim = SimulatedCluster.from_fragments(fragments, indexes, cache_capacity=8)
 
         class StatsOnlyCluster:
             """Just enough cluster surface for DisksServer.stats()."""
@@ -98,10 +96,8 @@ class TestProtocol:
         sim.execute(query)
         snapshot = DisksServer(StatsOnlyCluster()).stats()
         cache = snapshot["coverage_cache"]
-        # Every term evaluation consulted a cache; the size-0 guard
-        # skipped every non-empty map instead of storing it.
-        assert cache["hits"] + cache["misses"] == 2 * len(fragments)
-        assert cache["skipped"] >= 1
+        # Every term evaluation consulted a cache: the repeat hit everywhere.
+        assert cache == {"hits": len(fragments), "misses": len(fragments)}
 
     def test_query_matches_simulated_cluster(self, built, server):
         _net, fragments, indexes = built
