@@ -49,7 +49,6 @@ from repro import DisksEngine, EngineConfig, __version__, rkq, sgkq
 from repro.core import build_fragments, deployment_report, parse_query
 from repro.core.coverage import FragmentRuntime
 from repro.core.executor import execute_fragment_task
-from repro.dist import SimulatedCluster
 from repro.exceptions import DisksError
 from repro.partition import MultilevelPartitioner
 from repro.storage import (

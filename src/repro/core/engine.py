@@ -2,9 +2,11 @@
 
 ``DisksEngine.build`` takes a road network and produces a queryable
 deployment: partition → fragments → per-fragment NPD-indexes →
-simulated coordinator/worker cluster.  ``DisksEngine.execute`` plans a
-query, routes it to an index level and returns the answer with full
-accounting (per-machine times, makespan, unbalance factor, bytes).
+in-process coordinator/worker cluster (:class:`SimulatedCluster`, the
+serving worker's handler behind a modelled link).  ``DisksEngine.execute``
+plans a query, routes it to an index level and returns the answer with
+full accounting (per-machine times, response time, unbalance factor,
+frame bytes).
 
 This is the class the examples and benchmarks drive; every piece is
 also usable stand-alone.
@@ -14,15 +16,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.bilevel import BiLevelIndex
 from repro.core.builder import BuildStats, NPDBuildConfig, build_all_indexes
 from repro.core.cost import theorem6_bound, unbalance_factor
+from repro.core.executor import (
+    execute_fragment_task,
+    execute_fragment_task_explained,
+    explanations,
+)
 from repro.core.fragment import Fragment, build_fragments
 from repro.core.npd import DLNodePolicy, NPDIndex
 from repro.core.planner import plan_query
-from repro.core.queries import KeywordSource, QClassQuery
+from repro.core.queries import QClassQuery
 from repro.core.topk import TopKQuery, TopKResult, execute_topk_task, merge_topk
 from repro.dist.cluster import SimulatedCluster
 from repro.dist.network import NetworkModel
@@ -91,9 +98,10 @@ class EngineConfig:
 class QueryReport:
     """The answer to one query plus the §5.1/§5.2 accounting.
 
-    ``response_seconds`` is the distributed response time (machine
-    makespan + modelled communication); ``total_task_seconds`` is the
-    aggregate CPU work, i.e. what a serial execution would take.
+    ``response_seconds`` is the distributed response time (the slowest
+    machine's task transfer + handler CPU time + result transfer on the
+    modelled link); ``total_task_seconds`` is the aggregate CPU work,
+    i.e. what a serial execution would take.
     """
 
     query_label: str
@@ -252,8 +260,8 @@ class DisksEngine:
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
-    def execute(self, query: QClassQuery) -> QueryReport:
-        """Plan and answer ``query``; returns the full report."""
+    def _cluster_for(self, query: QClassQuery) -> SimulatedCluster:
+        """Validate ``query`` and return the cluster of the index level serving it."""
         plan = plan_query(
             query,
             self._network,
@@ -262,11 +270,14 @@ class DisksEngine:
             has_unbounded_level=self._bilevel.has_unbounded_level,
             strict_keywords=self._config.strict_keywords,
         )
-        cluster = self._bounded_cluster
         if plan.use_unbounded:
             assert self._unbounded_cluster is not None  # guaranteed by the planner
-            cluster = self._unbounded_cluster
+            return self._unbounded_cluster
+        return self._bounded_cluster
 
+    def execute(self, query: QClassQuery) -> QueryReport:
+        """Plan and answer ``query``; returns the full report."""
+        cluster = self._cluster_for(query)
         response = cluster.execute(query)
         fragment_seconds = {r.fragment_id: r.wall_seconds for r in response.task_results}
         coverage_sizes = {r.fragment_id: r.coverage_sizes for r in response.task_results}
@@ -282,7 +293,7 @@ class DisksEngine:
             fragment_seconds=fragment_seconds,
             coverage_sizes=coverage_sizes,
             total_message_bytes=response.total_message_bytes,
-            used_unbounded_level=plan.use_unbounded,
+            used_unbounded_level=cluster is not self._bounded_cluster,
             unbalance=unbalance_factor(machine_costs),
             unbalance_bound=theorem6_bound(task_costs),
         )
@@ -299,23 +310,10 @@ class DisksEngine:
         *sum* of local counts — each worker ships 8 bytes instead of its
         whole node list.  Useful for selectivity estimation and paging.
         """
-        plan = plan_query(
-            query,
-            self._network,
-            max_radius=self._bilevel.max_radius,
-            node_policy=self._config.node_policy,
-            has_unbounded_level=self._bilevel.has_unbounded_level,
-            strict_keywords=self._config.strict_keywords,
+        return sum(
+            len(execute_fragment_task(runtime, query).run)
+            for runtime in self._cluster_for(query).runtimes()
         )
-        cluster = self._bounded_cluster
-        if plan.use_unbounded:
-            assert self._unbounded_cluster is not None
-            cluster = self._unbounded_cluster
-        total = 0
-        for machine in cluster.coordinator.machines:
-            for result in machine.execute(query):
-                total += len(result.local_result)
-        return total
 
     def execute_many(self, queries: list[QClassQuery]) -> "BatchReport":
         """Answer a query batch and summarise throughput.
@@ -346,25 +344,10 @@ class DisksEngine:
         (possible under ∪ and − operators).  Distances are globally
         exact (Theorem 3).
         """
-        from repro.core.executor import execute_fragment_task_explained, explanations
-
-        plan = plan_query(
-            query,
-            self._network,
-            max_radius=self._bilevel.max_radius,
-            node_policy=self._config.node_policy,
-            has_unbounded_level=self._bilevel.has_unbounded_level,
-            strict_keywords=self._config.strict_keywords,
-        )
-        cluster = self._bounded_cluster
-        if plan.use_unbounded:
-            assert self._unbounded_cluster is not None
-            cluster = self._unbounded_cluster
         merged: dict[int, tuple[float | None, ...]] = {}
-        for machine in cluster.coordinator.machines:
-            for runtime in machine.runtimes:
-                _result, partial = execute_fragment_task_explained(runtime, query)
-                merged.update(explanations(query, partial))
+        for runtime in self._cluster_for(query).runtimes():
+            _result, partial = execute_fragment_task_explained(runtime, query)
+            merged.update(explanations(query, partial))
         return merged
 
     def top_k(self, query: TopKQuery) -> TopKResult:
@@ -372,32 +355,10 @@ class DisksEngine:
 
         Every fragment ranks its own members by exact distance (Theorem
         3) and ships only its best ``k``; the coordinator merges.  The
-        radius must fit the bounded index level.
+        radius must fit an index level; the source is validated as a
+        one-term Q-class query's would be.
         """
-        if query.radius > self._bilevel.max_radius and not self._bilevel.has_unbounded_level:
-            from repro.exceptions import RadiusExceededError
-
-            raise RadiusExceededError(query.radius, self._bilevel.max_radius)
-        source = query.source
-        if isinstance(source, KeywordSource):
-            if (
-                self._config.strict_keywords
-                and source.keyword not in self._network.all_keywords()
-            ):
-                from repro.exceptions import UnknownKeywordError
-
-                raise UnknownKeywordError(source.keyword)
-        indexes = self._bilevel.level_for(query.radius)
-        runtimes = [
-            # Reuse cached runtimes from the matching cluster when the
-            # bounded level serves the query; build ad hoc otherwise.
-            runtime
-            for machine in (
-                self._bounded_cluster
-                if indexes is self._bilevel.bounded
-                else self._unbounded_cluster
-            ).coordinator.machines
-            for runtime in machine.runtimes
-        ]
-        results = [execute_topk_task(runtime, query) for runtime in runtimes]
-        return merge_topk(query, results)
+        cluster = self._cluster_for(QClassQuery.from_chain([query.term], []))
+        return merge_topk(
+            query, [execute_topk_task(runtime, query) for runtime in cluster.runtimes()]
+        )

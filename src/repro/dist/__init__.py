@@ -1,54 +1,34 @@
 """Coordinator-based share-nothing cluster substrate.
 
-The paper evaluates on 16 machines behind a 100 Mb switch.  This
-subpackage simulates that deployment faithfully enough to reproduce the
-experiment shapes on one host:
+The paper evaluates on 16 machines behind a 100 Mb switch.  One worker,
+:class:`~repro.dist.process_cluster.WorkerHandler`, answers the
+coordinator's frames; it has two transports:
 
-* every fragment task runs and is *timed independently* (per-machine
-  work), and the distributed response time is the makespan under the
-  §5.2 scheduling strategy plus a modelled coordinator round-trip;
-* every byte that would cross the network is metered by a
-  :class:`TrafficLedger`, which *enforces* the paper's zero
-  worker-to-worker communication guarantee (Theorem 3);
-* :mod:`repro.dist.parallel` additionally runs tasks in real OS
-  processes for genuine parallelism, and
-  :mod:`repro.dist.process_cluster` is the worker loop and coordinator
-  core both serving clusters run on.
+* :class:`SimulatedCluster` calls it in process, one machine after
+  another, and prices the real frames on a modelled link
+  (:class:`NetworkModel`): the distributed response time is the maximum
+  over machines of task transfer + the machine's CPU time + result
+  transfer.  Every frame is metered by a :class:`TrafficLedger`, which
+  *enforces* the paper's zero worker-to-worker communication guarantee
+  (Theorem 3).  The paper's experiments run on it; with
+  ``replication_factor > 1`` it is the replicated deployment with
+  failure injection (:class:`ReplicaPlacement` routes).
+* :mod:`repro.dist.process_cluster` runs it in forked worker processes
+  behind pipes: the core both serving clusters are built on.
+
+:mod:`repro.dist.parallel` builds indexes in a process pool.
 """
 
-from repro.dist.messages import (
-    ApplyUpdatesMessage,
-    AttachSegmentsMessage,
-    EpochAckMessage,
-    Message,
-    QueryTaskMessage,
-    TaskResultMessage,
-)
 from repro.dist.network import NetworkModel, TrafficLedger, Transfer
-from repro.dist.machine import WorkerMachine
-from repro.dist.coordinator import Coordinator, ClusterResponse
-from repro.dist.cluster import SimulatedCluster
-from repro.dist.replication import (
-    ReplicaPlacement,
-    ReplicatedCluster,
-    ReplicatedClusterResponse,
-)
+from repro.dist.replication import ReplicaPlacement
+from repro.dist.cluster import ReplicatedCluster, SimulatedCluster, SimulatedResponse
 
 __all__ = [
     "ReplicaPlacement",
     "ReplicatedCluster",
-    "ReplicatedClusterResponse",
-    "Message",
-    "QueryTaskMessage",
-    "TaskResultMessage",
-    "ApplyUpdatesMessage",
-    "AttachSegmentsMessage",
-    "EpochAckMessage",
     "NetworkModel",
     "TrafficLedger",
     "Transfer",
-    "WorkerMachine",
-    "Coordinator",
-    "ClusterResponse",
     "SimulatedCluster",
+    "SimulatedResponse",
 ]

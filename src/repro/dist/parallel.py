@@ -1,10 +1,9 @@
-"""Real process parallelism for index construction and query tasks.
+"""Real process parallelism for index construction.
 
-The simulated cluster times tasks individually and reports a makespan;
-this module actually runs them concurrently in OS processes, which is
-how a single multi-core host realises the paper's per-machine
-parallelism.  Everything shipped to workers is picklable by design
-(fragments, indexes, queries are plain data).
+Construction is fragment-parallel (§4.1), so each fragment's NPD-index
+is built in its own OS process — how a single multi-core host realises
+the paper's per-machine parallelism.  Everything shipped to workers is
+picklable by design (networks, fragments and configs are plain data).
 """
 
 from __future__ import annotations
@@ -13,15 +12,12 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from repro.core.builder import BuildStats, NPDBuildConfig, build_npd_index
-from repro.core.coverage import FragmentRuntime
-from repro.core.executor import FragmentTaskResult, execute_fragment_task
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
-from repro.core.queries import QClassQuery
 from repro.graph.road_network import RoadNetwork
 from repro.search.dense import DenseSearch
 
-__all__ = ["parallel_build_indexes", "parallel_execute_query"]
+__all__ = ["parallel_build_indexes"]
 
 
 # The road network a pool worker builds against, stashed once per
@@ -74,43 +70,3 @@ def parallel_build_indexes(
     indexes = [index for index, _stats in outcomes]
     stats = [s for _index, s in outcomes]
     return indexes, stats
-
-
-# Same pattern for the query path: the runtimes (fragment + index each)
-# dwarf the query, so they cross to each worker exactly once via the
-# initializer and every job carries only (runtime position, query).
-_WORKER_RUNTIMES: Sequence[FragmentRuntime] | None = None
-
-
-def _query_pool_init(runtimes: Sequence[FragmentRuntime]) -> None:
-    global _WORKER_RUNTIMES
-    _WORKER_RUNTIMES = runtimes
-
-
-def _run_one(args: tuple[int, QClassQuery]) -> FragmentTaskResult:
-    position, query = args
-    runtimes = _WORKER_RUNTIMES
-    if runtimes is None:  # pragma: no cover - initializer always runs first
-        raise RuntimeError("worker pool was started without _query_pool_init")
-    return execute_fragment_task(runtimes[position], query)
-
-
-def parallel_execute_query(
-    runtimes: Sequence[FragmentRuntime],
-    query: QClassQuery,
-    *,
-    processes: int | None = None,
-) -> tuple[frozenset[int], list[FragmentTaskResult]]:
-    """Run one query's fragment tasks concurrently; returns (answer, tasks).
-
-    The answer is the Lemma-1 union of the per-fragment results.
-    """
-    jobs = [(position, query) for position in range(len(runtimes))]
-    with ProcessPoolExecutor(
-        max_workers=processes, initializer=_query_pool_init, initargs=(tuple(runtimes),)
-    ) as pool:
-        results = list(pool.map(_run_one, jobs))
-    merged: set[int] = set()
-    for result in results:
-        merged.update(result.local_result)
-    return frozenset(merged), results

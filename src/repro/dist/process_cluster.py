@@ -1,21 +1,22 @@
-"""The process-cluster core: one worker loop and one coordinator.
+"""The process-cluster core: one worker handler and one coordinator.
 
-Where :class:`~repro.dist.cluster.SimulatedCluster` *models* the cluster
-(individual task timing + makespan arithmetic), this module actually
-runs one: persistent worker processes each hold their fragment runtimes
-and serve queries over pipes, concurrently.  It demonstrates that the
+Persistent worker processes each hold their fragment runtimes and serve
+queries over pipes, concurrently.  It demonstrates that the
 share-nothing design really is share-nothing — each worker process owns
 nothing but its fragments and indexes, and the only channels in the
 topology connect workers to the coordinator (§4, Lemma 1).
 
-Both serving coordinators run on it:
-
-* :func:`worker_main` is the one worker loop.  Every query message names
+* :class:`WorkerHandler` is the one worker: its state plus
+  ``handle(frame) -> reply frame``.  Every query message names
   ``(request_id, query, trace_wire, attempt, fragment_ids)`` (empty
   ``fragment_ids`` = every hosted fragment) and every reply echoes the
   request id, so replies may arrive in any order; a failing task poisons
   only its own request.  The message table is in
-  ``docs/ARCHITECTURE.md``.
+  ``docs/ARCHITECTURE.md``.  It has two transports: :func:`worker_main`
+  runs it in a forked process behind a pipe, and
+  :class:`~repro.dist.cluster.SimulatedCluster` calls it in process
+  for the paper's experiments, pricing the same frames on a modelled
+  link.
 * :class:`ProcessClusterCore` is the coordinator: fork + ready
   handshake, one dispatcher thread per worker matching replies to the
   :class:`~concurrent.futures.Future` registered at submit time, epoch
@@ -71,11 +72,13 @@ __all__ = [
     "PendingQuery",
     "PendingApply",
     "ProcessClusterCore",
+    "WorkerHandler",
     "worker_main",
     "spawn_workers",
     "build_worker_runtimes",
     "apply_epoch",
     "epoch_message",
+    "query_frame",
     "emulate_delivery",
 ]
 
@@ -200,7 +203,9 @@ def emulate_delivery(
         time.sleep(delay)
 
 
-def build_worker_runtimes(mode: str, data, compiled: bool):
+def build_worker_runtimes(
+    mode: str, data, compiled: bool, cache_capacity: int = TERM_CACHE_ENTRIES
+):
     """Materialise a worker's runtimes from either startup hand-off.
 
     ``("pickle", pairs)`` compiles kernels from the shipped fragments —
@@ -211,19 +216,19 @@ def build_worker_runtimes(mode: str, data, compiled: bool):
     ``(registry, runtimes)`` — the registry is ``None`` in pickle mode
     and the attach point for ``apply_shm`` epoch swaps otherwise.
 
-    Either way each runtime keeps a coverage cache of
-    :data:`TERM_CACHE_ENTRIES` term masks: the §6 query stream repeats
-    popular ``(keyword, radius)`` terms, and a hit replaces the term's
-    bounded search with a dict lookup.
+    Either way each runtime keeps a coverage cache of ``cache_capacity``
+    term masks (serving workers: :data:`TERM_CACHE_ENTRIES`): the §6
+    query stream repeats popular ``(keyword, radius)`` terms, and a hit
+    replaces the term's bounded search with a dict lookup.
     """
     if mode == "shm":
-        registry = ShmWorkerRuntimes(TERM_CACHE_ENTRIES)
+        registry = ShmWorkerRuntimes(cache_capacity)
         registry.attach(data)
         return registry, registry.runtimes()
     if mode != "pickle":
         raise ClusterError(f"unknown worker startup mode {mode!r}")
     runtimes = [
-        FragmentRuntime(fragment, index, cache_capacity=TERM_CACHE_ENTRIES, compiled=compiled)
+        FragmentRuntime(fragment, index, cache_capacity=cache_capacity, compiled=compiled)
         for fragment, index in data
     ]
     return None, runtimes
@@ -266,6 +271,30 @@ def apply_epoch(kind: str, data, registry, runtimes: list) -> tuple[list, list[i
             runtime.refresh(fragment, index)
             swapped.append(fragment.fragment_id)
     return runtimes, swapped
+
+
+def query_frame(
+    request_id: int,
+    query: QClassQuery,
+    trace_wire: tuple[str, str] | None = None,
+    attempt: int = 0,
+    fragment_ids: tuple[int, ...] = (),
+    explain: bool = False,
+) -> bytes:
+    """The task frame a coordinator sends a worker for one query.
+
+    Untraced queries travel as binary pipe frames; traced and explain
+    queries are pickled (spans and distance columns ride their replies).
+    """
+    # Bound here, not at import: repro.serve imports this module.
+    from repro.serve.wire import dumps_pipe_query
+
+    sent_at = time.perf_counter()
+    if trace_wire is None and not explain:
+        return dumps_pipe_query(request_id, query, sent_at, attempt, fragment_ids)
+    kind = "explain" if explain else "query"
+    body = (request_id, query, trace_wire, attempt, fragment_ids)
+    return pickle.dumps((kind, body, sent_at))
 
 
 def epoch_message(hosted, replacements, epoch: int, shm_store, seed_keys=None):
@@ -319,11 +348,16 @@ def _finish_spans(
     return collector.spans
 
 
-def worker_main(connection: Connection, payload: bytes) -> None:
-    """Worker loop: build the runtimes once, then answer tagged messages.
+class WorkerHandler:
+    """One worker's state and its per-message body.
 
-    ``payload`` is the pickled ``(mode, data, network_model, compiled)``
-    startup hand-off (:func:`build_worker_runtimes`).  Message kinds:
+    Owns the hosted ``runtimes`` (and ``hosted``, the same by fragment
+    id), the shared-memory ``registry`` (``None`` for pickled runtimes)
+    and the ``machine_delay`` skew knob.  :meth:`handle` takes one
+    encoded pipe frame and returns the encoded reply, or ``None`` for
+    unanswered kinds.  :func:`worker_main` is recv → handle → send over
+    a pipe; :class:`~repro.dist.cluster.SimulatedCluster` calls the same
+    method in process.  Message kinds:
 
     * ``query`` / ``explain`` — ``(request_id, query, trace_wire,
       attempt, fragment_ids)``; the reply is ``results`` with one
@@ -335,91 +369,116 @@ def worker_main(connection: Connection, payload: bytes) -> None:
     * :data:`APPLY_KINDS` — ``(request_id, epoch, data)``, answered with
       ``applied``; ``cache_stats`` — ``(request_id,)``, answered with
       ``stats``; ``config`` — ``{"machine_delay": seconds}`` slept
-      before every fragment task (a skew knob), no reply; ``stop``.
+      before every fragment task (a skew knob), no reply; ``stop``,
+      answered with ``stopped``, after which :attr:`stopped` is set.
 
     A failing message is answered with ``("error", (request_id,
-    traceback))`` and the loop keeps serving.
+    traceback))`` and the handler keeps serving.
     """
-    # Bound here, not at import: repro.serve imports this module.
-    from repro.serve.wire import dumps_pipe_results, loads_pipe
 
+    def __init__(
+        self, registry, runtimes: list, network_model: NetworkModel | None = None
+    ) -> None:
+        # Bound here, not at import: repro.serve imports this module.
+        from repro.serve.wire import dumps_pipe_results, loads_pipe
+
+        self._dumps_pipe_results = dumps_pipe_results
+        self._loads_pipe = loads_pipe
+        self.registry = registry
+        self.runtimes = runtimes
+        self.hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
+        self.network_model = network_model
+        self.machine_delay = 0.0
+        self.stopped = False
+
+    def handle(self, raw: bytes, tasks: list | None = None) -> bytes | None:
+        """Answer one pipe frame; ``tasks`` collects the fragment task results."""
+        kind, body, *meta = self._loads_pipe(raw)
+        if kind == "stop":
+            self.stopped = True
+            return pickle.dumps(("stopped", None))
+        if kind == "config":
+            self.machine_delay = float(body.get("machine_delay", self.machine_delay))
+            return None
+        sent_at = meta[0] if meta else None
+        emulate_delivery(self.network_model, sent_at, len(raw))
+        received = time.perf_counter()
+        request_id = None
+        try:
+            request_id = body[0]
+            if kind in APPLY_KINDS:
+                _request_id, epoch, data = body
+                self.runtimes, swapped = apply_epoch(kind, data, self.registry, self.runtimes)
+                self.hosted = {rt.fragment.fragment_id: rt for rt in self.runtimes}
+                elapsed = time.perf_counter() - received
+                out = ("applied", (request_id, epoch, swapped, elapsed))
+            elif kind == "cache_stats":
+                out = ("stats", (request_id, sum_cache_stats(self.runtimes)))
+            elif kind in ("query", "explain"):
+                _request_id, query, trace_wire, *target = body
+                attempt, fragment_ids = target or (0, ())
+                selected = _select(self.hosted, self.runtimes, fragment_ids)
+                collector = parent_id = None
+                if trace_wire is not None:
+                    collector = SpanCollector(trace_wire[0])
+                    parent_id = trace_wire[1]
+                    if sent_at is not None:
+                        # Pipe transit, the emulated link and the
+                        # time spent behind earlier messages.
+                        collector.record(
+                            "queue-wait", sent_at, received,
+                            parent_id=parent_id, bytes=len(raw),
+                        )
+                started = time.perf_counter()
+                reply = []
+                for runtime in selected:
+                    if self.machine_delay > 0.0:
+                        time.sleep(self.machine_delay)
+                    if kind == "explain":
+                        result, nodes = execute_fragment_task_explained(runtime, query)
+                    else:
+                        result = execute_fragment_task(
+                            runtime, query, collector=collector, parent_id=parent_id
+                        )
+                        nodes = result.run
+                    if tasks is not None:
+                        tasks.append(result)
+                    reply.append((result.fragment_id, nodes, result.wall_seconds))
+                elapsed = time.perf_counter() - started
+                if kind == "query" and collector is None:
+                    return self._dumps_pipe_results(
+                        request_id, reply, elapsed, time.perf_counter(), attempt
+                    )
+                spans = (
+                    _finish_spans(collector, parent_id, reply, elapsed)
+                    if collector is not None
+                    else None
+                )
+                out = ("results", (request_id, reply, elapsed, attempt, spans))
+            else:
+                raise ClusterError(f"unknown message kind {kind!r}")
+            return pickle.dumps((*out, time.perf_counter()))
+        except Exception:
+            return pickle.dumps(("error", (request_id, traceback.format_exc())))
+
+
+def worker_main(connection: Connection, payload: bytes) -> None:
+    """Worker process: build the runtimes once, then recv → handle → send.
+
+    ``payload`` is the pickled ``(mode, data, network_model, compiled)``
+    startup hand-off (:func:`build_worker_runtimes`); the message kinds
+    are :class:`WorkerHandler`'s.
+    """
     registry = None
     try:
         mode, data, network_model, compiled = pickle.loads(payload)
         registry, runtimes = build_worker_runtimes(mode, data, compiled)
-        hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
-        machine_delay = 0.0
+        handler = WorkerHandler(registry, runtimes, network_model)
         connection.send(("ready", len(runtimes)))
-        while True:
-            raw = connection.recv_bytes()
-            kind, body, *meta = loads_pipe(raw)
-            if kind == "stop":
-                connection.send(("stopped", None))
-                return
-            if kind == "config":
-                machine_delay = float(body.get("machine_delay", machine_delay))
-                continue
-            sent_at = meta[0] if meta else None
-            emulate_delivery(network_model, sent_at, len(raw))
-            received = time.perf_counter()
-            request_id = None
-            try:
-                request_id = body[0]
-                if kind in APPLY_KINDS:
-                    _request_id, epoch, data = body
-                    runtimes, swapped = apply_epoch(kind, data, registry, runtimes)
-                    hosted = {rt.fragment.fragment_id: rt for rt in runtimes}
-                    elapsed = time.perf_counter() - received
-                    out = ("applied", (request_id, epoch, swapped, elapsed))
-                elif kind == "cache_stats":
-                    out = ("stats", (request_id, sum_cache_stats(runtimes)))
-                elif kind in ("query", "explain"):
-                    _request_id, query, trace_wire, *target = body
-                    attempt, fragment_ids = target or (0, ())
-                    selected = _select(hosted, runtimes, fragment_ids)
-                    collector = parent_id = None
-                    if trace_wire is not None:
-                        collector = SpanCollector(trace_wire[0])
-                        parent_id = trace_wire[1]
-                        if sent_at is not None:
-                            # Pipe transit, the emulated link and the
-                            # time spent behind earlier messages.
-                            collector.record(
-                                "queue-wait", sent_at, received,
-                                parent_id=parent_id, bytes=len(raw),
-                            )
-                    started = time.perf_counter()
-                    reply = []
-                    for runtime in selected:
-                        if machine_delay > 0.0:
-                            time.sleep(machine_delay)
-                        if kind == "explain":
-                            result, nodes = execute_fragment_task_explained(runtime, query)
-                        else:
-                            result = execute_fragment_task(
-                                runtime, query, collector=collector, parent_id=parent_id
-                            )
-                            nodes = result.run
-                        reply.append((result.fragment_id, nodes, result.wall_seconds))
-                    elapsed = time.perf_counter() - started
-                    if kind == "query" and collector is None:
-                        connection.send_bytes(
-                            dumps_pipe_results(
-                                request_id, reply, elapsed, time.perf_counter(), attempt
-                            )
-                        )
-                        continue
-                    spans = (
-                        _finish_spans(collector, parent_id, reply, elapsed)
-                        if collector is not None
-                        else None
-                    )
-                    out = ("results", (request_id, reply, elapsed, attempt, spans))
-                else:
-                    raise ClusterError(f"unknown message kind {kind!r}")
-                connection.send_bytes(pickle.dumps((*out, time.perf_counter())))
-            except Exception:
-                connection.send(("error", (request_id, traceback.format_exc())))
+        while not handler.stopped:
+            reply = handler.handle(connection.recv_bytes())
+            if reply is not None:
+                connection.send_bytes(reply)
     except (EOFError, OSError):  # coordinator went away
         return
     finally:
@@ -580,9 +639,8 @@ class ProcessClusterCore:
         startup_bytes: list[int] | None = None,
     ) -> None:
         # Bound here, not at import: repro.serve imports this module.
-        from repro.serve.wire import dumps_pipe_query, loads_pipe
+        from repro.serve.wire import loads_pipe
 
-        self._dumps_pipe_query = dumps_pipe_query
         self._loads_pipe = loads_pipe
         self._processes = processes
         self._connections = connections
@@ -1043,25 +1101,16 @@ class ProcessClusterCore:
         return plan
 
     def _send_plan(self, request_id: int, inflight: _InFlight, plan) -> None:
-        """Under ``_fanout_lock``: encode and send each target's task message.
-
-        Untraced queries travel as binary pipe frames; traced and explain
-        queries are pickled (spans and distance columns ride their replies).
-        """
+        """Under ``_fanout_lock``: encode and send each target's :func:`query_frame`."""
         payloads: dict[tuple, bytes] = {}
         sent_bytes = 0
         for machine_id, names, trace_wire in plan:
             payload = payloads.get((names, trace_wire))
             if payload is None:
-                sent_at = time.perf_counter()
-                if trace_wire is None and not inflight.explain:
-                    payload = self._dumps_pipe_query(
-                        request_id, inflight.query, sent_at, inflight.attempt, names
-                    )
-                else:
-                    kind = "explain" if inflight.explain else "query"
-                    body = (request_id, inflight.query, trace_wire, inflight.attempt, names)
-                    payload = pickle.dumps((kind, body, sent_at))
+                payload = query_frame(
+                    request_id, inflight.query, trace_wire, inflight.attempt, names,
+                    inflight.explain,
+                )
                 payloads[names, trace_wire] = payload
             try:
                 with self._send_locks[machine_id]:

@@ -1,4 +1,4 @@
-"""Fragment replication: placement, routing, and failure handling.
+"""Fragment replication: placement and routing.
 
 The paper's deployment has exactly one machine per fragment; a machine
 loss would make part of the answer unreachable.  Because a worker's
@@ -9,37 +9,23 @@ pick, per fragment, one *alive* replica.  The share-nothing property is
 untouched — replicas never talk to each other; they are just extra
 read-only copies.
 
-Two layers live here:
-
-* :class:`ReplicaPlacement` — the pure placement/routing core: the
-  chained-declustering layout, replica lookup, and the per-fragment
-  alive-replica picker (load-aware or round-robin).  This is the single
-  source of truth for replica routing; both the in-process
-  :class:`ReplicatedCluster` simulation and the multiprocess
-  :class:`repro.ha.HACluster` serving tier plan through it.
-* :class:`ReplicatedCluster` — an in-process simulation with failure
-  injection for tests and chaos-style benchmarks.  Since the kernel/shm
-  era it also understands live epochs: :meth:`apply_updates` refreshes
-  *every* replica of a changed fragment via
-  :meth:`FragmentRuntime.refresh`, mirroring what the real serving tier
-  does across processes.
+:class:`ReplicaPlacement` is the pure placement/routing core: the
+chained-declustering layout, replica lookup, and the per-fragment
+alive-replica picker (load-aware or round-robin).  It is the single
+source of truth for replica routing; the in-process
+:class:`repro.dist.SimulatedCluster` (with failure injection, for tests
+and the chaos ablation) and the multiprocess :class:`repro.ha.HACluster`
+serving tier both plan through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
-from repro.core.coverage import FragmentRuntime
-from repro.core.executor import FragmentTaskResult, execute_fragment_task
-from repro.core.fragment import Fragment
-from repro.core.npd import NPDIndex
-from repro.core.queries import QClassQuery
-from repro.dist.messages import QueryTaskMessage, TaskResultMessage
-from repro.dist.network import COORDINATOR_ID, NetworkModel, TrafficLedger
 from repro.exceptions import ClusterError
 
-__all__ = ["ReplicaPlacement", "ReplicatedClusterResponse", "ReplicatedCluster"]
+__all__ = ["ReplicaPlacement"]
 
 ROUTING_POLICIES = ("load", "rr")
 
@@ -153,176 +139,3 @@ class ReplicaPlacement:
             placement[fragment_id] = chosen
             running[chosen] += 1.0
         return placement
-
-
-@dataclass(frozen=True)
-class ReplicatedClusterResponse:
-    """Answer plus placement decisions of one replicated execution."""
-
-    result_nodes: frozenset[int]
-    task_results: tuple[FragmentTaskResult, ...]
-    chosen_machines: dict[int, int]  # fragment -> machine that served it
-    machine_seconds: dict[int, float]
-    response_seconds: float
-
-
-@dataclass
-class ReplicatedCluster:
-    """A cluster with ``replication_factor`` copies of every fragment."""
-
-    machines: dict[int, list[FragmentRuntime]]
-    placement: ReplicaPlacement
-    network: NetworkModel = field(default_factory=NetworkModel)
-    ledger: TrafficLedger = field(default_factory=TrafficLedger)
-    routing: str = "load"
-    _failed: set[int] = field(default_factory=set)
-    _epoch: int = 0
-
-    @property
-    def replication_factor(self) -> int:
-        return self.placement.replication_factor
-
-    @property
-    def current_epoch(self) -> int:
-        """Epoch of the last applied update batch (0 = as built)."""
-        return self._epoch
-
-    @classmethod
-    def from_fragments(
-        cls,
-        fragments: Sequence[Fragment],
-        indexes: Sequence[NPDIndex],
-        *,
-        num_machines: int,
-        replication_factor: int = 2,
-        network: NetworkModel | None = None,
-        routing: str = "load",
-    ) -> "ReplicatedCluster":
-        """Place each fragment on ``replication_factor`` distinct machines.
-
-        Fragment ``i``'s replicas land on machines ``i % m``,
-        ``(i + 1) % m``, … — the classic chained-declustering layout, so
-        any single machine's fragments are fully covered by its
-        neighbours.
-        """
-        if len(fragments) != len(indexes):
-            raise ClusterError("fragments and indexes must align")
-        placement = ReplicaPlacement.chained(
-            len(fragments), num_machines, replication_factor
-        )
-        machines: dict[int, list[FragmentRuntime]] = {
-            m: [] for m in range(num_machines)
-        }
-        for i, (fragment, index) in enumerate(zip(fragments, indexes)):
-            for machine_id in placement.machines_of(i):
-                machines[machine_id].append(FragmentRuntime(fragment, index))
-        return cls(
-            machines=machines,
-            placement=placement,
-            network=network or NetworkModel(),
-            routing=routing,
-        )
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-    @property
-    def failed_machines(self) -> frozenset[int]:
-        """Currently failed machine ids."""
-        return frozenset(self._failed)
-
-    def fail_machine(self, machine_id: int) -> None:
-        """Mark a machine as down (idempotent)."""
-        if machine_id not in self.machines:
-            raise ClusterError(f"no machine {machine_id}")
-        self._failed.add(machine_id)
-
-    def restore_machine(self, machine_id: int) -> None:
-        """Bring a machine back (idempotent)."""
-        if machine_id not in self.machines:
-            raise ClusterError(f"no machine {machine_id}")
-        self._failed.discard(machine_id)
-
-    # ------------------------------------------------------------------
-    # Placement and execution
-    # ------------------------------------------------------------------
-    def replicas_of(self, fragment_id: int) -> list[int]:
-        """Machine ids hosting ``fragment_id`` (alive or not)."""
-        return sorted(self.placement.machines_of(fragment_id))
-
-    def _plan_placement(self, fragment_ids: list[int]) -> dict[int, int]:
-        """Choose one alive machine per fragment via the shared core."""
-        alive = [m for m in self.machines if m not in self._failed]
-        return self.placement.plan(fragment_ids, alive, policy=self.routing)
-
-    def execute(self, query: QClassQuery) -> ReplicatedClusterResponse:
-        """Answer ``query`` using one alive replica per fragment."""
-        fragment_ids = list(range(self.placement.num_fragments))
-        placement = self._plan_placement(fragment_ids)
-
-        comm_seconds = 0.0
-        machine_seconds: dict[int, float] = {}
-        merged: set[int] = set()
-        results: list[FragmentTaskResult] = []
-        for fragment_id, machine_id in placement.items():
-            runtime = next(
-                rt
-                for rt in self.machines[machine_id]
-                if rt.fragment.fragment_id == fragment_id
-            )
-            task_msg = QueryTaskMessage(COORDINATOR_ID, machine_id, query)
-            self.ledger.record(COORDINATOR_ID, machine_id, task_msg.estimated_bytes(), "task")
-            comm_seconds += self.network.transfer_seconds(task_msg.estimated_bytes())
-
-            result = execute_fragment_task(runtime, query)
-            results.append(result)
-            machine_seconds[machine_id] = (
-                machine_seconds.get(machine_id, 0.0) + result.wall_seconds
-            )
-            reply = TaskResultMessage.from_nodes(
-                machine_id, fragment_id, result.local_result, result.wall_seconds
-            )
-            self.ledger.record(machine_id, COORDINATOR_ID, reply.estimated_bytes(), "result")
-            comm_seconds += self.network.transfer_seconds(reply.estimated_bytes())
-            merged.update(result.local_result)
-
-        return ReplicatedClusterResponse(
-            result_nodes=frozenset(merged),
-            task_results=tuple(sorted(results, key=lambda r: r.fragment_id)),
-            chosen_machines=placement,
-            machine_seconds=machine_seconds,
-            response_seconds=max(machine_seconds.values()) + comm_seconds,
-        )
-
-    # ------------------------------------------------------------------
-    # Live epochs
-    # ------------------------------------------------------------------
-    def apply_updates(
-        self,
-        epoch: int,
-        replacements: Iterable[tuple[Fragment, NPDIndex]],
-    ) -> dict[int, int]:
-        """Swap replacement state into *every* replica of each fragment.
-
-        Mirrors the real serving tier's epoch-atomic apply: a changed
-        fragment is refreshed on all its replicas (alive and failed —
-        a restored machine must not resurrect a stale epoch), via
-        :meth:`FragmentRuntime.refresh`.  Returns fragment id →
-        replica-count refreshed.
-        """
-        if epoch <= self._epoch:
-            raise ClusterError(
-                f"epoch must advance: have {self._epoch}, got {epoch}"
-            )
-        refreshed: dict[int, int] = {}
-        for fragment, index in replacements:
-            fragment_id = fragment.fragment_id
-            count = 0
-            for machine_id in self.placement.machines_of(fragment_id):
-                for rt in self.machines[machine_id]:
-                    if rt.fragment.fragment_id == fragment_id:
-                        rt.refresh(fragment, index)
-                        count += 1
-            refreshed[fragment_id] = count
-        self._epoch = epoch
-        return refreshed

@@ -1,4 +1,4 @@
-"""Tests for the distributed runtime: messages, ledger, cluster, parallel."""
+"""Tests for the distributed runtime: frames, ledger, cluster, parallel."""
 
 from __future__ import annotations
 
@@ -13,21 +13,20 @@ from repro.core import (
     rkq,
     sgkq,
 )
-from repro.core.coverage import FragmentRuntime
 from repro.baselines import CentralizedEvaluator
 from repro.dist import (
-    Coordinator,
     NetworkModel,
-    QueryTaskMessage,
+    ReplicatedCluster,
     SimulatedCluster,
-    TaskResultMessage,
     TrafficLedger,
-    WorkerMachine,
 )
 from repro.dist.network import COORDINATOR_ID
-from repro.dist.parallel import parallel_build_indexes, parallel_execute_query
+from repro.dist.parallel import parallel_build_indexes
+from repro.dist.process_cluster import query_frame
 from repro.exceptions import ClusterError, CommunicationViolationError
 from repro.partition import BfsPartitioner
+from repro.serve import PipelinedCluster
+from repro.serve.wire import dumps_pipe_results, loads_pipe
 
 from helpers import make_random_network
 
@@ -42,25 +41,26 @@ def cluster_case():
 
 
 class TestMessages:
+    """The pipe frames whose real lengths the ledger records."""
+
     def test_task_message_size_scales_with_terms(self):
-        small = QueryTaskMessage(COORDINATOR_ID, 0, sgkq(["a"], 1.0))
-        large = QueryTaskMessage(COORDINATOR_ID, 0, sgkq(["a", "b", "c"], 1.0))
-        assert large.estimated_bytes() > small.estimated_bytes()
+        small = query_frame(0, sgkq(["a"], 1.0))
+        large = query_frame(0, sgkq(["a", "b", "c"], 1.0))
+        assert len(large) > len(small)
 
     def test_task_message_counts_node_sources(self):
-        msg = QueryTaskMessage(COORDINATOR_ID, 0, rkq(3, ["a"], 1.0))
-        assert msg.estimated_bytes() > 24
+        assert len(query_frame(0, rkq(3, ["a"], 1.0))) > len(query_frame(0, sgkq(["a"], 1.0)))
 
     def test_result_message_size_scales_with_results(self):
-        small = TaskResultMessage.from_nodes(1, 1, [1, 2], 0.1)
-        large = TaskResultMessage.from_nodes(1, 1, range(50), 0.1)
-        assert large.estimated_bytes() - small.estimated_bytes() == 48 * 8
+        small = dumps_pipe_results(1, [(1, {1, 2}, 0.1)], 0.1, 0.0)
+        large = dumps_pipe_results(1, [(1, set(range(50)), 0.1)], 0.1, 0.0)
+        assert len(large) - len(small) == 48 * 8
 
     def test_result_message_wraps_nodes(self):
-        msg = TaskResultMessage.from_nodes(2, 5, [9, 9, 3], 0.5)
-        assert msg.result_nodes == frozenset({9, 3})
-        assert msg.receiver == COORDINATOR_ID
-        assert msg.fragment_id == 5
+        kind, body, _sent_at = loads_pipe(dumps_pipe_results(2, [(5, {9, 3}, 0.5)], 0.5, 0.0))
+        assert kind == "results"
+        request_id, [(fragment_id, run, seconds)], _elapsed = body
+        assert (request_id, fragment_id, list(run), seconds) == (2, 5, [3, 9], 0.5)
 
 
 class TestNetworkModel:
@@ -93,12 +93,12 @@ class TestTrafficLedger:
 class TestCoordinatorAndCluster:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ClusterError):
-            Coordinator(machines=[]).execute(sgkq(["a"], 1.0))
+            SimulatedCluster.from_fragments([], [])
 
-    def test_machine_without_fragments_rejected(self):
-        machine = WorkerMachine(machine_id=0)
+    def test_machine_without_fragments_rejected(self, cluster_case):
+        _net, fragments, indexes = cluster_case
         with pytest.raises(ClusterError):
-            machine.execute(sgkq(["a"], 1.0))
+            SimulatedCluster.from_fragments(fragments, indexes, num_machines=0)
 
     def test_cluster_answers_match_oracle(self, cluster_case):
         net, fragments, indexes = cluster_case
@@ -133,7 +133,7 @@ class TestCoordinatorAndCluster:
         _net, fragments, indexes = cluster_case
         cluster = SimulatedCluster.from_fragments(fragments, indexes, num_machines=2)
         assert cluster.num_machines == 2
-        hosted = [m.fragment_ids for m in cluster.coordinator.machines]
+        hosted = [sorted(handler.hosted) for handler in cluster.handlers]
         assert hosted == [[0, 2], [1]]
 
     def test_machines_capped_at_fragments(self, cluster_case):
@@ -145,6 +145,60 @@ class TestCoordinatorAndCluster:
         _net, fragments, indexes = cluster_case
         with pytest.raises(ClusterError):
             SimulatedCluster.from_fragments(fragments, indexes[:-1])
+
+
+class TestServedFrames:
+    """The in-process transport sends the serving tier's frames and prices them."""
+
+    @pytest.mark.parametrize("num_machines", [3, 2])
+    def test_ledger_bytes_equal_the_pipelined_frames(self, cluster_case, num_machines):
+        _net, fragments, indexes = cluster_case
+        query = sgkq(["w0", "w1"], 4.0)
+        cluster = SimulatedCluster.from_fragments(
+            fragments, indexes, num_machines=num_machines
+        )
+        cluster.execute(query)
+        with PipelinedCluster.start(
+            fragments, indexes, num_machines=num_machines
+        ) as pipelined:
+            served = pipelined.execute(query)
+        assert cluster.ledger.total_bytes == served.message_bytes
+        # Every machine hosts all its fragments, so each is sent the
+        # one shared broadcast frame.
+        by_kind = cluster.ledger.bytes_by_kind()
+        assert by_kind["task"] == num_machines * len(query_frame(0, query))
+
+    def test_response_is_the_slowest_machine_round_trip(self, cluster_case):
+        _net, fragments, indexes = cluster_case
+        network = NetworkModel(latency_seconds=0.001, bandwidth_bytes_per_second=1000.0)
+        cluster = SimulatedCluster.from_fragments(fragments, indexes, network=network)
+        response = cluster.execute(sgkq(["w0", "w2"], 3.0))
+        sent = {t.receiver: t.num_bytes for t in cluster.ledger.transfers if t.kind == "task"}
+        back = {t.sender: t.num_bytes for t in cluster.ledger.transfers if t.kind == "result"}
+        per_machine = {
+            m: 0.002 + (sent[m] + back[m]) / 1000.0 + elapsed
+            for m, elapsed in response.machine_seconds.items()
+        }
+        slowest = max(per_machine, key=per_machine.get)
+        assert response.response_seconds == pytest.approx(per_machine[slowest])
+        assert response.communication_seconds == pytest.approx(
+            0.002 + (sent[slowest] + back[slowest]) / 1000.0
+        )
+
+    @pytest.mark.parametrize("failed", [(0,), (0, 1)])
+    def test_replicated_answers_survive_failures(self, cluster_case, failed):
+        net, fragments, indexes = cluster_case
+        cluster = ReplicatedCluster.from_fragments(
+            fragments, indexes, num_machines=3, replication_factor=3
+        )
+        for machine_id in failed:
+            cluster.fail_machine(machine_id)
+        oracle = CentralizedEvaluator(net)
+        location = next(iter(net.object_nodes()))
+        for query in (sgkq(["w0", "w1"], 4.0), sgkq(["w2"], 2.0), rkq(location, ["w1"], 5.0)):
+            response = cluster.execute(query)
+            assert response.result_nodes == oracle.results(query)
+            assert set(response.chosen_machines.values()).isdisjoint(failed)
 
 
 class TestProcessParallel:
@@ -176,10 +230,3 @@ class TestProcessParallel:
         finally:
             parallel._WORKER_NETWORK = parallel._WORKER_SEARCH = None
 
-    def test_parallel_query_matches_oracle(self, cluster_case):
-        net, fragments, indexes = cluster_case
-        runtimes = [FragmentRuntime(f, i) for f, i in zip(fragments, indexes)]
-        query = sgkq(["w0", "w1"], 4.0)
-        answer, results = parallel_execute_query(runtimes, query, processes=2)
-        assert answer == CentralizedEvaluator(net).results(query)
-        assert len(results) == len(fragments)

@@ -7,26 +7,10 @@ import math
 import pytest
 
 from repro import DisksEngine, EngineConfig, sgkq
-from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
-from repro.core.coverage import FragmentRuntime
-from repro.dist.parallel import parallel_execute_query
-from repro.exceptions import QueryError, RadiusExceededError
+from repro.exceptions import QueryError
 from repro.graph import RoadNetworkBuilder
 from repro.partition import BfsPartitioner, Partition
 from repro.workloads import QueryGenConfig, QueryGenerator
-
-from helpers import make_random_network
-
-
-class TestParallelErrorPropagation:
-    def test_radius_violation_surfaces_from_workers(self):
-        net = make_random_network(seed=880, num_junctions=16, num_objects=8)
-        partition = BfsPartitioner(seed=8).partition(net, 2)
-        fragments = build_fragments(net, partition)
-        indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=1.0))
-        runtimes = [FragmentRuntime(f, i) for f, i in zip(fragments, indexes)]
-        with pytest.raises(RadiusExceededError):
-            parallel_execute_query(runtimes, sgkq(["w0"], 5.0), processes=2)
 
 
 class TestQueryGeneratorLimits:

@@ -67,7 +67,7 @@ class TestLayout:
         """r copies of f fragments over m machines: f*r runtimes total."""
         cluster = make_cluster(built)
         _net, fragments, _indexes = built
-        total = sum(len(runtimes) for runtimes in cluster.machines.values())
+        total = sum(len(handler.runtimes) for handler in cluster.handlers)
         assert total == len(fragments) * REPLICATION
 
 
