@@ -99,6 +99,25 @@ def test_ablation_incremental_maintenance_vs_rebuild(benchmark):
     benchmark(lambda: maintainer.add_keyword(node, "bench-kw"))  # idempotent no-op path
 
 
+def spearman(xs: list[float], ys: list[float]) -> float:
+    """Spearman rank correlation, computed by hand (no scipy needed)."""
+
+    def ranks(values: list[float]) -> list[float]:
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        result = [0.0] * len(values)
+        for rank, i in enumerate(order):
+            result[i] = float(rank)
+        return result
+
+    rx, ry = ranks(xs), ranks(ys)
+    n = len(rx)
+    mean_x, mean_y = statistics.mean(rx), statistics.mean(ry)
+    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry)) / n
+    var_x = sum((a - mean_x) ** 2 for a in rx) / n
+    var_y = sum((b - mean_y) ** 2 for b in ry) / n
+    return cov / (var_x * var_y) ** 0.5
+
+
 def test_ablation_theorem5_cost_model(benchmark):
     print_experiment_header(
         "ABLATION",
@@ -119,28 +138,30 @@ def test_ablation_theorem5_cost_model(benchmark):
             predictions.append(theorem5_cost(index, keywords, list(sizes)))
             measurements.append(report.fragment_seconds[fragment_id])
 
-    # Spearman rank correlation, computed by hand (no scipy dependency
-    # needed here, though it is available).
-    def ranks(values: list[float]) -> list[float]:
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        result = [0.0] * len(values)
-        for rank, i in enumerate(order):
-            result[i] = float(rank)
-        return result
+    rho = spearman(predictions, measurements)
 
-    rp, rm = ranks(predictions), ranks(measurements)
-    n = len(rp)
-    mean_p, mean_m = statistics.mean(rp), statistics.mean(rm)
-    cov = sum((a - mean_p) * (b - mean_m) for a, b in zip(rp, rm)) / n
-    var_p = sum((a - mean_p) ** 2 for a in rp) / n
-    var_m = sum((b - mean_m) ** 2 for b in rm) / n
-    rho = cov / (var_p * var_m) ** 0.5
+    # The same model against exact work: the settled nodes and seeds of
+    # each task's bounded searches, which no timer noise can reorder.
+    work_predictions: list[float] = []
+    work: list[float] = []
+    for query in batch:
+        response = deployment.cluster.execute(query)
+        for task in response.task_results:
+            index = deployment.indexes[task.fragment_id]
+            work_predictions.append(
+                theorem5_cost(index, query.keywords(), list(task.coverage_sizes))
+            )
+            stats = task.stats
+            work.append(stats.settled_nodes + stats.seeds_from_dl + stats.seeds_local)
+    work_rho = spearman(work_predictions, work)
 
-    table = Table("Theorem-5 model fidelity", ["samples", "Spearman rho"])
-    table.add_row(n, rho)
+    table = Table("Theorem-5 model fidelity", ["against", "samples", "Spearman rho"])
+    table.add_row("task seconds", len(predictions), rho)
+    table.add_row("settled + seeds", len(work), work_rho)
     table.show()
 
     assert rho > 0.5, f"cost model should rank fragment costs usefully, rho={rho:.2f}"
+    assert work_rho >= 0.9, f"cost model should rank exact work, rho={work_rho:.2f}"
 
     query = batch[0]
     benchmark(lambda: deployment.execute(query))

@@ -1,48 +1,55 @@
-"""The paper's cluster in process: the serving worker behind a modelled link.
+"""The paper's cluster in process: the serving coordinator over handlers.
 
-Each machine is a :class:`~repro.dist.process_cluster.WorkerHandler` —
-the same object a serving worker process runs — and the coordinator
-speaks to it in the frames :class:`~repro.dist.process_cluster.
-ProcessClusterCore` writes to its pipes: binary task frames for
-untraced queries, pickled ones for traced queries and epoch applies.
-The handlers run one after another in this process, without sleeping,
-and every frame's real length is recorded on the :class:`TrafficLedger`.
+:class:`SimulatedCluster` is :class:`~repro.dist.process_cluster.
+ProcessClusterCore` — the coordinator the serving tier runs — over an
+:class:`InProcessTransport`: each machine is a
+:class:`~repro.dist.process_cluster.WorkerHandler`, the object a serving
+worker process runs, and the frames are the ones the core writes to its
+pipes.  The handlers run one after another in this process, without
+sleeping, and every query frame's real length is recorded on the
+:class:`TrafficLedger`.
 
 Response time is priced the way the serving tier's ``emulate_delivery``
 delivers messages (§5.1: makespan plus a 100 Mb link): machines run
 concurrently and transfers overlap, so a query's response is the
 maximum over machines of ``transfer(task frame) + machine seconds +
-transfer(result frame)``, where a machine's seconds are the CPU time
-its handler call took.
+transfer(result frame)``.  A machine's seconds are the CPU time its
+handler call took — decoding the frame, running the tasks, encoding the
+reply — since wall time on a shared host also bills the moments this
+process was descheduled.  The cycle collector is held off for the call:
+every simulated machine shares this one heap, so a collection would
+walk all of them and bill it to one machine.
 """
 
 from __future__ import annotations
 
 import gc
-import itertools
-import pickle
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
-from repro.core.coverage import sum_cache_stats
 from repro.core.executor import FragmentTaskResult
 from repro.core.fragment import Fragment
 from repro.core.npd import NPDIndex
 from repro.core.queries import QClassQuery
-from repro.core.runs import RunAnswer, as_run, merge_runs
+from repro.core.runs import RunAnswer
 from repro.dist.network import COORDINATOR_ID, NetworkModel, TrafficLedger
 from repro.dist.process_cluster import (
+    ProcessClusterCore,
     WorkerHandler,
     build_worker_runtimes,
-    epoch_message,
-    query_frame,
 )
 from repro.dist.replication import ReplicaPlacement
 from repro.exceptions import ClusterError
-from repro.obs.trace import Span, SpanCollector, TraceContext
+from repro.obs.trace import Span, TraceContext
 
-__all__ = ["SimulatedCluster", "SimulatedResponse", "ReplicatedCluster"]
+__all__ = [
+    "InProcessTransport",
+    "SimulatedCluster",
+    "SimulatedResponse",
+    "ReplicatedCluster",
+]
 
 
 @dataclass(frozen=True)
@@ -83,16 +90,81 @@ class SimulatedResponse(RunAnswer):
     spans: tuple[Span, ...] = ()
 
 
-class SimulatedCluster:
-    """A coordinator and its worker handlers, ready to answer queries.
+class InProcessTransport:
+    """In-process handlers behind FIFO inboxes; no threads.
+
+    :meth:`send` only enqueues, so delivery never re-enters the core
+    from inside a send.  Whoever calls :meth:`step` picks the
+    interleaving; :meth:`run` drains the machines in id order.
+    """
+
+    def __init__(self, handlers: list[WorkerHandler]) -> None:
+        self.handlers = handlers
+        self.inboxes: list[deque[bytes]] = [deque() for _ in handlers]
+        # One (machine, task bytes, reply bytes, busy, tasks) per step.
+        self.log: list[tuple[int, int, int, float, list[FragmentTaskResult]]] = []
+        self._core: ProcessClusterCore | None = None
+
+    def attach(self, core: ProcessClusterCore) -> None:
+        """Deliver replies and deaths to ``core``."""
+        self._core = core
+
+    def send(self, machine_id: int, frame: bytes) -> None:
+        """Queue ``frame`` in the machine's inbox."""
+        self.inboxes[machine_id].append(frame)
+
+    def step(self, machine_id: int) -> None:
+        """Handle ``machine_id``'s oldest frame, log it, deliver its reply."""
+        frame = self.inboxes[machine_id].popleft()
+        tasks: list[FragmentTaskResult] = []
+        collecting = gc.isenabled()
+        gc.disable()
+        started = time.thread_time()
+        try:
+            reply = self.handlers[machine_id].handle(frame, tasks)
+        finally:
+            busy = time.thread_time() - started
+            if collecting:
+                gc.enable()
+        self.log.append((machine_id, len(frame), len(reply or b""), busy, tasks))
+        if reply is not None:
+            self._core._deliver(machine_id, reply)
+
+    def run(self) -> None:
+        """Step machines in id order until every inbox is empty."""
+        while any(self.inboxes):
+            for machine_id, inbox in enumerate(self.inboxes):
+                while inbox:
+                    self.step(machine_id)
+
+    def wait(self, future, timeout_seconds: float):
+        """Drain every inbox; ``future`` has then resolved or never will."""
+        self.run()
+        return future.result(timeout=0)
+
+    def kill(self, machine_id: int) -> None:
+        """Drop the machine's inbox and report its death to the core.
+
+        The death is known at once, so the core never sends it a frame again.
+        """
+        self.inboxes[machine_id].clear()
+        self._core._on_worker_death(machine_id)
+
+    def close(self, timeout_seconds: float) -> None:
+        """Drop every queued frame."""
+        for inbox in self.inboxes:
+            inbox.clear()
+
+
+class SimulatedCluster(ProcessClusterCore):
+    """The serving coordinator and its worker handlers, in process.
 
     Use :meth:`from_fragments` to assemble one.  Fragment ``i`` lives on
     machines ``i % m``, ``(i+1) % m``, … (:meth:`ReplicaPlacement.
     chained`); with the default single replica that is round-robin, the
     paper's one fragment per machine when ``num_machines ==
     len(fragments)``.  With replicas, each query runs every fragment on
-    one alive replica, picked by :meth:`ReplicaPlacement.plan` as the
-    serving tier's ``HACluster`` does.
+    one alive replica, picked by :meth:`ReplicaPlacement.plan`.
     """
 
     def __init__(
@@ -101,17 +173,12 @@ class SimulatedCluster:
         placement: ReplicaPlacement,
         network: NetworkModel,
     ) -> None:
-        # Bound here, not at import: repro.serve imports the worker core.
-        from repro.serve.wire import loads_pipe
-
-        self._loads_pipe = loads_pipe
+        super().__init__(InProcessTransport(handlers), placement.assignments())
         self.handlers = handlers
         self.placement = placement
         self.network = network
         self.ledger = TrafficLedger()
-        self.current_epoch = 0
         self._failed: set[int] = set()
-        self._ids = itertools.count()
 
     @classmethod
     def from_fragments(
@@ -151,21 +218,12 @@ class SimulatedCluster:
         ]
         return cls(handlers, placement, network or NetworkModel())
 
-    @property
-    def num_machines(self) -> int:
-        """Worker count (the coordinator is not counted)."""
-        return self.placement.num_machines
-
     def runtimes(self) -> list:
         """Every hosted fragment runtime, machine by machine."""
         return [runtime for handler in self.handlers for runtime in handler.runtimes]
 
-    def coverage_cache_stats(self) -> dict[str, int]:
-        """Coverage-cache counters summed over every hosted runtime."""
-        return sum_cache_stats(self.runtimes())
-
     # ------------------------------------------------------------------
-    # Failure injection
+    # Failure injection: a failed machine is only routed around
     # ------------------------------------------------------------------
     @property
     def failed_machines(self) -> frozenset[int]:
@@ -190,35 +248,14 @@ class SimulatedCluster:
         """Machine ids hosting ``fragment_id`` (alive or not)."""
         return sorted(self.placement.machines_of(fragment_id))
 
+    def _route(self, fragment_ids, alive, current):
+        # Raises on a fragment with no alive replica, as the paper's
+        # coordinator cannot answer without it.
+        return self.placement.plan(fragment_ids, alive - self._failed)
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _call(self, machine_id: int, frame: bytes, tasks: list | None = None):
-        """One round trip to a handler: ``(reply length, reply body, busy seconds)``.
-
-        ``busy`` is the CPU time the call took — decoding the frame,
-        running the tasks, encoding the reply — which is what a dedicated
-        machine would spend on it; wall time on a shared host also counts
-        the moments this process was descheduled.  The cycle collector is
-        held off meanwhile: every simulated machine (and the caller)
-        shares this one heap, so a collection landing inside a task would
-        walk all of them and bill it to one machine.  It runs between
-        calls instead.
-        """
-        collecting = gc.isenabled()
-        gc.disable()
-        started = time.thread_time()
-        try:
-            reply = self.handlers[machine_id].handle(frame, tasks)
-        finally:
-            busy = time.thread_time() - started
-            if collecting:
-                gc.enable()
-        kind, body, *_sent_at = self._loads_pipe(reply)
-        if kind == "error":
-            raise ClusterError(f"worker {machine_id} failed:\n{body[1]}")
-        return len(reply), body, busy
-
     def execute(
         self, query: QClassQuery, *, trace: TraceContext | None = None
     ) -> SimulatedResponse:
@@ -229,109 +266,33 @@ class SimulatedCluster:
         worker's own ``queue-wait``/``task``/``eval``/``union``/
         ``serialize`` spans — the tree the process clusters record.
         """
-        alive = set(range(self.num_machines)) - self._failed
-        chosen = self.placement.plan(range(self.placement.num_fragments), alive)
-        by_machine: dict[int, list[int]] = {}
-        for fragment_id, machine_id in chosen.items():
-            by_machine.setdefault(machine_id, []).append(fragment_id)
-
-        collector = root = None
-        if trace is not None:
-            collector = SpanCollector(trace.trace_id)
-            root = collector.start("query", parent_id=trace.span_id)
-        request_id = next(self._ids)
+        log = self._transport.log
+        log.clear()
+        served = super().execute(query, trace=trace)
         transfer = self.network.transfer_seconds
-        runs: list[array] = []
+        response = communication = 0.0
+        chosen: dict[int, int] = {}
         tasks: list[FragmentTaskResult] = []
         machine_seconds: dict[int, float] = {}
-        total_bytes = 0
-        response = communication = 0.0
-        frames: dict[tuple, bytes] = {}
-        for machine_id, fragment_ids in sorted(by_machine.items()):
-            # A machine asked for everything it hosts gets the empty
-            # list, and equal targets share one encoded frame, exactly
-            # as the process coordinator broadcasts.
-            names = (
-                ()
-                if len(fragment_ids) == len(self.handlers[machine_id].runtimes)
-                else tuple(fragment_ids)
-            )
-            trace_wire = dispatch = None
-            if collector is not None:
-                dispatch = collector.start(
-                    "dispatch", parent_id=root.span_id, machine_id=machine_id, attempt=0
-                )
-                trace_wire = (collector.trace_id, dispatch.span_id)
-            frame = frames.get((names, trace_wire))
-            if frame is None:
-                frame = frames[names, trace_wire] = query_frame(
-                    request_id, query, trace_wire, 0, names
-                )
-            reply_bytes, body, busy = self._call(machine_id, frame, tasks)
-            _request_id, reply, _elapsed, *rest = body
-            if dispatch is not None:
-                worker_spans = rest[1]  # traced replies: (attempt, spans)
-                for span in worker_spans:
-                    span.machine_id = machine_id
-                collector.extend(worker_spans)
-                dispatch.finish()
-            runs.extend(as_run(nodes) for _fragment_id, nodes, _seconds in reply)
-            machine_seconds[machine_id] = busy
-
-            self.ledger.record(COORDINATOR_ID, machine_id, len(frame), "task")
-            self.ledger.record(machine_id, COORDINATOR_ID, reply_bytes, "result")
-            total_bytes += len(frame) + reply_bytes
-            link = transfer(len(frame)) + transfer(reply_bytes)
+        for machine_id, sent, received, busy, done in log:
+            self.ledger.record(COORDINATOR_ID, machine_id, sent, "task")
+            self.ledger.record(machine_id, COORDINATOR_ID, received, "result")
+            link = transfer(sent) + transfer(received)
             if link + busy > response:
                 response, communication = link + busy, link
-        if root is not None:
-            root.finish()
+            machine_seconds[machine_id] = busy
+            chosen.update((task.fragment_id, machine_id) for task in done)
+            tasks.extend(done)
         return SimulatedResponse(
-            result_run=merge_runs(runs),
-            task_results=tuple(sorted(tasks, key=lambda r: r.fragment_id)),
+            result_run=served.result_run,
+            task_results=tuple(sorted(tasks, key=lambda task: task.fragment_id)),
             machine_seconds=machine_seconds,
-            chosen_machines=chosen,
+            chosen_machines=dict(sorted(chosen.items())),
             response_seconds=response,
             communication_seconds=communication,
-            total_message_bytes=total_bytes,
-            spans=tuple(collector.spans) if collector is not None else (),
+            total_message_bytes=served.message_bytes,
+            spans=served.spans,
         )
-
-    def apply_updates(
-        self, epoch: int, replacements: list[tuple[Fragment, NPDIndex]]
-    ) -> dict[str, object]:
-        """Push an epoch delta to every machine hosting a changed fragment.
-
-        Each such machine — failed ones too, so a restored machine never
-        serves a stale epoch — is sent the pickled ``apply`` frame of
-        its own fragments' new ``(fragment, index)`` pairs and answers
-        ``applied``; both frames are metered under the ``apply`` /
-        ``epoch-ack`` kinds.
-        """
-        if epoch <= self.current_epoch:
-            raise ClusterError(
-                f"epoch must advance: cluster at {self.current_epoch}, got {epoch}"
-            )
-        total_bytes = 0
-        swapped: set[int] = set()
-        for machine_id, handler in enumerate(self.handlers):
-            kind, data = epoch_message(handler.hosted, replacements, epoch, None)
-            if not data:
-                continue
-            frame = pickle.dumps(
-                (kind, (next(self._ids), epoch, data), time.perf_counter())
-            )
-            ack_bytes, body, _busy = self._call(machine_id, frame)
-            swapped.update(body[2])
-            self.ledger.record(COORDINATOR_ID, machine_id, len(frame), "apply")
-            self.ledger.record(machine_id, COORDINATOR_ID, ack_bytes, "epoch-ack")
-            total_bytes += len(frame) + ack_bytes
-        self.current_epoch = epoch
-        return {
-            "epoch": epoch,
-            "swapped_fragments": sorted(swapped),
-            "total_message_bytes": total_bytes,
-        }
 
 
 # The replicated deployment is the same cluster with replication_factor > 1.

@@ -1,10 +1,9 @@
-"""The process-cluster core: one worker handler and one coordinator.
+"""The process-cluster core: one worker handler, one coordinator, two transports.
 
-Persistent worker processes each hold their fragment runtimes and serve
-queries over pipes, concurrently.  It demonstrates that the
-share-nothing design really is share-nothing — each worker process owns
-nothing but its fragments and indexes, and the only channels in the
-topology connect workers to the coordinator (§4, Lemma 1).
+It demonstrates that the share-nothing design really is share-nothing —
+each worker owns nothing but its fragments and indexes, and the only
+channels in the topology connect workers to the coordinator (§4,
+Lemma 1).
 
 * :class:`WorkerHandler` is the one worker: its state plus
   ``handle(frame) -> reply frame``.  Every query message names
@@ -12,15 +11,19 @@ topology connect workers to the coordinator (§4, Lemma 1).
   ``fragment_ids`` = every hosted fragment) and every reply echoes the
   request id, so replies may arrive in any order; a failing task poisons
   only its own request.  The message table is in
-  ``docs/ARCHITECTURE.md``.  It has two transports: :func:`worker_main`
-  runs it in a forked process behind a pipe, and
-  :class:`~repro.dist.cluster.SimulatedCluster` calls it in process
-  for the paper's experiments, pricing the same frames on a modelled
-  link.
-* :class:`ProcessClusterCore` is the coordinator: fork + ready
-  handshake, one dispatcher thread per worker matching replies to the
-  :class:`~concurrent.futures.Future` registered at submit time, epoch
-  apply fan-out with shared-memory leases, stats sweeps and shutdown.
+  ``docs/ARCHITECTURE.md``.
+* :class:`ProcessClusterCore` is the one coordinator: planning, frame
+  encoding, reply merge, trace-tree assembly, epoch apply fan-out with
+  shared-memory leases, stats sweeps, failover and shutdown.  It reaches
+  workers only through a transport's ``send(machine_id, frame)``; the
+  transport hands every reply frame to :meth:`ProcessClusterCore._deliver`
+  and reports a dead link to :meth:`ProcessClusterCore._on_worker_death`.
+* Two transports carry the frames.  :class:`PipeTransport` forks one
+  :func:`worker_main` process per machine behind a pipe, with one
+  dispatcher thread per worker — the serving deployment.
+  :class:`~repro.dist.cluster.InProcessTransport` queues frames for
+  in-process handlers and delivers their replies when stepped — the
+  paper's experiments and the seeded failover schedules.
 
 A subclass decides only what differs between deployments: which worker
 each fragment task goes to (:meth:`ProcessClusterCore._route`), what a
@@ -28,14 +31,16 @@ reply teaches it about load (:meth:`ProcessClusterCore._note_reply`) and
 what happens to a query whose worker died
 (:meth:`ProcessClusterCore._reassign`).
 :class:`repro.serve.PipelinedCluster` broadcasts and degrades;
-:class:`repro.ha.HACluster` routes per fragment and fails over.
+:class:`repro.ha.HACluster` routes per fragment and fails over;
+:class:`~repro.dist.cluster.SimulatedCluster` routes through
+:meth:`~repro.dist.replication.ReplicaPlacement.plan` and prices the link.
 
-Torn-epoch prevention rests on two properties.  Each pipe is FIFO and
+Torn-epoch prevention rests on two properties.  Each link is FIFO and
 each worker handles its messages serially, so relative to one worker a
 query runs entirely before or entirely after an epoch swap.  Every
 fan-out (query, apply, failover re-dispatch) happens under one
 coordinator-wide ``_fanout_lock``, so the *order* of a query relative
-to an apply is the same on every pipe.  Together: a query observes the
+to an apply is the same on every link.  Together: a query observes the
 old epoch on all machines or the new epoch on all machines.
 """
 
@@ -71,6 +76,7 @@ __all__ = [
     "PipelinedResponse",
     "PendingQuery",
     "PendingApply",
+    "PipeTransport",
     "ProcessClusterCore",
     "WorkerHandler",
     "worker_main",
@@ -356,8 +362,8 @@ class WorkerHandler:
     and the ``machine_delay`` skew knob.  :meth:`handle` takes one
     encoded pipe frame and returns the encoded reply, or ``None`` for
     unanswered kinds.  :func:`worker_main` is recv → handle → send over
-    a pipe; :class:`~repro.dist.cluster.SimulatedCluster` calls the same
-    method in process.  Message kinds:
+    a pipe; :class:`~repro.dist.cluster.InProcessTransport` calls the
+    same method in process.  Message kinds:
 
     * ``query`` / ``explain`` — ``(request_id, query, trace_wire,
       attempt, fragment_ids)``; the reply is ``results`` with one
@@ -486,6 +492,96 @@ def worker_main(connection: Connection, payload: bytes) -> None:
         # __del__ never races the kernels' exported memoryviews.
         if registry is not None:
             registry.release_all()
+
+
+class PipeTransport:
+    """Forked worker processes behind pipes, one dispatcher thread each.
+
+    A transport is ``attach(core)``, ``send(machine_id, frame)`` (a dead
+    link raises ``BrokenPipeError``/``OSError``), ``wait(future,
+    timeout_seconds)``, ``kill(machine_id)`` and ``close(timeout_seconds)``.
+    """
+
+    def __init__(self, processes: list[Process], connections: list[Connection]) -> None:
+        self.processes = processes
+        self.connections = connections
+        self._send_locks = [threading.Lock() for _ in connections]
+        self._dispatchers: list[threading.Thread] = []
+        self._closing = False
+
+    def handshake(self, timeout_seconds: float) -> None:
+        """Wait for every worker's ``ready``; :class:`ClusterError` otherwise."""
+        for machine_id, connection in enumerate(self.connections):
+            if not connection.poll(timeout_seconds):
+                raise ClusterError(
+                    f"worker {machine_id} did not report ready within {timeout_seconds}s"
+                )
+            try:
+                kind, body = connection.recv()
+            except (EOFError, OSError):
+                raise ClusterError(f"worker {machine_id} died during startup") from None
+            if kind != "ready":
+                raise ClusterError(f"worker {machine_id} failed to start: {body}")
+
+    def attach(self, core: "ProcessClusterCore") -> None:
+        """Start one dispatcher per worker, delivering to ``core``."""
+        for machine_id, connection in enumerate(self.connections):
+            thread = threading.Thread(
+                target=self._dispatch_loop,
+                args=(core, machine_id, connection),
+                name=f"disks-dispatch-{machine_id}",
+                daemon=True,
+            )
+            thread.start()
+            self._dispatchers.append(thread)
+
+    def _dispatch_loop(
+        self, core: "ProcessClusterCore", machine_id: int, connection: Connection
+    ) -> None:
+        """Hand this worker's replies to the core, until ``stopped`` or EOF."""
+        while True:
+            try:
+                raw = connection.recv_bytes()
+            except (EOFError, OSError):
+                if not self._closing:
+                    core._on_worker_death(machine_id)
+                return
+            if not core._deliver(machine_id, raw):
+                return
+
+    def send(self, machine_id: int, frame: bytes) -> None:
+        """Write one frame; a dead pipe raises ``BrokenPipeError``/``OSError``."""
+        with self._send_locks[machine_id]:
+            self.connections[machine_id].send_bytes(frame)
+
+    def wait(self, future: Future, timeout_seconds: float):
+        """The dispatchers make progress; just block on ``future``."""
+        return future.result(timeout=timeout_seconds)
+
+    def kill(self, machine_id: int) -> None:
+        """SIGKILL a worker; its dispatcher reports the death on EOF."""
+        self.processes[machine_id].kill()
+
+    def close(self, timeout_seconds: float) -> None:
+        """Stop the workers, join everything, close the pipes."""
+        self._closing = True
+        stop = pickle.dumps(("stop", None))
+        for machine_id in range(len(self.connections)):
+            try:
+                self.send(machine_id, stop)
+            except (BrokenPipeError, OSError):
+                pass  # already dead
+        for process in self.processes:
+            process.join(timeout=timeout_seconds)
+            if process.is_alive():  # pragma: no cover - defensive
+                process.terminate()
+        # Dispatchers leave on the worker's "stopped" reply (or on EOF
+        # once it is gone); only then is it safe to close the pipes —
+        # close() under a blocked recv_bytes() raises in that thread.
+        for thread in self._dispatchers:
+            thread.join(timeout=timeout_seconds)
+        for connection in self.connections:
+            connection.close()
 
 
 # ----------------------------------------------------------------------
@@ -618,11 +714,13 @@ def _settle(future: Future, result=None, error: Exception | None = None) -> None
 
 
 class ProcessClusterCore:
-    """Worker processes behind a request-id-multiplexing coordinator.
+    """A request-id-multiplexing coordinator over a transport.
 
-    Subclasses provide ``start`` (via :meth:`_launch`) and the three
-    policy hooks; everything else — submit, dispatch, applies, stats,
-    shutdown — is shared.  Use as a context manager::
+    Subclasses provide the three policy hooks and, for the serving
+    clusters, ``start`` (via :meth:`_launch`, which forks the workers
+    behind a :class:`PipeTransport`); everything else — submit,
+    delivery, applies, stats, failover, shutdown — is shared.  Use as a
+    context manager::
 
         with PipelinedCluster.start(fragments, indexes, num_machines=4) as cluster:
             pending = [cluster.submit(q) for q in queries]   # all in flight
@@ -631,8 +729,7 @@ class ProcessClusterCore:
 
     def __init__(
         self,
-        processes: list[Process],
-        connections: list[Connection],
+        transport,
         fragment_assignments: list[list[int]],
         network_model: NetworkModel | None = None,
         shm_store: SharedSegmentStore | None = None,
@@ -642,8 +739,7 @@ class ProcessClusterCore:
         from repro.serve.wire import loads_pipe
 
         self._loads_pipe = loads_pipe
-        self._processes = processes
-        self._connections = connections
+        self._transport = transport
         self._assignments = fragment_assignments
         self._hosts: dict[int, list[int]] = {}
         for machine_id, hosted in enumerate(fragment_assignments):
@@ -653,11 +749,10 @@ class ProcessClusterCore:
         self._network_model = network_model
         self._shm_store = shm_store
         self.startup_bytes = startup_bytes or []
-        self._send_locks = [threading.Lock() for _ in connections]
         # Serialises whole fan-outs (query, apply, failover re-dispatch)
-        # so their relative order is identical on every pipe — the
+        # so their relative order is identical on every link — the
         # torn-epoch guard.  Re-entrant: a fan-out that trips over a
-        # broken pipe handles the death (which may re-dispatch, i.e.
+        # broken link handles the death (which may re-dispatch, i.e.
         # send) while already holding it.
         self._fanout_lock = threading.RLock()
         self._lock = threading.Lock()
@@ -668,12 +763,11 @@ class ProcessClusterCore:
         self._dead: set[int] = set()
         self._degraded = False
         self._alive = True
-        self._closing = False
-        self._dispatchers: list[threading.Thread] = []
         self.current_epoch = 0
         # Bumped under _fanout_lock by every apply fan-out; a query
         # snapshots it so a failover can tell whether an apply raced it.
         self._apply_seq = 0
+        transport.attach(self)
 
     # ------------------------------------------------------------------
     # Policy hooks
@@ -729,39 +823,17 @@ class ProcessClusterCore:
             shm_store,
             fragment_assignments,
         )
-        cluster = cls(
-            processes,
-            connections,
-            assignments,
-            network_model,
-            shm_store,
-            startup_bytes,
-            **policy,
+        transport = PipeTransport(processes, connections)
+        try:
+            transport.handshake(timeout_seconds)
+        except ClusterError:
+            transport.close(10.0)
+            if shm_store is not None:
+                shm_store.unlink_all()
+            raise
+        return cls(
+            transport, assignments, network_model, shm_store, startup_bytes, **policy
         )
-        for machine_id, connection in enumerate(connections):
-            if not connection.poll(timeout_seconds):
-                cluster.shutdown()
-                raise ClusterError(
-                    f"worker {machine_id} did not report ready within {timeout_seconds}s"
-                )
-            try:
-                kind, body = connection.recv()
-            except (EOFError, OSError):
-                cluster.shutdown()
-                raise ClusterError(f"worker {machine_id} died during startup") from None
-            if kind != "ready":
-                cluster.shutdown()
-                raise ClusterError(f"worker {machine_id} failed to start: {body}")
-        for machine_id, connection in enumerate(connections):
-            thread = threading.Thread(
-                target=cluster._dispatch_loop,
-                args=(machine_id, connection),
-                name=f"disks-dispatch-{machine_id}",
-                daemon=True,
-            )
-            thread.start()
-            cluster._dispatchers.append(thread)
-        return cluster
 
     def __enter__(self):
         return self
@@ -771,8 +843,8 @@ class ProcessClusterCore:
 
     @property
     def num_machines(self) -> int:
-        """Worker-process count (dead ones included)."""
-        return len(self._processes)
+        """Worker count (dead ones included)."""
+        return len(self._assignments)
 
     @property
     def dead_machines(self) -> frozenset[int]:
@@ -786,35 +858,14 @@ class ProcessClusterCore:
         return self._degraded
 
     def _alive_machines(self) -> set[int]:
-        return set(range(len(self._connections))) - self._dead
+        return set(range(len(self._assignments))) - self._dead
 
     def shutdown(self, timeout_seconds: float = 10.0) -> None:
-        """Stop workers and dispatchers; fail anything still pending."""
+        """Stop workers and the transport; fail anything still pending."""
         if not self._alive:
             return
         self._alive = False
-        self._closing = True
-        with self._lock:
-            dead = set(self._dead)
-        for machine_id, connection in enumerate(self._connections):
-            if machine_id in dead:
-                continue
-            try:
-                with self._send_locks[machine_id]:
-                    connection.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=timeout_seconds)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-        # Dispatchers leave on the worker's "stopped" reply (or on EOF
-        # once it is gone); only then is it safe to close the pipes —
-        # close() under a blocked recv_bytes() raises in that thread.
-        for thread in self._dispatchers:
-            thread.join(timeout=timeout_seconds)
-        for connection in self._connections:
-            connection.close()
+        self._transport.close(timeout_seconds)
         if self._shm_store is not None:
             self._shm_store.unlink_all()
         with self._lock:
@@ -837,36 +888,29 @@ class ProcessClusterCore:
             )
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Delivery
     # ------------------------------------------------------------------
-    def _dispatch_loop(self, machine_id: int, connection: Connection) -> None:
-        """Match this worker's replies to pending futures, until EOF."""
-        loads_pipe = self._loads_pipe
-        while True:
-            try:
-                raw = connection.recv_bytes()
-            except (EOFError, OSError):
-                if not self._closing:
-                    self._on_worker_death(machine_id)
-                return
-            kind, body, *meta = loads_pipe(raw)
-            if kind == "stopped":
-                return
-            emulate_delivery(self._network_model, meta[0] if meta else None, len(raw))
-            if kind == "results":
-                self._absorb_reply(machine_id, len(raw), *body)
-            elif kind == "applied":
-                request_id, _epoch, swapped, _elapsed = body
-                self._absorb_apply_ack(machine_id, request_id, swapped, len(raw))
-            elif kind == "stats":
-                self._absorb_stats(machine_id, *body)
-            elif kind == "error":
-                request_id, text = body
-                if request_id is not None:
-                    self._fail_request(
-                        request_id,
-                        ClusterError(f"worker {machine_id} failed:\n{text}"),
-                    )
+    def _deliver(self, machine_id: int, raw: bytes) -> bool:
+        """Match one reply frame to its pending request; False once ``stopped``."""
+        kind, body, *meta = self._loads_pipe(raw)
+        if kind == "stopped":
+            return False
+        emulate_delivery(self._network_model, meta[0] if meta else None, len(raw))
+        if kind == "results":
+            self._absorb_reply(machine_id, len(raw), *body)
+        elif kind == "applied":
+            request_id, _epoch, swapped, _elapsed = body
+            self._absorb_apply_ack(machine_id, request_id, swapped, len(raw))
+        elif kind == "stats":
+            self._absorb_stats(machine_id, *body)
+        elif kind == "error":
+            request_id, text = body
+            if request_id is not None:
+                self._fail_request(
+                    request_id,
+                    ClusterError(f"worker {machine_id} failed:\n{text}"),
+                )
+        return True
 
     def _absorb_reply(
         self,
@@ -1113,8 +1157,7 @@ class ProcessClusterCore:
                 )
                 payloads[names, trace_wire] = payload
             try:
-                with self._send_locks[machine_id]:
-                    self._connections[machine_id].send_bytes(payload)
+                self._transport.send(machine_id, payload)
                 sent_bytes += len(payload)
             except (BrokenPipeError, OSError):
                 self._on_worker_death(machine_id)
@@ -1182,13 +1225,18 @@ class ProcessClusterCore:
     ) -> PipelinedResponse:
         """Synchronous convenience wrapper over :meth:`submit`."""
         pending = self.submit(query, trace=trace, explain=explain)
+        return self._wait(
+            pending.future, pending.request_id, timeout_seconds, "query was not answered"
+        )
+
+    def _wait(self, future: Future, request_id: int, timeout_seconds: float, what: str):
+        """Let the transport resolve ``future``; on a timeout drop the request."""
         try:
-            return pending.future.result(timeout=timeout_seconds)
+            return self._transport.wait(future, timeout_seconds)
         except FutureTimeoutError:
-            self.forget(pending.request_id)
-            raise ClusterError(
-                f"query was not answered within {timeout_seconds}s"
-            ) from None
+            error = ClusterError(f"{what} within {timeout_seconds}s")
+            self._fail_request(request_id, error)
+            raise error from None
 
     def forget(self, request_id: int) -> None:
         """Drop a pending query (e.g. after a caller-side timeout)."""
@@ -1261,8 +1309,7 @@ class ProcessClusterCore:
                     (kind, (request_id, epoch, data), time.perf_counter())
                 )
                 try:
-                    with self._send_locks[machine_id]:
-                        self._connections[machine_id].send_bytes(payload)
+                    self._transport.send(machine_id, payload)
                     sent_bytes += len(payload)
                 except (BrokenPipeError, OSError):
                     failed.append(machine_id)
@@ -1282,24 +1329,17 @@ class ProcessClusterCore:
     ) -> dict[str, object]:
         """Synchronous convenience wrapper over :meth:`submit_updates`."""
         pending = self.submit_updates(epoch, replacements, seed_keys)
-        try:
-            return pending.future.result(timeout=timeout_seconds)
-        except FutureTimeoutError:
-            with self._lock:
-                self._pending_applies.pop(pending.request_id, None)
-            raise ClusterError(
-                f"epoch {epoch} was not applied within {timeout_seconds}s"
-            ) from None
+        return self._wait(
+            pending.future, pending.request_id, timeout_seconds, f"epoch {epoch} was not applied"
+        )
 
     def coverage_cache_stats(self, *, timeout_seconds: float = 10.0) -> dict[str, int]:
         """Cluster-wide coverage-cache counters, summed over live workers.
 
-        Same shape as :meth:`SimulatedCluster.coverage_cache_stats`, so
-        the serve layer's ``stats`` op surfaces any cluster kind
-        identically.  Rides the multiplexed pipes as a control
-        round-trip; dead workers are skipped (their counters died with
-        them), and a worker dying mid-sweep completes the sweep on the
-        survivors.
+        The serve layer's ``stats`` op surfaces it for any cluster kind.
+        Rides the multiplexed links as a control round-trip; dead workers
+        are skipped (their counters died with them), and a worker dying
+        mid-sweep completes the sweep on the survivors.
         """
         if not self._alive:
             raise ClusterError("the cluster has been shut down")
@@ -1315,15 +1355,9 @@ class ProcessClusterCore:
         with self._fanout_lock:
             for machine_id in live:
                 try:
-                    with self._send_locks[machine_id]:
-                        self._connections[machine_id].send_bytes(payload)
+                    self._transport.send(machine_id, payload)
                 except (BrokenPipeError, OSError):
                     self._on_worker_death(machine_id)
-        try:
-            return pending.future.result(timeout=timeout_seconds)
-        except FutureTimeoutError:
-            with self._lock:
-                self._pending_stats.pop(request_id, None)
-            raise ClusterError(
-                f"coverage cache stats were not collected within {timeout_seconds}s"
-            ) from None
+        return self._wait(
+            pending.future, request_id, timeout_seconds, "coverage cache stats were not collected"
+        )

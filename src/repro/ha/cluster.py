@@ -67,7 +67,7 @@ class HACluster(ProcessClusterCore):
         self._placement = placement
         self.routing = routing
         self._rr_ids = itertools.count()
-        machines = range(len(self._connections))
+        machines = range(self.num_machines)
         self._outstanding: dict[int, int] = {m: 0 for m in machines}
         self._busy: dict[int, float] = {m: 0.0 for m in machines}
         self._reroutes = 0
@@ -113,8 +113,8 @@ class HACluster(ProcessClusterCore):
         )
         for machine_id, delay in (machine_delays or {}).items():
             if 0 <= machine_id < cluster.num_machines and delay > 0:
-                cluster._connections[machine_id].send_bytes(
-                    pickle.dumps(("config", {"machine_delay": delay}))
+                cluster._transport.send(
+                    machine_id, pickle.dumps(("config", {"machine_delay": delay}))
                 )
         return cluster
 
@@ -134,13 +134,13 @@ class HACluster(ProcessClusterCore):
         return self._placement
 
     def kill_worker(self, machine_id: int) -> bool:
-        """SIGKILL a worker (fault injection). Returns False if already dead."""
-        if not (0 <= machine_id < len(self._processes)):
+        """Kill a worker (fault injection). Returns False if already dead."""
+        if not (0 <= machine_id < self.num_machines):
             raise ClusterError(f"no machine {machine_id}")
         with self._lock:
             if machine_id in self._dead:
                 return False
-        self._processes[machine_id].kill()
+        self._transport.kill(machine_id)
         return True
 
     def ha_stats(self) -> dict[str, object]:
@@ -154,7 +154,7 @@ class HACluster(ProcessClusterCore):
             return {
                 "replication_factor": self._placement.replication_factor,
                 "routing": self.routing,
-                "machines": len(self._connections),
+                "machines": self.num_machines,
                 "machines_alive": len(alive),
                 "dead_machines": sorted(self._dead),
                 "replicas_alive_min": min(replicas_alive, default=0),
@@ -176,28 +176,28 @@ class HACluster(ProcessClusterCore):
 
         Load is outstanding tasks, then accumulated busy-seconds, then
         machine id; ``current`` (tasks staying put) adds to it so a
-        reroute doesn't pile onto an already-loaded survivor.  Routed
-        tasks count as outstanding *before* anything is sent: a fast
-        worker's reply must never decrement first and leave a phantom.
+        reroute doesn't pile onto an already-loaded survivor.  The pick
+        itself is :meth:`ReplicaPlacement.plan`'s.  Routed tasks count
+        as outstanding *before* anything is sent: a fast worker's reply
+        must never decrement first and leave a phantom.
         """
         total_busy = sum(self._busy.values()) + 1.0
         load = {m: self._outstanding[m] + self._busy[m] / total_busy for m in alive}
         for m in (current or {}).values():
             if m in load:
                 load[m] += 1.0
-        routed: dict[int, int] = {}
         start = next(self._rr_ids)
-        for fid in fragment_ids:
-            candidates = [m for m in self._placement.machines_of(fid) if m in alive]
-            if not candidates:
-                continue
-            if self.routing == "rr":
-                chosen = candidates[(start + fid) % len(candidates)]
-            else:
-                chosen = min(candidates, key=lambda m: (load[m], m))
-            routed[fid] = chosen
-            load[chosen] += 1.0
-            self._outstanding[chosen] += 1
+        servable = [
+            fid for fid in fragment_ids
+            if not alive.isdisjoint(self._placement.machines_of(fid))
+        ]
+        if not servable:
+            return {}
+        routed = self._placement.plan(
+            servable, alive, load=load, policy=self.routing, start=start
+        )
+        for machine_id in routed.values():
+            self._outstanding[machine_id] += 1
         return routed
 
     def _note_reply(self, machine_id, tasks, elapsed):

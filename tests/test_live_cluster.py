@@ -233,7 +233,7 @@ class TestPipelinedCluster:
         query = next(probe_queries(manager.state.network))
         cluster = PipelinedCluster.start(fragments, indexes, num_machines=4)
         try:
-            cluster._processes[1].kill()
+            cluster._transport.processes[1].kill()
             for _ in range(100):
                 if cluster.degraded:
                     break
@@ -338,7 +338,7 @@ class TestSharedMemoryLifecycle:
             for thread in threads:
                 thread.start()
             time.sleep(0.05)  # let queries reach the worker pipes
-            cluster._processes[2].kill()
+            cluster._transport.processes[2].kill()
             for _ in range(100):
                 if cluster.degraded:
                     break

@@ -138,7 +138,7 @@ class TestWorkerCrash:
         for name, start in start_both(fragments, indexes, num_machines=2):
             with start() as cluster:
                 cluster.execute(query)  # healthy first
-                victim = cluster._processes[1]
+                victim = cluster._transport.processes[1]
                 os.kill(victim.pid, signal.SIGSTOP)  # the task sits in its pipe
                 pending = cluster.submit(query)
                 victim.kill()

@@ -273,7 +273,7 @@ class TestWorkerDeathAroundAPatch:
         with start(fragments, indexes) as cluster:
             manager.bind_cluster(cluster)
             leases = cluster._shm_store.leases_snapshot()
-            victim = cluster._processes[1]
+            victim = cluster._transport.processes[1]
             os.kill(victim.pid, signal.SIGSTOP)  # the patch will sit in its pipe
             killer = threading.Timer(0.3, os.kill, (victim.pid, signal.SIGKILL))
             killer.start()

@@ -142,7 +142,7 @@ class TestWorkerCrash:
         try:
             query = sgkq(["w0", "w1"], 5.0)
             pendings = [cluster.submit(query) for _ in range(6)]
-            cluster._processes[2].kill()
+            cluster._transport.processes[2].kill()
             # No future may hang: each either completed before the kill
             # or fails with ClusterError within the timeout.
             for pending in pendings:
@@ -173,7 +173,7 @@ class TestWorkerCrash:
         _net, fragments, indexes = built
         cluster = PipelinedCluster.start(fragments, indexes, num_machines=2)
         try:
-            for process in cluster._processes:
+            for process in cluster._transport.processes:
                 process.kill()
             for _ in range(100):
                 if len(cluster.dead_machines) == 2:

@@ -270,7 +270,7 @@ class TestDegradedServing:
                 with ServeClient(server.host, server.port) as client:
                     healthy = client.query("NEAR(w0, 3)")
                     assert healthy["ok"] and not healthy["degraded"]
-                    cluster._processes[1].kill()
+                    cluster._transport.processes[1].kill()
                     for _ in range(100):
                         if cluster.degraded:
                             break
