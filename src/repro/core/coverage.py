@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from time import perf_counter
 from typing import NamedTuple, Sequence
 
 from repro.core.fragment import Fragment
@@ -53,6 +54,7 @@ __all__ = [
     "FragmentRuntime",
     "batch_distance_maps",
     "coverage_members",
+    "describe_source",
     "local_coverage",
     "local_distance_map",
     "member_count",
@@ -415,7 +417,8 @@ def local_distance_map(
     return _distance_view(runtime, settle_term(runtime, term, stats))
 
 
-def _describe_source(term: CoverageTerm) -> str:
+def describe_source(term: CoverageTerm) -> str:
+    """A term's source as trace tags and hot-spot keys name it: keyword or ``#node``."""
     source = term.source
     return source.keyword if isinstance(source, KeywordSource) else f"#{source.node}"
 
@@ -441,35 +444,37 @@ def coverage_members(
     terms: Sequence[CoverageTerm],
     stats: CoverageStats | None = None,
     *,
-    collector=None,
-    parent_id: str | None = None,
+    records: list | None = None,
 ) -> list:
     """:func:`term_members` for every term of one query, in term order.
 
     How executors evaluate a set-valued D-function; duplicate terms are
-    read once.  ``collector`` (a :class:`repro.obs.trace.SpanCollector`,
-    duck-typed so this module stays obs-agnostic) records one ``eval``
-    span per *distinct* term, tagged with the term's source/radius, its
-    member count (``settled``) and ``cache=hit|miss|off``.
+    read once.  ``records`` (a traced task's stage list) gets one
+    ``("eval", fragment, term index, start, end, cache, settled)`` row
+    per *distinct* term: ``cache`` is ``hit|miss|off`` and ``settled``
+    the term's member count.  The term's source and radius are not
+    recorded; a reader finds them at ``terms[term index]``.
     """
     memo: dict[CoverageTerm, object] = {}
     for i, term in enumerate(terms):
         if term in memo:
             continue
-        if collector is None:
+        if records is None:
             memo[term] = term_members(runtime, term, stats)
             continue
-        with collector.span(
-            "eval",
-            parent_id=parent_id,
-            fragment_id=runtime.fragment.fragment_id,
-            term=i,
-            source=_describe_source(term),
-            radius=term.radius,
-        ) as span:
-            memo[term] = term_members(runtime, term, stats)
-        span.tags["cache"] = runtime.coverage_cache.last
-        span.tags["settled"] = member_count(memo[term])
+        started = perf_counter()
+        memo[term] = members = term_members(runtime, term, stats)
+        records.append(
+            (
+                "eval",
+                runtime.fragment.fragment_id,
+                i,
+                started,
+                perf_counter(),
+                runtime.coverage_cache.last,
+                member_count(members),
+            )
+        )
     return [memo[term] for term in terms]
 
 

@@ -88,8 +88,7 @@ def execute_fragment_task(
     runtime: FragmentRuntime,
     query: QClassQuery,
     *,
-    collector=None,
-    parent_id: str | None = None,
+    records: list | None = None,
 ) -> FragmentTaskResult:
     """Run ``query`` on one fragment and return its local result.
 
@@ -97,27 +96,24 @@ def execute_fragment_task(
     coverage_members`), so a term the fragment's coverage cache holds
     costs a dict hit instead of a search.
 
-    ``collector`` (a :class:`repro.obs.trace.SpanCollector`, duck-typed)
-    opts into stage tracing: one ``task`` span per fragment wrapping
-    per-term ``eval`` spans and one ``union`` span for the D-expression
-    evaluation.  The evaluation itself is identical either way — tracing
-    only observes, so answers are bit-identical with it on or off.
+    ``records`` (a plain list) opts into stage timing: the task appends
+    one ``eval`` row per distinct term (see :func:`coverage_members`),
+    then ``("union", fragment, start, end)`` for the D-expression
+    evaluation and ``("task", fragment, start, end, result nodes)``.
+    The evaluation itself is identical either way — timing only
+    observes, so answers are bit-identical with it on or off.
     """
     started = time.perf_counter()
     stats = CoverageStats()
     fragment_id = runtime.fragment.fragment_id
-    if collector is None:
-        members = coverage_members(runtime, query.terms, stats)
-        run, sizes, _mask = _apply_dfunction(runtime, query, members)
-    else:
-        with collector.span("task", parent_id=parent_id, fragment_id=fragment_id) as task_span:
-            members = coverage_members(
-                runtime, query.terms, stats, collector=collector, parent_id=task_span.span_id
-            )
-            with collector.span("union", parent_id=task_span.span_id, fragment_id=fragment_id):
-                run, sizes, _mask = _apply_dfunction(runtime, query, members)
-            task_span.tags["result_nodes"] = len(run)
-    return FragmentTaskResult(fragment_id, run, sizes, time.perf_counter() - started, stats)
+    members = coverage_members(runtime, query.terms, stats, records=records)
+    union_started = time.perf_counter()
+    run, sizes, _mask = _apply_dfunction(runtime, query, members)
+    ended = time.perf_counter()
+    if records is not None:
+        records.append(("union", fragment_id, union_started, ended))
+        records.append(("task", fragment_id, started, ended, len(run)))
+    return FragmentTaskResult(fragment_id, run, sizes, ended - started, stats)
 
 
 def execute_fragment_task_explained(

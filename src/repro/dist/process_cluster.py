@@ -7,13 +7,13 @@ Lemma 1).
 
 * :class:`WorkerHandler` is the one worker: its state plus
   ``handle(frame) -> reply frame``.  Every query message names
-  ``(request_id, query, trace_wire, attempt, fragment_ids)`` (empty
+  ``(request_id, query, traced, attempt, fragment_ids)`` (empty
   ``fragment_ids`` = every hosted fragment) and every reply echoes the
   request id, so replies may arrive in any order; a failing task poisons
   only its own request.  The message table is in
   ``docs/ARCHITECTURE.md``.
 * :class:`ProcessClusterCore` is the one coordinator: planning, frame
-  encoding, reply merge, trace-tree assembly, epoch apply fan-out with
+  encoding, reply merge, stage-timing capture, epoch apply fan-out with
   shared-memory leases, stats sweeps, failover and shutdown.  It reaches
   workers only through a transport's ``send(machine_id, frame)``; the
   transport hands every reply frame to :meth:`ProcessClusterCore._deliver`
@@ -54,11 +54,12 @@ import traceback
 from array import array
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import Pipe, Process, get_context
 from multiprocessing.connection import Connection
 
-from repro.core.coverage import CacheStats, FragmentRuntime, sum_cache_stats
+from repro.core.coverage import CacheStats, FragmentRuntime, describe_source, sum_cache_stats
 from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
 from repro.core.fragment import Fragment
 from repro.core.kernel import FragmentKernel
@@ -67,7 +68,7 @@ from repro.core.queries import KeywordSource, NodeSource, QClassQuery
 from repro.core.runs import RunAnswer, as_run, merge_runs
 from repro.dist.network import NetworkModel
 from repro.exceptions import ClusterError
-from repro.obs.trace import Span, SpanCollector, TraceContext
+from repro.obs.trace import Span, TraceContext, new_span_id
 from repro.shm import SharedSegmentStore, ShmWorkerRuntimes
 
 __all__ = [
@@ -282,25 +283,26 @@ def apply_epoch(kind: str, data, registry, runtimes: list) -> tuple[list, list[i
 def query_frame(
     request_id: int,
     query: QClassQuery,
-    trace_wire: tuple[str, str] | None = None,
+    traced: bool = False,
     attempt: int = 0,
     fragment_ids: tuple[int, ...] = (),
     explain: bool = False,
 ) -> bytes:
     """The task frame a coordinator sends a worker for one query.
 
-    Untraced queries travel as binary pipe frames; traced and explain
-    queries are pickled (spans and distance columns ride their replies).
+    Plain and traced queries travel as binary pipe frames; a traced one
+    only sets a tag bit, which asks the worker to time its stages into
+    the reply (no trace or span id crosses the pipe).  Explain queries
+    are pickled (distance columns ride their replies).
     """
     # Bound here, not at import: repro.serve imports this module.
     from repro.serve.wire import dumps_pipe_query
 
     sent_at = time.perf_counter()
-    if trace_wire is None and not explain:
-        return dumps_pipe_query(request_id, query, sent_at, attempt, fragment_ids)
-    kind = "explain" if explain else "query"
-    body = (request_id, query, trace_wire, attempt, fragment_ids)
-    return pickle.dumps((kind, body, sent_at))
+    if not explain:
+        return dumps_pipe_query(request_id, query, sent_at, attempt, fragment_ids, traced)
+    body = (request_id, query, None, attempt, fragment_ids)
+    return pickle.dumps(("explain", body, sent_at))
 
 
 def epoch_message(hosted, replacements, epoch: int, shm_store, seed_keys=None):
@@ -337,23 +339,6 @@ def _select(hosted: dict, runtimes: list, fragment_ids) -> list:
     return [hosted[fid] for fid in fragment_ids]
 
 
-def _finish_spans(
-    collector: SpanCollector, parent_id: str | None, reply: list, elapsed: float
-) -> list[Span]:
-    """Measure reply serialisation, then return the spans to piggyback.
-
-    The serialize span must itself travel inside the reply, so the
-    reply body is pickled once as a measured probe and the final
-    message (with spans attached) is pickled by the caller — the double
-    pickle only happens on traced queries.
-    """
-    started = time.perf_counter()
-    probe = pickle.dumps(("results", (reply, elapsed), 0.0))
-    ended = time.perf_counter()
-    collector.record("serialize", started, ended, parent_id=parent_id, bytes=len(probe))
-    return collector.spans
-
-
 class WorkerHandler:
     """One worker's state and its per-message body.
 
@@ -365,13 +350,14 @@ class WorkerHandler:
     a pipe; :class:`~repro.dist.cluster.InProcessTransport` calls the
     same method in process.  Message kinds:
 
-    * ``query`` / ``explain`` — ``(request_id, query, trace_wire,
+    * ``query`` / ``explain`` — ``(request_id, query, traced,
       attempt, fragment_ids)``; the reply is ``results`` with one
-      ``(fragment_id, nodes, seconds)`` entry per named fragment.  An
-      untraced ``query`` may arrive as a binary pipe frame and is
-      answered with one; explain replies carry ``(run, per-term
-      distance columns)`` partials instead of runs, traced replies
-      piggyback the worker's stage spans.
+      ``(fragment_id, nodes, seconds)`` entry per named fragment.  A
+      ``query`` is answered with a binary pipe frame; a traced one
+      appends the worker's stage timings (queue-wait, task, eval,
+      union, serialize) as its packed stage block.  Explain replies are
+      pickled and carry ``(run, per-term distance columns)`` partials
+      instead of runs.
     * :data:`APPLY_KINDS` — ``(request_id, epoch, data)``, answered with
       ``applied``; ``cache_stats`` — ``(request_id,)``, answered with
       ``stats``; ``config`` — ``{"machine_delay": seconds}`` slept
@@ -421,20 +407,14 @@ class WorkerHandler:
             elif kind == "cache_stats":
                 out = ("stats", (request_id, sum_cache_stats(self.runtimes)))
             elif kind in ("query", "explain"):
-                _request_id, query, trace_wire, *target = body
+                _request_id, query, traced, *target = body
                 attempt, fragment_ids = target or (0, ())
                 selected = _select(self.hosted, self.runtimes, fragment_ids)
-                collector = parent_id = None
-                if trace_wire is not None:
-                    collector = SpanCollector(trace_wire[0])
-                    parent_id = trace_wire[1]
-                    if sent_at is not None:
-                        # Pipe transit, the emulated link and the
-                        # time spent behind earlier messages.
-                        collector.record(
-                            "queue-wait", sent_at, received,
-                            parent_id=parent_id, bytes=len(raw),
-                        )
+                records = None
+                if traced:
+                    # Queue wait: pipe transit, the emulated link and the
+                    # time spent behind earlier messages.
+                    records = [("queue-wait", sent_at, received, len(raw))]
                 started = time.perf_counter()
                 reply = []
                 for runtime in selected:
@@ -443,24 +423,17 @@ class WorkerHandler:
                     if kind == "explain":
                         result, nodes = execute_fragment_task_explained(runtime, query)
                     else:
-                        result = execute_fragment_task(
-                            runtime, query, collector=collector, parent_id=parent_id
-                        )
+                        result = execute_fragment_task(runtime, query, records=records)
                         nodes = result.run
                     if tasks is not None:
                         tasks.append(result)
                     reply.append((result.fragment_id, nodes, result.wall_seconds))
                 elapsed = time.perf_counter() - started
-                if kind == "query" and collector is None:
+                if kind == "query":
                     return self._dumps_pipe_results(
-                        request_id, reply, elapsed, time.perf_counter(), attempt
+                        request_id, reply, elapsed, time.perf_counter(), attempt, records
                     )
-                spans = (
-                    _finish_spans(collector, parent_id, reply, elapsed)
-                    if collector is not None
-                    else None
-                )
-                out = ("results", (request_id, reply, elapsed, attempt, spans))
+                out = ("results", (request_id, reply, elapsed, attempt, None))
             else:
                 raise ClusterError(f"unknown message kind {kind!r}")
             return pickle.dumps((*out, time.perf_counter()))
@@ -587,6 +560,148 @@ class PipeTransport:
 # ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
+class _Dispatch:
+    """One traced fan-out to one machine: a ``dispatch`` span, not yet built."""
+
+    __slots__ = ("machine_id", "attempt", "rerouted", "start", "end")
+
+    def __init__(self, machine_id: int, attempt: int, rerouted: bool) -> None:
+        self.machine_id = machine_id
+        self.attempt = attempt
+        self.rerouted = rerouted
+        self.start = time.perf_counter()
+        self.end: float | None = None
+
+
+class QueryTrace:
+    """A traced query's timings, kept raw until its span tree is read.
+
+    The coordinator records the root's start, one :class:`_Dispatch` per
+    fan-out target and each worker reply's stage block (``serve.wire``'s
+    packed ``queue-wait``/``task``/``eval``/``union``/``serialize``
+    timings) in ``events``, in the order it sees them.  Nothing becomes
+    a :class:`~repro.obs.trace.Span` until :meth:`spans` is called, so a
+    trace the retention policy drops costs no span objects, ids or tags.
+    Mutated under the coordinator's ``_lock`` until the query completes,
+    read-only after.
+    """
+
+    __slots__ = ("context", "query", "start", "end", "events")
+
+    def __init__(self, context: TraceContext, query: QClassQuery) -> None:
+        self.context = context
+        self.query = query
+        self.start = time.perf_counter()
+        self.end: float | None = None
+        # _Dispatch records and (machine_id, attempt, stage block) replies.
+        self.events: list = []
+
+    def dispatch(self, machine_id: int, attempt: int, rerouted: bool) -> None:
+        """Open a ``dispatch`` to ``machine_id``."""
+        self.events.append(_Dispatch(machine_id, attempt, rerouted))
+
+    def reply(self, machine_id: int, attempt: int, block: bytes) -> None:
+        """Keep one reply's stage block.
+
+        A query sends one frame per machine per attempt, so ``(machine_id,
+        attempt)`` names the dispatch the reply answers.
+        """
+        self.events.append((machine_id, attempt, block))
+
+    def close(self, machine_id: int | None = None) -> None:
+        """Close the open dispatches to ``machine_id`` (it replied, or died), or all."""
+        now = time.perf_counter()
+        for event in self.events:
+            if (
+                isinstance(event, _Dispatch)
+                and event.end is None
+                and machine_id in (None, event.machine_id)
+            ):
+                event.end = now
+
+    def restart(self) -> None:
+        """Drop everything but the root: the query restarts from scratch."""
+        self.events.clear()
+
+    def finish(self) -> None:
+        """Close the root and every dispatch still open."""
+        self.close()
+        self.end = time.perf_counter()
+
+    def eval_rows(self) -> list[tuple[str, int, float]]:
+        """``(source, fragment_id, seconds)`` per worker ``eval``, no spans built."""
+        # Bound here, not at import: repro.serve imports this module.
+        from repro.serve.wire import stage_block_evals
+
+        names = [describe_source(term) for term in self.query.terms]
+        return [
+            (names[term], fragment_id, max(0.0, end - start))
+            for event in self.events
+            if not isinstance(event, _Dispatch)
+            for fragment_id, term, start, end, _cache, _settled in stage_block_evals(event[2])
+        ]
+
+    def spans(self) -> tuple[Span, ...]:
+        """The span tree: ``query`` → ``dispatch`` → the workers' stages."""
+        from repro.serve.wire import decode_stage_block
+
+        trace_id = self.context.trace_id
+        root = Span(trace_id, new_span_id(), self.context.span_id, "query", self.start, self.end)
+        spans = [root]
+        dispatch_ids: dict[tuple[int, int], str] = {}
+        for event in self.events:
+            if isinstance(event, _Dispatch):
+                tags = {"attempt": event.attempt}
+                if event.rerouted:
+                    tags["rerouted"] = True
+                span = Span(
+                    trace_id, new_span_id(), root.span_id, "dispatch",
+                    event.start, event.end, event.machine_id, None, tags,
+                )
+                dispatch_ids[event.machine_id, event.attempt] = span.span_id
+                spans.append(span)
+            else:
+                machine_id, attempt, block = event
+                self._worker_spans(
+                    spans, dispatch_ids.get((machine_id, attempt)), machine_id,
+                    decode_stage_block(block),
+                )
+        return tuple(spans)
+
+    def _worker_spans(
+        self, spans: list[Span], parent_id: str | None, machine_id: int, stages: dict
+    ) -> None:
+        """Append one reply's spans, in the order the worker opened them."""
+        trace_id = self.context.trace_id
+        terms = self.query.terms
+
+        def add(name, start, end, parent, fragment_id=None, **tags) -> str:
+            span = Span(
+                trace_id, new_span_id(), parent, name, start, end, machine_id, fragment_id, tags
+            )
+            spans.append(span)
+            return span.span_id
+
+        sent_at, received, frame_bytes = stages["queue-wait"]
+        add("queue-wait", sent_at, received, parent_id, bytes=frame_bytes)
+        evals: dict[int, list] = {}
+        for row in stages["eval"]:
+            evals.setdefault(row[0], []).append(row)
+        unions = {fragment_id: (start, end) for fragment_id, start, end in stages["union"]}
+        for fragment_id, start, end, result_nodes in stages["task"]:
+            task_id = add("task", start, end, parent_id, fragment_id, result_nodes=result_nodes)
+            for _f, i, eval_start, eval_end, cache, settled in evals.get(fragment_id, ()):
+                add(
+                    "eval", eval_start, eval_end, task_id, fragment_id,
+                    term=i, source=describe_source(terms[i]), radius=terms[i].radius,
+                    cache=cache, settled=settled,
+                )
+            if fragment_id in unions:
+                add("union", *unions[fragment_id], task_id, fragment_id)
+        started, ended, reply_bytes = stages["serialize"]
+        add("serialize", started, ended, parent_id, bytes=reply_bytes)
+
+
 @dataclass(frozen=True)
 class PipelinedResponse(RunAnswer):
     """Outcome of one query on a process cluster.
@@ -594,7 +709,9 @@ class PipelinedResponse(RunAnswer):
     ``result_run`` is the answer as one sorted run (what the ANSWER
     frame and the NDJSON reply are written from); ``result_nodes`` is
     the same as a frozenset, built on first use.  ``degraded`` marks
-    answers missing a fragment that had no live worker left.
+    answers missing a fragment that had no live worker left.  A traced
+    query carries its raw :class:`QueryTrace`; :attr:`spans` builds the
+    tree from it on first read.
     """
 
     result_run: array
@@ -603,11 +720,21 @@ class PipelinedResponse(RunAnswer):
     wall_seconds: float
     message_bytes: int
     degraded: bool = False
-    spans: tuple[Span, ...] = ()
+    query_trace: QueryTrace | None = field(default=None, repr=False, compare=False)
     # Explain mode only: fragment_id -> (run, per-term distance columns).
     partials: dict[int, tuple[array, list[array]]] | None = None
     # >0 when any failover (reroute or restart) touched this query.
     attempt: int = 0
+
+    @cached_property
+    def spans(self) -> tuple[Span, ...]:
+        """The query's span tree (empty when untraced), built once on first read."""
+        return () if self.query_trace is None else self.query_trace.spans()
+
+    @property
+    def eval_rows(self) -> list[tuple[str, int, float]]:
+        """``(source, fragment_id, seconds)`` per worker eval; empty when untraced."""
+        return [] if self.query_trace is None else self.query_trace.eval_rows()
 
 
 @dataclass(frozen=True)
@@ -644,9 +771,7 @@ class _InFlight:
         "fragment_seconds",
         "machine_seconds",
         "message_bytes",
-        "collector",  # SpanCollector when the query is traced, else None
-        "root",  # the open "query" span
-        "dispatch_spans",  # machine_id -> open dispatch spans
+        "trace",  # QueryTrace when the query is traced, else None
         "partials",
     )
 
@@ -666,9 +791,7 @@ class _InFlight:
         self.fragment_seconds: dict[int, float] = {}
         self.machine_seconds: dict[int, float] = {}
         self.message_bytes = 0
-        self.collector: SpanCollector | None = None
-        self.root: Span | None = None
-        self.dispatch_spans: dict[int, list[Span]] = {}
+        self.trace: QueryTrace | None = None
         self.partials: dict[int, tuple[array, list[array]]] = {}
 
 
@@ -920,19 +1043,18 @@ class ProcessClusterCore:
         reply: list[tuple[int, "array | tuple[array, list[array]]", float]],
         elapsed: float,
         attempt: int = 0,
-        spans: list[Span] | None = None,
+        block: bytes | None = None,
     ) -> None:
         with self._lock:
             self._note_reply(machine_id, len(reply), elapsed)
             inflight = self._pending.get(request_id)
             if inflight is None or attempt < inflight.valid_from:
                 return  # timed out, forgotten, or a restarted query's old attempt
-            if spans and inflight.collector is not None:
-                for span in spans:
-                    span.machine_id = machine_id
-                inflight.collector.extend(spans)
-            for span in inflight.dispatch_spans.pop(machine_id, ()):
-                span.finish()
+            trace = inflight.trace
+            if trace is not None:
+                if block is not None:
+                    trace.reply(machine_id, attempt, block)
+                trace.close(machine_id)
             for fragment_id, nodes, seconds in reply:
                 if inflight.awaiting.get(fragment_id) != machine_id:
                     continue  # task was rerouted away; a twin answer is coming
@@ -955,15 +1077,8 @@ class ProcessClusterCore:
         self._complete_query(inflight)
 
     def _complete_query(self, inflight: _InFlight) -> None:
-        spans: tuple[Span, ...] = ()
-        if inflight.collector is not None:
-            for open_spans in inflight.dispatch_spans.values():
-                for span in open_spans:
-                    span.finish()
-            inflight.dispatch_spans.clear()
-            if inflight.root is not None and inflight.root.end is None:
-                inflight.root.finish()
-            spans = tuple(inflight.collector.spans)
+        if inflight.trace is not None:
+            inflight.trace.finish()
         _settle(
             inflight.future,
             PipelinedResponse(
@@ -973,7 +1088,7 @@ class ProcessClusterCore:
                 wall_seconds=time.perf_counter() - inflight.started,
                 message_bytes=inflight.message_bytes,
                 degraded=inflight.degraded,
-                spans=spans,
+                query_trace=inflight.trace,
                 partials=dict(inflight.partials) if inflight.partials else None,
                 attempt=inflight.attempt,
             ),
@@ -1072,10 +1187,10 @@ class ProcessClusterCore:
                     owed = [fid for fid, m in inflight.awaiting.items() if m == machine_id]
                     if not owed:
                         continue
-                    # The dead machine's dispatch spans will never see a
+                    # The dead machine's dispatches will never see a
                     # reply; close them so the trace tree stays well-formed.
-                    for span in inflight.dispatch_spans.pop(machine_id, ()):
-                        span.finish()
+                    if inflight.trace is not None:
+                        inflight.trace.close(machine_id)
                     routed = self._reassign(inflight, owed, alive)
                     if routed is None:
                         del self._pending[request_id]
@@ -1113,12 +1228,12 @@ class ProcessClusterCore:
     # ------------------------------------------------------------------
     def _plan(
         self, inflight: _InFlight, routed: dict[int, int], rerouted: bool
-    ) -> list[tuple[int, tuple[int, ...], tuple[str, str] | None]]:
-        """Under ``_lock``: one ``(machine, fragment ids, trace wire)`` per target.
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """Under ``_lock``: one ``(machine, fragment ids)`` per target.
 
         A machine asked for every fragment it hosts is sent the empty
         list, so a broadcast shares one encoded payload.  Traced queries
-        open a ``dispatch`` span per target here.
+        open a ``dispatch`` per target here.
         """
         by_machine: dict[int, list[int]] = {}
         for fragment_id, machine_id in routed.items():
@@ -1130,32 +1245,24 @@ class ProcessClusterCore:
                 if len(fragment_ids) == len(self._assignments[machine_id])
                 else tuple(fragment_ids)
             )
-            trace_wire = None
-            if inflight.collector is not None and inflight.root is not None:
-                span = inflight.collector.start(
-                    "dispatch",
-                    parent_id=inflight.root.span_id,
-                    machine_id=machine_id,
-                    attempt=inflight.attempt,
-                    **({"rerouted": True} if rerouted else {}),
-                )
-                inflight.dispatch_spans.setdefault(machine_id, []).append(span)
-                trace_wire = (inflight.collector.trace_id, span.span_id)
-            plan.append((machine_id, names, trace_wire))
+            if inflight.trace is not None:
+                inflight.trace.dispatch(machine_id, inflight.attempt, rerouted)
+            plan.append((machine_id, names))
         return plan
 
     def _send_plan(self, request_id: int, inflight: _InFlight, plan) -> None:
         """Under ``_fanout_lock``: encode and send each target's :func:`query_frame`."""
         payloads: dict[tuple, bytes] = {}
         sent_bytes = 0
-        for machine_id, names, trace_wire in plan:
-            payload = payloads.get((names, trace_wire))
+        traced = inflight.trace is not None
+        for machine_id, names in plan:
+            payload = payloads.get(names)
             if payload is None:
                 payload = query_frame(
-                    request_id, inflight.query, trace_wire, inflight.attempt, names,
+                    request_id, inflight.query, traced, inflight.attempt, names,
                     inflight.explain,
                 )
-                payloads[names, trace_wire] = payload
+                payloads[names] = payload
             try:
                 self._transport.send(machine_id, payload)
                 sent_bytes += len(payload)
@@ -1173,11 +1280,12 @@ class ProcessClusterCore:
     ) -> PendingQuery:
         """Send one task per fragment to a live worker; return immediately.
 
-        ``trace`` opts the query into span recording: the coordinator
-        opens the root ``query`` span and one ``dispatch`` span per
-        target, each worker piggybacks its ``queue-wait``/``task``/
-        ``eval``/``union``/``serialize`` spans on its reply, and the
-        resolved :class:`PipelinedResponse` carries the assembled tree.
+        ``trace`` opts the query into stage timing: the coordinator
+        times the root ``query`` and one ``dispatch`` per target, each
+        worker packs its ``queue-wait``/``task``/``eval``/``union``/
+        ``serialize`` timings into its reply, and the resolved
+        :class:`PipelinedResponse` builds the span tree from them when
+        :attr:`~PipelinedResponse.spans` is first read.
 
         ``explain`` asks each worker for the exact per-term distances of
         its result nodes alongside the node sets (the semantic result
@@ -1206,10 +1314,7 @@ class ProcessClusterCore:
                 )
                 inflight.degraded = len(routed) < len(self._fragment_ids)
                 if trace is not None:
-                    inflight.collector = SpanCollector(trace.trace_id)
-                    inflight.root = inflight.collector.start(
-                        "query", parent_id=trace.span_id
-                    )
+                    inflight.trace = QueryTrace(trace, query)
                 self._pending[request_id] = inflight
                 plan = self._plan(inflight, routed, rerouted=False)
             self._send_plan(request_id, inflight, plan)

@@ -233,14 +233,10 @@ class HACluster(ProcessClusterCore):
         inflight.runs.clear()
         inflight.fragment_seconds.clear()
         inflight.partials.clear()
-        if inflight.collector is not None:
-            # Partial spans belong to discarded work; keep only the root
-            # so the restarted tree reads cleanly.
-            for open_spans in inflight.dispatch_spans.values():
-                for span in open_spans:
-                    span.finish()
-            inflight.dispatch_spans.clear()
-            inflight.collector.spans[:] = [inflight.root]
+        if inflight.trace is not None:
+            # Stage blocks of discarded work go; only the root stays, so
+            # the restarted tree reads cleanly.
+            inflight.trace.restart()
         routed = self._route(self._fragment_ids, alive, None)
         inflight.awaiting = dict(routed)
         inflight.degraded = len(routed) < len(self._fragment_ids)

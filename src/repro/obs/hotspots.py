@@ -12,9 +12,9 @@ key whose true weight exceeds ``total / capacity`` is tracked.
 
 :class:`HotSpotSketch` runs six sketches — keywords, fragments and
 keyword × fragment pairs, each by eval-seconds and by eval count — fed
-from the ``eval`` spans workers already piggyback on traced replies
-(tags ``source`` and duration; see
-:func:`repro.core.coverage.settle_terms`).  The top-k surfaces
+from the ``eval`` timings workers already pack into traced replies
+(:meth:`HotSpotSketch.feed_rows`; a span tree's ``eval`` spans feed the
+same path through :meth:`HotSpotSketch.feed_spans`).  The top-k surfaces
 in the ``stats`` op, as bounded-cardinality Prometheus series, and as
 the per-fragment feature feed the ROADMAP's learned-pruning item
 consumes.
@@ -23,6 +23,7 @@ consumes.
 from __future__ import annotations
 
 import threading
+from heapq import heapify, heappop, heappush
 
 from repro.obs.prometheus import escape_label_value
 
@@ -32,38 +33,59 @@ __all__ = ["SpaceSaving", "HotSpotSketch", "render_hotspots"]
 class SpaceSaving:
     """Bounded top-k counter sketch with per-entry error bounds.
 
-    ``offer(key, weight)`` is O(capacity) worst case (the evict-min
-    scan); capacities here are tens, not thousands, so a scan beats
-    the bookkeeping of the textbook stream-summary structure.
+    ``offer(key, weight)`` is O(log capacity) amortised: the evict-min
+    victim comes off a lazy min-heap of ``(count, insertion seq, key)``
+    entries — an update pushes a fresh entry, stale ones are skipped on
+    pop and swept out once the heap outgrows the table.  Ties go to the
+    earliest-inserted key, as a scan of the insertion-ordered table
+    would pick.
     """
 
-    __slots__ = ("capacity", "_counts", "_errors", "total")
+    __slots__ = ("capacity", "_entries", "_heap", "_next_seq", "total")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._counts: dict[object, float] = {}
-        self._errors: dict[object, float] = {}
+        # key -> [estimate, error, insertion seq]
+        self._entries: dict[object, list] = {}
+        self._heap: list[tuple[float, int, object]] = []
+        self._next_seq = 0
         self.total = 0.0
 
     def offer(self, key: object, weight: float = 1.0) -> None:
         """Add ``weight`` to ``key``'s estimate (evicting the min if full)."""
-        if weight <= 0.0:
-            return
-        self.total += weight
-        if key in self._counts:
-            self._counts[key] += weight
-            return
-        if len(self._counts) < self.capacity:
-            self._counts[key] = weight
-            self._errors[key] = 0.0
-            return
-        victim = min(self._counts, key=self._counts.__getitem__)
-        floor = self._counts.pop(victim)
-        self._errors.pop(victim)
-        self._counts[key] = floor + weight
-        self._errors[key] = floor
+        self.offer_all(((key, weight),))
+
+    def offer_all(self, weights) -> None:
+        """:meth:`offer` for each ``(key, weight)`` pair, in order."""
+        entries, heap, capacity = self._entries, self._heap, self.capacity
+        for key, weight in weights:
+            if weight <= 0.0:
+                continue
+            self.total += weight
+            entry = entries.get(key)
+            if entry is not None:
+                entry[0] += weight
+                heappush(heap, (entry[0], entry[2], key))
+                continue
+            floor = 0.0
+            if len(entries) >= capacity:
+                while True:  # pop to the smallest live, current estimate
+                    count, seq, victim = heappop(heap)
+                    found = entries.get(victim)
+                    if found is not None and found[2] == seq and found[0] == count:
+                        del entries[victim]
+                        floor = count
+                        break
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            entries[key] = [floor + weight, floor, seq]
+            heappush(heap, (floor + weight, seq, key))
+        if len(heap) > 4 * capacity + 64:
+            # Sweep out superseded entries: one live entry per key.
+            heap[:] = [(count, seq, key) for key, (count, _error, seq) in entries.items()]
+            heapify(heap)
 
     def top(self, n: int) -> list[tuple[object, float, float]]:
         """The ``n`` largest estimates as ``(key, estimate, error)``.
@@ -72,26 +94,32 @@ class SpaceSaving:
         estimate]``.
         """
         ordered = sorted(
-            self._counts.items(), key=lambda item: item[1], reverse=True
+            self._entries.items(), key=lambda item: item[1][0], reverse=True
         )
-        return [
-            (key, count, self._errors[key]) for key, count in ordered[:n]
-        ]
+        return [(key, count, error) for key, (count, error, _seq) in ordered[:n]]
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._entries)
 
 
 class HotSpotSketch:
-    """Keyword / fragment / pair attribution by eval-seconds and count."""
+    """Keyword / fragment / pair attribution by eval-seconds and count.
+
+    Rows are buffered and folded into the sketches once
+    :attr:`FLUSH_ROWS` have gathered, and before every read: a batch is
+    summed per key first, so a key that recurs across the batch's
+    responses costs one weighted offer, not one per eval.
+    """
 
     DIMENSIONS = ("keyword", "fragment", "pair")
+    FLUSH_ROWS = 2048
 
     def __init__(self, capacity: int = 32) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._seconds = {dim: SpaceSaving(capacity) for dim in self.DIMENSIONS}
         self._counts = {dim: SpaceSaving(capacity) for dim in self.DIMENSIONS}
+        self._pending: list[tuple[str, int | None, float]] = []
         self._evals = 0
         self._eval_seconds = 0.0
 
@@ -99,37 +127,71 @@ class HotSpotSketch:
         self, source: str, fragment_id: int | None, seconds: float
     ) -> None:
         """Attribute one per-term evaluation to its keyword and fragment."""
+        self.feed_rows(((source, fragment_id, seconds),))
+
+    def feed_rows(self, rows) -> None:
+        """Ingest evals as ``(source, fragment_id, seconds)`` rows.
+
+        ``fragment_id`` ``None`` attributes to the keyword only.  The
+        rows wait in a bounded buffer; Space-Saving's bounds hold for
+        the weighted offers a batch turns into, and ``evals`` /
+        ``eval_seconds`` stay exact.
+        """
         with self._lock:
-            self._evals += 1
+            self._pending.extend(rows)
+            if len(self._pending) >= self.FLUSH_ROWS:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Fold the buffered rows into the sketches (``_lock`` held)."""
+        rows, self._pending = self._pending, []
+        pair_seconds: dict[tuple, float] = {}
+        pair_counts: dict[tuple, int] = {}
+        for source, fragment_id, seconds in rows:
             self._eval_seconds += seconds
-            self._seconds["keyword"].offer(source, seconds)
-            self._counts["keyword"].offer(source, 1.0)
+            key = (source, fragment_id)
+            if key in pair_counts:
+                pair_seconds[key] += seconds
+                pair_counts[key] += 1
+            else:
+                pair_seconds[key] = seconds
+                pair_counts[key] = 1
+        self._evals += len(rows)
+        seconds_by: dict[str, dict] = {dim: {} for dim in self.DIMENSIONS}
+        counts_by: dict[str, dict] = {dim: {} for dim in self.DIMENSIONS}
+        for key, seconds in pair_seconds.items():
+            source, fragment_id = key
+            keys = (("keyword", source),)
             if fragment_id is not None:
-                self._seconds["fragment"].offer(fragment_id, seconds)
-                self._counts["fragment"].offer(fragment_id, 1.0)
-                pair = (source, fragment_id)
-                self._seconds["pair"].offer(pair, seconds)
-                self._counts["pair"].offer(pair, 1.0)
+                keys += (("fragment", fragment_id), ("pair", key))
+            for dim, dim_key in keys:
+                seconds_by[dim][dim_key] = seconds_by[dim].get(dim_key, 0.0) + seconds
+                counts_by[dim][dim_key] = counts_by[dim].get(dim_key, 0) + pair_counts[key]
+        for dim in self.DIMENSIONS:
+            self._seconds[dim].offer_all(seconds_by[dim].items())
+            self._counts[dim].offer_all(
+                (key, float(count)) for key, count in counts_by[dim].items()
+            )
 
     def feed_spans(self, spans) -> None:
         """Ingest a response's span tree: every closed ``eval`` span.
 
         The ``source`` tag is the term's keyword (or ``#<node>`` for
-        RKQ location terms — those are load too).
+        RKQ location terms — those are load too).  Same path as
+        :meth:`feed_rows`.
         """
-        for span in spans:
-            if span.name != "eval" or span.end is None:
-                continue
-            source = span.tags.get("source")
-            if source is None:
-                continue
-            self.observe_eval(
-                str(source), span.fragment_id, span.duration_seconds
-            )
+        self.feed_rows(
+            (str(span.tags["source"]), span.fragment_id, span.duration_seconds)
+            for span in spans
+            if span.name == "eval"
+            and span.end is not None
+            and span.tags.get("source") is not None
+        )
 
     def snapshot(self, k: int = 10) -> dict[str, object]:
         """Top-k per dimension for the ``hotspots`` stats block."""
         with self._lock:
+            self._flush()
             return {
                 "capacity": self.capacity,
                 "evals": self._evals,
@@ -167,6 +229,7 @@ class HotSpotSketch:
         """
         k = k if k is not None else self.capacity
         with self._lock:
+            self._flush()
             seconds = {
                 key: (count, error)
                 for key, count, error in self._seconds["pair"].top(k)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from bisect import bisect_left, insort
 
 __all__ = ["TokenBucket", "LatencyThreshold", "RetentionPolicy"]
 
@@ -69,6 +70,9 @@ class LatencyThreshold:
     exceeds *either* the windowed p99 (relative tail) or the floor
     (absolute regression).  The window is a ring so the threshold
     follows load shifts instead of averaging over the process lifetime.
+    A sorted copy of the ring is kept beside it (``insort`` in, bisect
+    and delete the evicted value out), so reading the p99 is one index,
+    not a sort of the window per query.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class LatencyThreshold:
     ) -> None:
         self.slow_ms = slow_ms
         self._window: list[float] = []
+        self._sorted: list[float] = []
         self._cursor = 0
         self._capacity = window
         self._min_samples = min_samples
@@ -85,16 +90,19 @@ class LatencyThreshold:
         if len(self._window) < self._capacity:
             self._window.append(latency_seconds)
         else:
+            evicted = self._window[self._cursor]
+            del self._sorted[bisect_left(self._sorted, evicted)]
             self._window[self._cursor] = latency_seconds
             self._cursor = (self._cursor + 1) % self._capacity
+        insort(self._sorted, latency_seconds)
 
     def p99_ms(self) -> float | None:
         """The windowed p99 in ms, or None while warming up."""
-        if len(self._window) < self._min_samples:
+        size = len(self._sorted)
+        if size < self._min_samples:
             return None
-        ordered = sorted(self._window)
-        index = min(len(ordered) - 1, max(0, round(0.99 * len(ordered)) - 1))
-        return ordered[index] * 1000.0
+        index = min(size - 1, max(0, round(0.99 * size) - 1))
+        return self._sorted[index] * 1000.0
 
     def is_slow(self, latency_seconds: float) -> bool:
         """True if the latency exceeds the floor or the windowed p99."""

@@ -14,16 +14,18 @@ timed stage pinned to a machine and optionally a fragment:
     │   │   ├── eval   term 0      (kernel coverage eval, cache-annotated)
     │   │   ├── eval   term 1
     │   │   └── union              (D-expression evaluation)
-    │   └── serialize              (result pickling)
+    │   └── serialize              (binary result encoding)
     └── dispatch  m1 ...
 
 Span timestamps are ``time.perf_counter()`` values — system-wide
 monotonic on Linux, so they are directly comparable across the forked
 worker processes of the process clusters
-(:mod:`repro.dist.process_cluster`).  Workers record
-spans into a local :class:`SpanCollector` and piggyback them on the
-result messages they already send, so tracing preserves the
-zero-extra-round-trips property.
+(:mod:`repro.dist.process_cluster`).  Workers do not build spans: they
+pack their stage timings into the binary result frames they already
+send (the stage block of :mod:`repro.serve.wire`), so tracing preserves
+the zero-extra-round-trips property, and the coordinator builds the
+tree from them only when a trace is read
+(:class:`repro.dist.process_cluster.QueryTrace`).
 
 This module deliberately imports nothing from the rest of the package:
 ``core``, ``dist``, ``serve`` and ``live`` may all depend on it.

@@ -1067,9 +1067,8 @@ class DisksServer:
         attempt = response.attempt
         if self.slo is not None:
             self.slo.record("query", True, latency)
-        spans = response.spans
-        if spans:
-            self.hotspots.feed_spans(spans)
+        if trace is not None:
+            self.hotspots.feed_rows(response.eval_rows)
         slow = latency * 1000.0 >= self.config.slow_query_ms
         if tail:
             kept = self.retention.decide(

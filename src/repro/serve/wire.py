@@ -53,9 +53,12 @@ client and the fuzz tests.
 The same payload codecs run on the worker pipes: pickle frames start
 with 0x80 (protocol ≥ 2 opcode) and binary pipe frames with the tags
 ``Q``/``R``, so :func:`loads_pipe` sniffs one byte and returns the
-``(kind, body, sent_at)`` tuples of the pickled protocol.  Untraced
-queries and their results travel binary; traced, explain, apply and
-control traffic stays pickled on the same pipe.
+``(kind, body, sent_at)`` tuples of the pickled protocol.  Queries and
+their results travel binary, traced ones too: a traced query differs
+from an untraced one only in a tag bit, and its reply carries the
+worker's stage timings as one packed trailing block (the *stage
+block*, :func:`decode_stage_block`).  Explain, apply and control
+traffic stays pickled on the same pipe.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ import pickle
 import struct
 import sys
 from array import array
+from time import perf_counter
 
 from repro.core.dfunction import DExpression, SetOp
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource, QClassQuery
@@ -109,6 +113,9 @@ __all__ = [
     "dumps_pipe_query",
     "dumps_pipe_results",
     "loads_pipe",
+    "decode_stage_block",
+    "stage_block_evals",
+    "CACHE_OUTCOMES",
 ]
 
 MAGIC = b"DSKW"
@@ -151,6 +158,7 @@ _BIG_ENDIAN = sys.byteorder == "big"  # array('Q') is native; the wire is little
 _PIPE_QUERY_TAG = 0x51  # 'Q'
 _PIPE_RESULTS_TAG = 0x52  # 'R'
 _PIPE_TARGETED = 0x20  # 'q' / 'r': the frame carries attempt (+ fragment ids)
+_PIPE_TRACED = 0x08  # 'Y'/'y' queries and 'Z'/'z' results: record / carry stage timings
 _PICKLE_OPCODE = 0x80  # every pickle protocol ≥ 2 stream starts with this
 
 _OPCODE_LEAF = 0
@@ -642,17 +650,21 @@ def dumps_pipe_query(
     sent_at: float,
     attempt: int = 0,
     fragment_ids: tuple[int, ...] = (),
+    traced: bool = False,
 ) -> bytes:
-    """Binary pipe frame for one untraced query request.
+    """Binary pipe frame for one query request.
 
     Layout: ``u8 'Q' | f64 sent_at | u64 id | query``.  A non-zero
     ``attempt`` or a fragment subset (empty means every fragment the
     worker hosts) switches the tag to ``'q'`` and inserts ``u32 attempt
     | u32 n | n×u32 fragment`` after the id, so a default frame stays
-    byte-identical to one that predates the fields.
+    byte-identical to one that predates the fields.  ``traced`` sets one
+    more tag bit (``'Y'``/``'y'``) asking the worker to reply with its
+    stage block; the rest of the frame is unchanged.
     """
     targeted = bool(attempt or fragment_ids)
-    out = bytearray((_PIPE_QUERY_TAG | (_PIPE_TARGETED if targeted else 0),))
+    tag = _PIPE_QUERY_TAG | (_PIPE_TARGETED if targeted else 0) | (_PIPE_TRACED if traced else 0)
+    out = bytearray((tag,))
     out += _F64.pack(sent_at)
     out += _U64.pack(request_id)
     if targeted:
@@ -664,12 +676,101 @@ def dumps_pipe_query(
     return bytes(out)
 
 
+# The stage block a traced reply carries behind its fragments:
+#   f64 sent_at | f64 received | u32 frame bytes        (queue-wait)
+#   f64 start | f64 end | u32 reply bytes               (serialize)
+#   u32 ntask | u32 neval | u32 nunion
+#   ntask × (u32 fragment | f64 start | f64 end | u32 result nodes)
+#   neval × (u32 fragment | u16 term | f64 start | f64 end | u8 cache | u32 settled)
+#   nunion × (u32 fragment | f64 start | f64 end)
+_STAGE_HEAD = struct.Struct("<ddIddIIII")
+_STAGE_TASK = struct.Struct("<IddI")
+_STAGE_EVAL = struct.Struct("<IHddBI")
+_STAGE_UNION = struct.Struct("<Idd")
+_STAGE_ROWS = {"task": _STAGE_TASK, "eval": _STAGE_EVAL, "union": _STAGE_UNION}
+# An eval record's ``cache`` byte indexes this (the coverage cache's ``last``).
+CACHE_OUTCOMES = ("off", "hit", "miss")
+_CACHE_CODE = {name: code for code, name in enumerate(CACHE_OUTCOMES)}
+
+
+def _put_stage_block(out: bytearray, records: list, serialize: tuple) -> None:
+    """Append ``records`` (a worker's stage timings) and ``serialize``."""
+    queue = next(record[1:] for record in records if record[0] == "queue-wait")
+    tasks = [record for record in records if record[0] == "task"]
+    evals = [record for record in records if record[0] == "eval"]
+    unions = [record for record in records if record[0] == "union"]
+    out += _STAGE_HEAD.pack(*queue, *serialize, len(tasks), len(evals), len(unions))
+    for _kind, fragment_id, start, end, result_nodes in tasks:
+        out += _STAGE_TASK.pack(fragment_id, start, end, result_nodes)
+    for _kind, fragment_id, term, start, end, cache, settled in evals:
+        out += _STAGE_EVAL.pack(fragment_id, term, start, end, _CACHE_CODE[cache], settled)
+    for _kind, fragment_id, start, end in unions:
+        out += _STAGE_UNION.pack(fragment_id, start, end)
+
+
+def _stage_block_size(data, pos: int) -> int:
+    """The byte length of the stage block starting at ``pos`` (truncation raises)."""
+    if len(data) - pos < _STAGE_HEAD.size:
+        raise WireProtocolError("stage block truncated: no room for its header")
+    *_fixed, ntask, neval, nunion = _STAGE_HEAD.unpack_from(data, pos)
+    return (
+        _STAGE_HEAD.size
+        + ntask * _STAGE_TASK.size
+        + neval * _STAGE_EVAL.size
+        + nunion * _STAGE_UNION.size
+    )
+
+
+def decode_stage_block(block: bytes) -> dict:
+    """A stage block as ``{"queue-wait", "serialize", "task", "eval", "union"}``.
+
+    ``queue-wait`` is ``(sent_at, received, frame bytes)``, ``serialize``
+    ``(start, end, reply bytes)``; the other three are lists of the rows
+    the worker recorded, in its order, with the eval ``cache`` byte read
+    back as its name.
+    """
+    if _stage_block_size(block, 0) != len(block):
+        raise WireProtocolError(
+            f"stage block of {len(block)} bytes does not match its counts"
+        )
+    sent_at, received, frame_bytes, started, ended, reply_bytes, *counts = (
+        _STAGE_HEAD.unpack_from(block, 0)
+    )
+    decoded = {
+        "queue-wait": (sent_at, received, frame_bytes),
+        "serialize": (started, ended, reply_bytes),
+    }
+    pos = _STAGE_HEAD.size
+    for (kind, layout), count in zip(_STAGE_ROWS.items(), counts):
+        decoded[kind] = list(layout.iter_unpack(block[pos : pos + count * layout.size]))
+        pos += count * layout.size
+    try:
+        decoded["eval"] = [
+            (*row[:4], CACHE_OUTCOMES[row[4]], row[5]) for row in decoded["eval"]
+        ]
+    except IndexError:
+        raise WireProtocolError("stage block names an unknown cache outcome") from None
+    return decoded
+
+
+def stage_block_evals(block: bytes):
+    """Just the eval rows of a length-checked stage block, cache outcome as its code.
+
+    The hot-spot feed reads these on every traced reply, so the rest of
+    the block is skipped.
+    """
+    ntask, neval = _STAGE_HEAD.unpack_from(block, 0)[6:8]
+    start = _STAGE_HEAD.size + ntask * _STAGE_TASK.size
+    return _STAGE_EVAL.iter_unpack(block[start : start + neval * _STAGE_EVAL.size])
+
+
 def dumps_pipe_results(
     request_id: int,
     reply: list[tuple[int, "array | set[int]", float]],
     elapsed: float,
     sent_at: float,
     attempt: int = 0,
+    records: list | None = None,
 ) -> bytes:
     """Binary pipe frame for one result reply.
 
@@ -678,8 +779,15 @@ def dumps_pipe_results(
     non-zero ``attempt`` switches the tag to ``'r'`` and inserts ``u32
     attempt`` after the id.  Each fragment's nodes are its sorted run,
     copied in as raw bytes; a plain set is accepted and sorted on entry.
+
+    ``records`` (a traced query's stage timings, as the worker appended
+    them) sets the traced tag bit (``'Z'``/``'z'``) and appends the
+    stage block behind the fragments, with this encode itself timed as
+    the ``serialize`` stage.
     """
-    out = bytearray((_PIPE_RESULTS_TAG | (_PIPE_TARGETED if attempt else 0),))
+    started = perf_counter()
+    tag = _PIPE_RESULTS_TAG | (_PIPE_TARGETED if attempt else 0)
+    out = bytearray((tag | (_PIPE_TRACED if records is not None else 0),))
     out += _F64.pack(sent_at)
     out += _U64.pack(request_id)
     if attempt:
@@ -690,6 +798,8 @@ def dumps_pipe_results(
         out += _U32.pack(fragment_id)
         out += _F64.pack(seconds)
         _put_run(out, nodes)
+    if records is not None:
+        _put_stage_block(out, records, (started, perf_counter(), len(out)))
     return bytes(out)
 
 
@@ -699,12 +809,16 @@ def loads_pipe(raw: bytes):
     Returns the ``(kind, body, sent_at)`` tuples of the pickled protocol,
     so the worker loop and the dispatchers stay encoding-agnostic:
 
-    * ``("query", (request_id, query, None[, attempt, fragment_ids]), sent_at)``
-    * ``("results", (request_id, reply, elapsed[, attempt]), sent_at)`` —
-      each ``reply`` entry is ``(fragment_id, run, seconds)`` with the
+    * ``("query", (request_id, query, traced[, attempt, fragment_ids]), sent_at)``
+      — ``traced`` is ``True`` on a traced frame and ``None`` otherwise
+    * ``("results", (request_id, reply, elapsed[, attempt][, block]), sent_at)``
+      — each ``reply`` entry is ``(fragment_id, run, seconds)`` with the
       run an ``array('Q')`` filled straight from the frame's bytes
 
-    The bracketed fields appear only on ``'q'``/``'r'`` frames.
+    The bracketed fields appear only on targeted (``'q'``/``'r'``) or
+    traced frames; a traced reply always carries ``attempt`` and then
+    its stage block as raw bytes (:func:`decode_stage_block`), whose
+    length is checked against its counts here.
     """
     first = raw[0]
     if first == _PICKLE_OPCODE:
@@ -714,16 +828,17 @@ def loads_pipe(raw: bytes):
     sent_at = reader.f64()
     request_id = reader.u64()
     targeted = tag & _PIPE_TARGETED
-    tag &= ~_PIPE_TARGETED
+    traced = tag & _PIPE_TRACED
+    tag &= ~(_PIPE_TARGETED | _PIPE_TRACED)
     if tag == _PIPE_QUERY_TAG:
         target = ()
         if targeted:
             attempt = reader.u32()
             target = (attempt, tuple(reader.u32() for _ in range(reader.u32())))
-        body = (request_id, _read_query(reader), None, *target)
+        body = (request_id, _read_query(reader), True if traced else None, *target)
         kind = "query"
     elif tag == _PIPE_RESULTS_TAG:
-        target = (reader.u32(),) if targeted else ()
+        attempt = reader.u32() if targeted else 0
         elapsed = reader.f64()
         nfrag = reader.u32()
         reply = []
@@ -731,7 +846,11 @@ def loads_pipe(raw: bytes):
             fragment_id = reader.u32()
             seconds = reader.f64()
             reply.append((fragment_id, reader.run(reader.u32()), seconds))
-        body = (request_id, reply, elapsed, *target)
+        if traced:
+            block = reader.take(_stage_block_size(raw, reader.pos))
+            body = (request_id, reply, elapsed, attempt, block)
+        else:
+            body = (request_id, reply, elapsed, *((attempt,) if targeted else ()))
         kind = "results"
     else:
         raise WireProtocolError(f"unknown pipe payload tag {raw[0]:#x}")

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from hypothesis import given, settings, strategies as st
+
 from repro.obs.hotspots import HotSpotSketch, SpaceSaving, render_hotspots
 from repro.obs.prometheus import parse_prometheus_text
-from repro.obs.trace import SpanCollector
+from repro.obs.trace import Span, SpanCollector
 
 
 class TestSpaceSaving:
@@ -78,6 +80,46 @@ class TestSpaceSaving:
         assert top_sketch == top_exact
 
 
+class _ScanSpaceSaving:
+    """The textbook sketch with an evict-min scan: the reference."""
+
+    def __init__(self, capacity):
+        self.capacity, self.counts, self.errors = capacity, {}, {}
+
+    def offer(self, key, weight):
+        if weight <= 0.0:
+            return
+        if key in self.counts:
+            self.counts[key] += weight
+        elif len(self.counts) < self.capacity:
+            self.counts[key], self.errors[key] = weight, 0.0
+        else:
+            victim = min(self.counts, key=self.counts.__getitem__)
+            floor = self.counts.pop(victim)
+            del self.errors[victim]
+            self.counts[key], self.errors[key] = floor + weight, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0])),
+        max_size=300,
+    ),
+    capacity=st.integers(min_value=1, max_value=10),
+)
+def test_heap_eviction_matches_the_min_scan(stream, capacity):
+    """Same victims, ties included (small integer weights tie often)."""
+    sketch, reference = SpaceSaving(capacity), _ScanSpaceSaving(capacity)
+    for key, weight in stream:
+        sketch.offer(key, weight)
+        reference.offer(key, weight)
+    assert sketch.top(capacity) == [
+        (key, count, reference.errors[key])
+        for key, count in sorted(reference.counts.items(), key=lambda item: item[1], reverse=True)
+    ]
+
+
 class TestHotSpotSketch:
     def test_observe_eval_feeds_all_dimensions(self):
         sketch = HotSpotSketch(capacity=8)
@@ -130,6 +172,83 @@ class TestHotSpotSketch:
         assert snapshot["by_seconds"]["keyword"][0]["key"] == "#17"
         assert snapshot["by_seconds"]["fragment"] == []
         assert snapshot["by_seconds"]["pair"] == []
+
+
+# One response's eval rows.  Seconds are multiples of 1/64, so every sum
+# is exact in binary floating point and survives the snapshot's rounding
+# to six decimals: the bounds below are checked without tolerance.
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from([f"kw{i}" for i in range(12)] + ["#17", "#42"]),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+        st.integers(min_value=0, max_value=256).map(lambda n: n / 64),
+    ),
+    max_size=24,
+)
+
+
+def _true_weights(responses):
+    """Exact per-dimension ``{rendered key: (seconds, count)}``."""
+    truth = {dim: Counter() for dim in HotSpotSketch.DIMENSIONS}
+    counts = {dim: Counter() for dim in HotSpotSketch.DIMENSIONS}
+    for rows in responses:
+        for source, fragment_id, seconds in rows:
+            keys = [("keyword", source)]
+            if fragment_id is not None:
+                keys += [("fragment", f"f{fragment_id}"), ("pair", f"{source}×f{fragment_id}")]
+            for dim, key in keys:
+                truth[dim][key] += seconds
+                counts[dim][key] += 1
+    return truth, counts
+
+
+def _as_spans(rows):
+    return [
+        Span("t", f"s{i}", None, "eval", 0.0, seconds, fragment_id=fragment_id, tags={"source": source})
+        for i, (source, fragment_id, seconds) in enumerate(rows)
+    ]
+
+
+class TestRowFeedProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(responses=st.lists(_rows, max_size=30), capacity=st.integers(min_value=1, max_value=8))
+    def test_space_saving_bounds_on_every_sketch(self, responses, capacity):
+        sketch = HotSpotSketch(capacity=capacity)
+        for rows in responses:
+            sketch.feed_rows(rows)
+        snapshot = sketch.snapshot(k=capacity)
+        truth = dict(zip(("seconds", "count"), _true_weights(responses)))
+        for measure, block in (("seconds", "by_seconds"), ("count", "by_count")):
+            for dim in HotSpotSketch.DIMENSIONS:
+                exact = truth[measure][dim]
+                tracked = {e["key"]: (e[measure], e["error"]) for e in snapshot[block][dim]}
+                for key, (estimate, error) in tracked.items():
+                    assert estimate - error <= exact[key] <= estimate, (measure, dim, key)
+                total = sum(exact.values())
+                for key, weight in exact.items():
+                    if weight > total / capacity:
+                        assert key in tracked, (measure, dim, key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(responses=st.lists(_rows, max_size=20))
+    def test_evals_and_eval_seconds_are_exact(self, responses):
+        sketch = HotSpotSketch(capacity=2)
+        for rows in responses:
+            sketch.feed_rows(rows)
+        snapshot = sketch.snapshot()
+        everything = [row for rows in responses for row in rows]
+        assert snapshot["evals"] == len(everything)
+        assert snapshot["eval_seconds"] == sum(seconds for _s, _f, seconds in everything)
+
+    @settings(max_examples=100, deadline=None)
+    @given(responses=st.lists(_rows, max_size=20), capacity=st.integers(min_value=1, max_value=6))
+    def test_feed_spans_and_feed_rows_agree(self, responses, capacity):
+        from_rows, from_spans = HotSpotSketch(capacity), HotSpotSketch(capacity)
+        for rows in responses:
+            from_rows.feed_rows(rows)
+            from_spans.feed_spans(_as_spans(rows))
+        assert from_spans.snapshot(k=capacity) == from_rows.snapshot(k=capacity)
+        assert from_spans.features() == from_rows.features()
 
 
 class TestRenderHotspots:

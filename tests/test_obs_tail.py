@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.tail import LatencyThreshold, RetentionPolicy, TokenBucket
 
@@ -82,6 +83,85 @@ class TestLatencyThreshold:
         for _ in range(100):  # the slow regime must age out entirely
             threshold.observe(0.001)
         assert threshold.p99_ms() == pytest.approx(1.0)
+
+
+def sorted_window_p99_ms(window: list[float]) -> float:
+    """The reference: sort the whole window, read the p99 index."""
+    ordered = sorted(window)
+    index = min(len(ordered) - 1, max(0, round(0.99 * len(ordered)) - 1))
+    return ordered[index] * 1000.0
+
+
+# Few distinct values (duplicates are the common case) mixed with arbitrary ones.
+_latencies = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.001, 0.002, 0.5, 3.0]),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ),
+    max_size=400,
+)
+
+
+class TestP99MatchesSortedWindow:
+    """The incrementally sorted window reads exactly what a full sort would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=_latencies,
+        window=st.integers(min_value=1, max_value=64),
+        min_samples=st.integers(min_value=0, max_value=80),
+    )
+    def test_p99_ms(self, samples, window, min_samples):
+        threshold = LatencyThreshold(5.0, window=window, min_samples=min_samples)
+        recent: list[float] = []
+        for sample in samples:
+            threshold.observe(sample)
+            recent = (recent + [sample])[-window:]  # the ring, as a plain list
+            expected = (
+                None if len(recent) < min_samples else sorted_window_p99_ms(recent)
+            )
+            assert threshold.p99_ms() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=_latencies,
+        window=st.integers(min_value=1, max_value=48),
+        min_samples=st.integers(min_value=1, max_value=60),
+    )
+    def test_snapshot_slow_threshold(self, samples, window, min_samples):
+        policy = make_policy(FakeClock(), slow_ms=250.0)
+        policy.threshold = LatencyThreshold(250.0, window=window, min_samples=min_samples)
+        recent: list[float] = []
+        for sample in samples:
+            policy.decide(sample)
+            recent = (recent + [sample])[-window:]
+            p99 = None if len(recent) < min_samples else sorted_window_p99_ms(recent)
+            assert policy.snapshot()["slow_threshold_ms"] == (p99 or 250.0)
+
+    def test_default_window_through_two_wraps(self):
+        """The serving shape: 2,048 samples, p99 index 2,026, many ties."""
+        rng = random.Random(99)
+        threshold = LatencyThreshold(250.0)
+        recent: list[float] = []
+        for step in range(5000):
+            sample = rng.choice([0.001, 0.002, 0.004]) if step % 3 else rng.random() / 100
+            threshold.observe(sample)
+            recent.append(sample)
+            del recent[:-2048]
+            if step % 7 == 0 or step > 4900:
+                expected = None if len(recent) < 100 else sorted_window_p99_ms(recent)
+                assert threshold.p99_ms() == expected
+
+    def test_min_samples_boundary_and_wrap(self):
+        threshold = LatencyThreshold(5.0, window=4, min_samples=4)
+        for sample in (0.003, 0.001, 0.003):
+            threshold.observe(sample)
+        assert threshold.p99_ms() is None  # one short of min_samples
+        threshold.observe(0.002)
+        assert threshold.p99_ms() == sorted_window_p99_ms([0.003, 0.001, 0.003, 0.002])
+        for sample in (0.004, 0.004, 0.0005):  # evicts 0.003, 0.001, 0.003
+            threshold.observe(sample)
+        assert threshold.p99_ms() == sorted_window_p99_ms([0.002, 0.004, 0.004, 0.0005])
 
 
 def make_policy(clock, **kwargs):
