@@ -3,9 +3,9 @@
 
 Demonstrates the operational side of the system:
 
-1. partition a dataset and build every fragment's NPD-index **in
-   parallel OS processes** (the paper's fragment-wise construction,
-   §4.1);
+1. partition a dataset and build every fragment's NPD-index on every
+   usable core (the paper's fragment-wise construction, §4.1: forked
+   OS processes when the build is large enough to pay for them);
 2. persist each worker's state as its two files (``IND(P)`` + fragment)
    and report the per-machine storage cost (what EXP 1 measures);
 3. cold-start the workers from disk and answer a query batch, verifying
@@ -22,10 +22,9 @@ from pathlib import Path
 
 from repro import DisksEngine, EngineConfig
 from repro.baselines import CentralizedEvaluator
-from repro.core import NPDBuildConfig, build_fragments
+from repro.core import NPDBuildConfig, build_all_indexes, build_fragments
 from repro.core.coverage import FragmentRuntime
 from repro.dist import SimulatedCluster
-from repro.dist.parallel import parallel_build_indexes
 from repro.partition import MultilevelPartitioner
 from repro.storage import (
     read_fragment_file,
@@ -43,14 +42,12 @@ def main() -> None:
     network = dataset.network
     print(dataset.stats.as_table_row(dataset.name))
 
-    # --- 1. Partition and build indexes in parallel processes ---------
+    # --- 1. Partition and build indexes on every usable core ---------
     partition = MultilevelPartitioner(seed=7).partition(network, NUM_FRAGMENTS)
     fragments = build_fragments(network, partition)
     config = NPDBuildConfig(lambda_factor=15.0)
-    indexes, build_stats = parallel_build_indexes(
-        network, fragments, config, processes=4
-    )
-    print(f"\nBuilt {len(indexes)} NPD-indexes in parallel:")
+    indexes, build_stats = build_all_indexes(network, fragments, config)
+    print(f"\nBuilt {len(indexes)} NPD-indexes:")
     for stats in build_stats:
         print(
             f"  P{stats.fragment_id}: {stats.num_portals} portals, "

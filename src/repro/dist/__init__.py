@@ -16,8 +16,8 @@ over either of two transports:
 * :mod:`repro.dist.process_cluster` forks them behind pipes: the
   transport both serving clusters run on.
 
-:class:`ReplicaPlacement` routes replicas; :mod:`repro.dist.parallel`
-builds indexes in a process pool.
+:class:`ReplicaPlacement` routes replicas.  Index construction is
+fragment-parallel in :func:`repro.core.builder.build_all_indexes`.
 """
 
 from repro.dist.network import NetworkModel, TrafficLedger, Transfer

@@ -372,6 +372,22 @@ class DisksServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        try:  # closed on every way out, a loop shutdown's cancellation too
+            await self._serve_connection(reader, writer)
+        finally:
+            with contextlib.suppress(ConnectionResetError, OSError):
+                writer.close()
+            # A loop shutdown can cancel the handler while it waits for
+            # the close handshake; the socket is already closed, so the
+            # cancellation is only noise.
+            with contextlib.suppress(
+                ConnectionResetError, OSError, asyncio.CancelledError
+            ):
+                await writer.wait_closed()
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         # One sniffed byte routes the connection: a DSKW preamble opens
         # the binary protocol, anything else (NDJSON starts with `{`)
         # stays on the line protocol.  No flag, no second port.
@@ -380,9 +396,6 @@ class DisksServer:
         except (ConnectionResetError, OSError):
             first = b""
         if not first:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.close()
-                await writer.wait_closed()
             return
         conn = _Connection(writer, binary=(first == wire.MAGIC[:1]))
         conn.channel = _SubChannel(
@@ -407,15 +420,6 @@ class DisksServer:
                     await asyncio.to_thread(self.sub_engine.unregister, sub_id)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.close()
-            # A loop shutdown can cancel the handler while it waits for
-            # the close handshake; the socket is already closed, so the
-            # cancellation is only noise.
-            with contextlib.suppress(
-                ConnectionResetError, OSError, asyncio.CancelledError
-            ):
-                await writer.wait_closed()
 
     async def _ndjson_loop(
         self,

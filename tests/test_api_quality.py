@@ -73,7 +73,7 @@ class TestExports:
 
 
 class TestPicklability:
-    """Everything a worker process receives must pickle (repro.dist.parallel)."""
+    """Everything crossing a process boundary must pickle (forked index builds, workers)."""
 
     def test_worker_state_pickles(self, tiny_engine):
         from repro.core.coverage import FragmentRuntime

@@ -1,18 +1,24 @@
-"""Tests for the distributed runtime: frames, ledger, cluster, parallel."""
+"""Tests for the distributed runtime: frames, ledger, cluster, the index builder."""
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core import (
+    DLNodePolicy,
     NPDBuildConfig,
     build_all_indexes,
     build_fragments,
+    build_npd_index,
     rkq,
     sgkq,
 )
+from repro.core import builder
 from repro.baselines import CentralizedEvaluator
 from repro.dist import (
     NetworkModel,
@@ -21,14 +27,13 @@ from repro.dist import (
     TrafficLedger,
 )
 from repro.dist.network import COORDINATOR_ID
-from repro.dist.parallel import parallel_build_indexes
 from repro.dist.process_cluster import query_frame
-from repro.exceptions import ClusterError, CommunicationViolationError
+from repro.exceptions import ClusterError, CommunicationViolationError, IndexBuildError
 from repro.partition import BfsPartitioner
 from repro.serve import PipelinedCluster
 from repro.serve.wire import dumps_pipe_results, loads_pipe
 
-from helpers import make_random_network
+from helpers import make_random_network, make_tied_grid
 
 
 @pytest.fixture(scope="module")
@@ -201,32 +206,146 @@ class TestServedFrames:
             assert set(response.chosen_machines.values()).isdisjoint(failed)
 
 
-class TestProcessParallel:
-    def test_parallel_build_matches_serial(self, cluster_case):
-        net, fragments, serial_indexes = cluster_case
-        parallel_indexes, stats = parallel_build_indexes(
-            net, fragments, NPDBuildConfig(max_radius=math.inf), processes=2
-        )
-        assert len(stats) == len(fragments)
-        for a, b in zip(serial_indexes, parallel_indexes):
-            assert a.shortcuts == b.shortcuts
-            assert a.keyword_entries == b.keyword_entries
-            assert a.node_entries == b.node_entries
+def _no_fork():
+    raise AssertionError("build_all_indexes forked")
 
-    def test_pool_worker_derives_the_row_view_once(self, cluster_case):
-        """The initializer stashes the reverse view next to the network;
-        every fragment job of that worker then searches on it."""
-        from repro.dist import parallel
 
-        net, fragments, serial_indexes = cluster_case
-        parallel._pool_init(net)
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make every multi-fragment build fork on three CPUs; collect the child pids."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(builder, "_FORK_MIN_PORTALS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert threading.active_count() == 1, "a live thread would keep the build in process"
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+BUILD_CASES = {
+    "random": lambda: make_random_network(seed=210, num_junctions=30, num_objects=14),
+    "random-directed": lambda: make_random_network(
+        seed=211, num_junctions=30, num_objects=14, directed=True
+    ),
+    "tied-grid": lambda: make_tied_grid(seed=212, rows=7, cols=6),
+    "tied-grid-directed": lambda: make_tied_grid(seed=213, rows=7, cols=6, directed=True),
+}
+BUILD_CONFIGS = [
+    NPDBuildConfig(max_radius=4.0, node_policy=DLNodePolicy.OBJECTS),
+    NPDBuildConfig(max_radius=4.0, node_policy=DLNodePolicy.ALL),
+    NPDBuildConfig(max_radius=math.inf, node_policy=DLNodePolicy.NONE),
+    NPDBuildConfig(max_radius=4.0, strict_tie_rules=True),
+]
+
+
+class TestOneBuilder:
+    """``build_all_indexes`` forks only when it pays, and forks to the same answer."""
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    @pytest.mark.parametrize("config", BUILD_CONFIGS, ids=lambda c: repr(c)[15:60])
+    def test_forked_build_equals_per_fragment_loop(self, forks, case, config):
+        net = BUILD_CASES[case]()
+        fragments = build_fragments(net, BfsPartitioner(seed=3).partition(net, 4))
+        indexes, stats = build_all_indexes(net, fragments, config)
+        assert len(forks) == 2
+        _assert_reaped(forks)
+        expected = [build_npd_index(net, fragment, config) for fragment in fragments]
+        assert indexes == [index for index, _stats in expected]
+        assert [replace(s, wall_seconds=0.0) for s in stats] == [
+            replace(s, wall_seconds=0.0) for _index, s in expected
+        ]
+
+    def test_shares_balance_portals(self):
+        net = BUILD_CASES["tied-grid"]()
+        fragments = build_fragments(net, BfsPartitioner(seed=3).partition(net, 6))
+        shares = builder._shares(fragments, 2)
+        assert sorted(i for share in shares for i in share) == list(range(6))
+        loads = [sum(fragments[i].num_portals for i in share) for share in shares]
+        assert max(loads) - min(loads) <= max(f.num_portals for f in fragments)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failed_share_raises_and_leaves_nothing_behind(
+        self, forks, monkeypatch, cluster_case, where
+    ):
+        net, fragments, _indexes = cluster_case
+        parent = os.getpid()
+        build_one = builder.build_npd_index
+
+        def failing(network, fragment, config=None, search=None):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"fragment {fragment.fragment_id} failed")
+            return build_one(network, fragment, config, search)
+
+        monkeypatch.setattr(builder, "build_npd_index", failing)
+        fds = _open_fds()
+        with pytest.raises(ValueError, match="failed"):
+            build_all_indexes(net, fragments)
+        assert len(forks) == 2
+        _assert_reaped(forks)
+        assert _open_fds() == fds
+
+    def test_an_unpicklable_child_error_arrives_by_name(self, forks, monkeypatch, cluster_case):
+        net, fragments, _indexes = cluster_case
+        parent = os.getpid()
+
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def failing(network, fragment, config=None, search=None):
+            if os.getpid() != parent:
+                raise LocalError("only here")
+            return build_npd_index(network, fragment, config, search)
+
+        monkeypatch.setattr(builder, "build_npd_index", failing)
+        with pytest.raises(IndexBuildError, match="LocalError: only here"):
+            build_all_indexes(net, fragments)
+        _assert_reaped(forks)
+
+    def test_no_fork_on_one_cpu(self, forks, monkeypatch, cluster_case):
+        net, fragments, indexes = cluster_case
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))[0] == indexes
+
+    def test_no_fork_for_one_fragment(self, forks, monkeypatch, cluster_case):
+        net, fragments, indexes = cluster_case
+        monkeypatch.setattr(os, "fork", _no_fork)
+        built, _stats = build_all_indexes(net, fragments[:1], NPDBuildConfig(max_radius=math.inf))
+        assert built == indexes[:1]
+
+    def test_no_fork_below_the_work_threshold(self, monkeypatch, cluster_case):
+        net, fragments, indexes = cluster_case
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert sum(f.num_portals for f in fragments) < builder._FORK_MIN_PORTALS
+        assert build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))[0] == indexes
+
+    def test_no_fork_beside_a_live_thread(self, forks, monkeypatch, cluster_case):
+        net, fragments, indexes = cluster_case
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
         try:
-            view = parallel._WORKER_SEARCH
-            assert len(view.rows) == net.num_nodes
-            config = NPDBuildConfig(max_radius=math.inf)
-            built = [parallel._build_one((fragment, config))[0] for fragment in fragments]
-            assert built == list(serial_indexes)
-            assert parallel._WORKER_SEARCH is view
+            built, _stats = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))
         finally:
-            parallel._WORKER_NETWORK = parallel._WORKER_SEARCH = None
-
+            release.set()
+            thread.join()
+        assert built == indexes

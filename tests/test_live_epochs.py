@@ -308,13 +308,12 @@ class TestRecovery:
         log.close()
 
         net, partition, fragments, indexes = build_base(seed=111)
-        recovered, pending = EpochManager.recover(
-            net, partition, fragments, indexes, UpdateLog(tmp_path / "wal.jsonl")
-        )
-        assert recovered.epoch == 1
-        assert pending == [AddKeyword(node, "in-flight")]
-        # The tail is re-submittable: applying it continues the history.
-        swap = recovered.apply(pending)
+        with UpdateLog(tmp_path / "wal.jsonl") as wal:
+            recovered, pending = EpochManager.recover(net, partition, fragments, indexes, wal)
+            assert recovered.epoch == 1
+            assert pending == [AddKeyword(node, "in-flight")]
+            # The tail is re-submittable: applying it continues the history.
+            swap = recovered.apply(pending)
         assert swap.epoch == 2
 
     def test_recovered_manager_logs_new_batches(self, tmp_path):
@@ -325,10 +324,9 @@ class TestRecovery:
         log.close()
 
         net, partition, fragments, indexes = build_base(seed=112)
-        recovered, _ = EpochManager.recover(
-            net, partition, fragments, indexes, UpdateLog(tmp_path / "wal.jsonl")
-        )
-        recovered.apply([AddKeyword(node, "second")])
+        with UpdateLog(tmp_path / "wal.jsonl") as wal:
+            recovered, _ = EpochManager.recover(net, partition, fragments, indexes, wal)
+            recovered.apply([AddKeyword(node, "second")])
         committed, _ = UpdateLog(tmp_path / "wal.jsonl").replay()
         # Replay did not double-log epoch 1; the new batch is epoch 2.
         assert [record.epoch for record in committed] == [1, 2]

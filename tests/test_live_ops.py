@@ -119,8 +119,8 @@ class TestUpdateLog:
         assert log.append(AddKeyword(1, "b")) == 1
         log.commit(1, 2)
         log.close()
-        reopened = UpdateLog(path)
-        assert reopened.append(AddKeyword(1, "c")) == 2
+        with UpdateLog(path) as reopened:
+            assert reopened.append(AddKeyword(1, "c")) == 2
 
     def test_pending_tail_surfaced(self, tmp_path):
         log = UpdateLog(tmp_path / "wal.jsonl")
