@@ -46,7 +46,7 @@ import sys
 from pathlib import Path
 
 from repro import DisksEngine, EngineConfig, __version__, rkq, sgkq
-from repro.core import build_fragments, deployment_report, parse_query
+from repro.core import build_fragments, deployment_report, parse_query, validate_index
 from repro.core.coverage import FragmentRuntime
 from repro.core.executor import execute_fragment_task
 from repro.exceptions import DisksError
@@ -167,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also append sampled traces to this JSONL file (rotated)",
     )
     serve.add_argument(
-        "--no-shm", action="store_false", dest="shm",
-        help="ship fragments to workers by pickle instead of shared memory",
-    )
-    serve.add_argument(
         "--cache", action="store_true",
         help="semantic result cache: repeat/subsumed queries answered "
         "without dispatch, invalidated per epoch delta under --live",
@@ -191,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=1,
         help="host each fragment on this many workers (repro.ha); >1 "
         "survives worker loss with exact answers",
-    )
-    serve.add_argument(
-        "--routing", default="load", choices=("load", "rr"),
-        help="replica picker under --replicas: least-busy or round-robin",
     )
     serve.add_argument(
         "--chaos", action="store_true",
@@ -425,6 +417,8 @@ def _load_built(directory: Path) -> tuple[dict, list, list]:
     for i in range(manifest["fragments"]):
         fragments.append(read_fragment_file(directory / f"fragment-{i}.npf"))
         indexes.append(read_index_file(directory / f"index-{i}.npd"))
+        # A stale or foreign index file must not reach a worker.
+        validate_index(fragments[-1], indexes[-1])
     return manifest, fragments, indexes
 
 
@@ -500,8 +494,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             indexes,
             num_machines=args.machines,
             replication_factor=args.replicas,
-            routing=args.routing,
-            use_shm=args.shm,
+            routing="load",
+            use_shm=True,
         )
         guard = FrontendGuard()
     else:
@@ -509,7 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fragments,
             indexes,
             num_machines=args.machines,
-            use_shm=args.shm,
+            use_shm=True,
         )
     updater = None
     sub_engine = None
@@ -567,7 +561,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if args.replicas > 1:
             print(
-                f"HA: replication factor {args.replicas}, {args.routing} routing "
+                f"HA: replication factor {args.replicas}, least-busy routing "
                 f"— chaos ops {'enabled' if args.chaos else 'disabled'}; "
                 'cluster health in {"op": "stats"} under "ha"'
             )

@@ -14,23 +14,20 @@ term ``R(source, r) ∩ P``:
    member nodes within ``r`` of the source (Theorem 3 guarantees the
    distances are globally exact).
 
-Two interchangeable evaluators produce the step-3 search:
+Every query evaluates the step-3 search on the runtime's packed
+:class:`~repro.core.kernel.FragmentKernel` — dense node ids, CSR
+adjacency, precompiled seed arrays — whose dense ``(marks, dist,
+count)`` state set-valued queries read as a bitmask and explain/top-k
+as a distance map.  :func:`settle_term` is the entry point (radius
+guard, then kernel) and returns the full state; :func:`term_members`
+returns only the term's membership, from the :class:`CoverageCache`
+when it holds the term.
 
-* the **compiled** path (default) hands the term to a packed
-  :class:`~repro.core.kernel.FragmentKernel` — dense node ids, CSR
-  adjacency, precompiled seed arrays — and gets back its dense
-  ``(marks, dist, count)`` state, read as a bitmask by set-valued
-  queries and as a distance map by explain/top-k;
-* the **reference** path (``compiled=False``) runs the dict-based
-  :func:`~repro.search.dijkstra.shortest_path_distances`, kept as the
-  executable spec the differential tests pin the kernel against.
-
-:func:`settle_term` is the one entry point to both (radius guard, then
-evaluator) and returns the full state, as explain and top-k need;
-:func:`term_members` returns only the term's membership, from the
-:class:`CoverageCache` when it holds the term, as set-valued queries
-need.  Distance maps are bit-identical either way, see
-``tests/test_kernel.py``.
+:func:`reference_distance_map` is the executable spec: the same search
+over dicts (``seeds_for`` and the extended adjacency, run by
+:func:`~repro.search.dijkstra.shortest_path_distances`).  No query runs
+it; ``tests/test_kernel.py`` pins the kernel's distance maps to it, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -57,8 +54,7 @@ __all__ = [
     "describe_source",
     "local_coverage",
     "local_distance_map",
-    "member_count",
-    "members_of",
+    "reference_distance_map",
     "settle_term",
     "settle_terms",
     "sum_cache_stats",
@@ -106,11 +102,10 @@ def _entry_key(term: CoverageTerm) -> bytes:
 class CoverageCache:
     """LRU of settled coverage *sets* keyed by coverage term; capacity 0 = off.
 
-    An entry is the term's membership only — on a compiled runtime the
-    kernel's dense-id bitmask (at most ⌈n/8⌉ bytes, see
-    :meth:`FragmentKernel.mask`), on a reference runtime a frozenset of
-    member ids — and never a distance list: explain and top-k read
-    distances and settle afresh.  Entries are a pure function of the
+    An entry is the term's membership only — the kernel's dense-id
+    bitmask (at most ⌈n/8⌉ bytes, see :meth:`FragmentKernel.mask`) —
+    and never a distance list: explain and top-k read distances and
+    settle afresh.  Entries are a pure function of the
     kernel's seed lists and CSR, so a seed-list patch invalidates exactly
     the sources it rewrites (:meth:`discard`).  ``last`` names the
     outcome of the most recent lookup (``hit``/``miss``, or ``off``) for
@@ -170,11 +165,12 @@ class CoverageCache:
 class FragmentRuntime:
     """Query-time view of one fragment: ``P ∪ SC(P)`` plus DL lookups.
 
-    ``compiled`` (default on) routes coverage evaluation through a
-    packed :class:`~repro.core.kernel.FragmentKernel`; pass ``False``
-    to force the dict-based reference path.  Either way the kernel is
-    available lazily via :attr:`kernel` — benchmarks compare both
-    evaluators on one runtime.
+    Coverage is evaluated on a packed
+    :class:`~repro.core.kernel.FragmentKernel` (:attr:`kernel`).  The
+    ``compiled`` keyword survives for callers that spell it out and
+    accepts only ``True``.  The extended adjacency behind
+    :meth:`adjacency`, which only :func:`reference_distance_map` reads,
+    is built on first use.
 
     ``cache_capacity`` enables an LRU :class:`CoverageCache` keyed by
     ``(source, radius)`` — query workloads repeat popular keywords at
@@ -200,6 +196,8 @@ class FragmentRuntime:
         cache_capacity: int = 0,
         compiled: bool = True,
     ) -> None:
+        if compiled is not True:
+            raise QueryError("fragment runtimes evaluate on the packed kernel only")
         if fragment.fragment_id != index.fragment_id:
             raise QueryError(
                 f"fragment {fragment.fragment_id} paired with index for "
@@ -207,26 +205,10 @@ class FragmentRuntime:
             )
         self._fragment = fragment
         self._index = index
-        self._compiled = bool(compiled)
-        self._kernel: FragmentKernel | None = None
+        self._kernel: FragmentKernel | None = FragmentKernel(fragment, index)
+        self._extended: dict[int, tuple[tuple[int, float], ...]] | None = None
         self._index_version = index.version
         self._cache = CoverageCache(cache_capacity)
-        self._build_extended()
-        if self._compiled:
-            self._kernel = FragmentKernel(fragment, index)
-
-    def _build_extended(self) -> None:
-        # Alg. 2 step 1: read the edges of the complete fragment P ∪ SC(P).
-        extended: dict[int, list[tuple[int, float]]] = {
-            node: list(edges) for node, edges in self._fragment.adjacency.items()
-        }
-        for (u, v), w in self._index.shortcuts.items():
-            extended.setdefault(u, []).append((v, w))
-            if not self._fragment.directed:
-                extended.setdefault(v, []).append((u, w))
-        self._extended: dict[int, tuple[tuple[int, float], ...]] = {
-            node: tuple(edges) for node, edges in extended.items()
-        }
 
     @property
     def fragment(self) -> Fragment:
@@ -244,11 +226,6 @@ class FragmentRuntime:
         return self._index.max_radius
 
     @property
-    def compiled(self) -> bool:
-        """Whether coverage evaluation routes through the packed kernel."""
-        return self._compiled
-
-    @property
     def kernel(self) -> FragmentKernel:
         """The packed kernel (built lazily; rebuilt after index mutation)."""
         self._sync_with_index()
@@ -259,6 +236,7 @@ class FragmentRuntime:
     def _drop_derived(self) -> None:
         self._index_version = self._index.version
         self._kernel = None
+        self._extended = None
         self._cache.clear()
 
     def _sync_with_index(self) -> None:
@@ -287,10 +265,19 @@ class FragmentRuntime:
             return
         self._fragment, self._index = fragment, index
         self._drop_derived()
-        self._build_extended()
 
     def adjacency(self, node: int) -> tuple[tuple[int, float], ...]:
         """Out-edges of ``node`` in the complete fragment ``P ∪ SC(P)``."""
+        if self._extended is None:
+            # Alg. 2 step 1: read the edges of the complete fragment P ∪ SC(P).
+            extended: dict[int, list[tuple[int, float]]] = {
+                node: list(edges) for node, edges in self._fragment.adjacency.items()
+            }
+            for (u, v), w in self._index.shortcuts.items():
+                extended.setdefault(u, []).append((v, w))
+                if not self._fragment.directed:
+                    extended.setdefault(v, []).append((u, w))
+            self._extended = {node: tuple(edges) for node, edges in extended.items()}
         return self._extended.get(node, ())
 
     # ------------------------------------------------------------------
@@ -336,10 +323,16 @@ def sum_cache_stats(runtimes) -> dict[str, int]:
     return totals
 
 
-def _reference_distances(
-    runtime: FragmentRuntime, term: CoverageTerm, stats: CoverageStats | None
+def reference_distance_map(
+    runtime: FragmentRuntime, term: CoverageTerm, stats: CoverageStats | None = None
 ) -> dict[int, float]:
-    """The dict-based evaluator (``compiled=False``): the executable spec."""
+    """The dict-based evaluator: the spec the kernel is tested against.
+
+    Alg. 2 as written — :meth:`FragmentRuntime.seeds_for`, then a bounded
+    Dijkstra over :meth:`FragmentRuntime.adjacency` — returning the same
+    ``{member: distance}`` map and counters as :func:`local_distance_map`.
+    No query path calls it.
+    """
     seeds = runtime.seeds_for(term)
     if stats is not None:
         stats.seeds_from_dl += sum(1 for d in seeds.values() if d > 0.0)
@@ -354,54 +347,32 @@ def _reference_distances(
     return distances
 
 
-def members_of(runtime, found):
-    """A settled state's membership: the kernel's bitmask, or a frozenset.
-
-    What :func:`term_members` returns and the coverage cache holds.
-    """
-    return frozenset(found) if isinstance(found, dict) else runtime.kernel.mask(found[0])
-
-
-def member_count(members) -> int:
-    """How many nodes a membership (bitmask or frozenset) holds."""
-    return members.bit_count() if isinstance(members, int) else len(members)
-
-
 def settle_term(runtime, term: CoverageTerm, stats: CoverageStats | None = None):
     """Settle one coverage term afresh: its full state, distances included.
 
-    Radius guard, then the runtime's evaluator.  A compiled runtime
-    returns the kernel's dense ``(marks, dist, count)`` state (see
-    :meth:`FragmentKernel.settle`), a reference runtime its ``{member:
-    distance}`` dict; :func:`local_distance_map` reads either as a
-    distance map.  The coverage cache holds no distances, so this path
-    never touches it.
+    Radius guard, then the kernel's dense ``(marks, dist, count)`` state
+    (see :meth:`FragmentKernel.settle`); :func:`local_distance_map` reads
+    it as a distance map.  The coverage cache holds no distances, so
+    this path never touches it.
     """
     if term.radius > runtime.max_radius:
         raise RadiusExceededError(term.radius, runtime.max_radius)
-    if runtime.compiled:
-        return runtime.kernel.settle(term, stats)
-    return _reference_distances(runtime, term, stats)
+    return runtime.kernel.settle(term, stats)
 
 
 def term_members(runtime, term: CoverageTerm, stats: CoverageStats | None = None):
     """One term's membership ``R(source, r) ∩ P``: a cache hit or a fresh settle.
 
-    The read set-valued queries take.  A compiled runtime answers with a
-    dense-id bitmask (:meth:`FragmentKernel.run` turns it into nodes), a
-    reference runtime with a frozenset of member ids.  A hit settles
+    The read set-valued queries take: a dense-id bitmask
+    (:meth:`FragmentKernel.run` turns it into nodes).  A hit settles
     nothing, so it adds nothing to ``stats``.
     """
     cache = runtime.coverage_cache
     members = cache.get(term)
     if members is None:
-        members = members_of(runtime, settle_term(runtime, term, stats))
+        members = runtime.kernel.mask(settle_term(runtime, term, stats)[0])
         cache.put(term, members)
     return members
-
-
-def _distance_view(runtime, found) -> dict[int, float]:
-    return found if isinstance(found, dict) else runtime.kernel.distances(found[0], found[1])
 
 
 def local_distance_map(
@@ -414,7 +385,8 @@ def local_distance_map(
     The returned map is ``{A ∈ P : d(A, source) ≤ r} -> d(A, source)``,
     always from a fresh settle.
     """
-    return _distance_view(runtime, settle_term(runtime, term, stats))
+    marks, dist, _count = settle_term(runtime, term, stats)
+    return runtime.kernel.distances(marks, dist)
 
 
 def describe_source(term: CoverageTerm) -> str:
@@ -472,7 +444,7 @@ def coverage_members(
                 started,
                 perf_counter(),
                 runtime.coverage_cache.last,
-                member_count(members),
+                members.bit_count(),
             )
         )
     return [memo[term] for term in terms]
@@ -482,7 +454,8 @@ def batch_distance_maps(
     runtime: FragmentRuntime, terms: Sequence[CoverageTerm], stats: CoverageStats | None = None
 ) -> list[dict[int, float]]:
     """:func:`settle_terms` read as distance maps, in term order."""
-    return [_distance_view(runtime, found) for found in settle_terms(runtime, terms, stats)]
+    kernel = runtime.kernel
+    return [kernel.distances(marks, dist) for marks, dist, _ in settle_terms(runtime, terms, stats)]
 
 
 def local_coverage(
@@ -494,5 +467,4 @@ def local_coverage(
 
     Set-valued, so served from the coverage cache when it holds the term.
     """
-    members = term_members(runtime, term, stats)
-    return set(runtime.kernel.run(members) if isinstance(members, int) else members)
+    return set(runtime.kernel.run(term_members(runtime, term, stats)))

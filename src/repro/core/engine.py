@@ -66,11 +66,6 @@ class EngineConfig:
         Unknown query keywords raise instead of yielding empty coverages.
     coverage_cache_capacity:
         Per-fragment LRU size for coverage memberships (0 disables).
-    compiled:
-        Evaluate coverage through the packed per-fragment kernel
-        (:mod:`repro.core.kernel`).  Defaults on; ``False`` selects the
-        dict-based reference path the kernel is differentially tested
-        against.
     """
 
     num_fragments: int = 16
@@ -83,7 +78,6 @@ class EngineConfig:
     network_model: NetworkModel | None = None
     strict_keywords: bool = True
     coverage_cache_capacity: int = 0
-    compiled: bool = True
 
     def build_config(self) -> NPDBuildConfig:
         """The index-construction slice of this config."""
@@ -165,7 +159,6 @@ class DisksEngine:
             num_machines=config.num_machines,
             network=config.network_model,
             cache_capacity=config.coverage_cache_capacity,
-            compiled=config.compiled,
         )
         self._unbounded_cluster = (
             SimulatedCluster.from_fragments(
@@ -174,7 +167,6 @@ class DisksEngine:
                 num_machines=config.num_machines,
                 network=config.network_model,
                 cache_capacity=config.coverage_cache_capacity,
-                compiled=config.compiled,
             )
             if bilevel.unbounded is not None
             else None

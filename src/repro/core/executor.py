@@ -5,9 +5,8 @@ coverage term of the query locally, then apply the D-function to the
 local coverages.  Lemma 1 guarantees the union of per-fragment results
 is the global answer, so a task never needs data from another machine.
 
-On a compiled runtime the D-function runs on dense-id bitmasks and the
-result leaves as a sorted run (:mod:`repro.core.runs`) without a node
-ever being hashed; the reference runtime evaluates node sets and sorts.
+The D-function runs on dense-id bitmasks and the result leaves as a
+sorted run (:mod:`repro.core.runs`) without a node ever being hashed.
 :func:`execute_fragment_task_explained` additionally keeps the exact
 per-term distances of every result node (Theorem 3 makes them globally
 correct) as a *partial* ``(run, columns)``: one ``array('d')`` per term,
@@ -21,18 +20,14 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf, nextafter
 
 from repro.core.coverage import (
     CoverageStats,
     FragmentRuntime,
     coverage_members,
-    member_count,
-    members_of,
     settle_terms,
 )
 from repro.core.queries import QClassQuery
-from repro.core.runs import as_run
 
 __all__ = [
     "FragmentTaskResult",
@@ -76,12 +71,9 @@ class FragmentTaskResult:
 
 
 def _apply_dfunction(runtime, query: QClassQuery, members: list):
-    """``(run, coverage sizes, dense-id result mask or None)`` from term memberships."""
-    sizes = tuple(map(member_count, members))
-    if runtime.compiled:
-        mask = query.expression.evaluate_masks(members)
-        return runtime.kernel.run(mask), sizes, mask
-    return as_run(query.expression.evaluate(members)), sizes, None
+    """``(run, coverage sizes, dense-id result mask)`` from term memberships."""
+    mask = query.expression.evaluate_masks(members)
+    return runtime.kernel.run(mask), tuple(m.bit_count() for m in members), mask
 
 
 def execute_fragment_task(
@@ -131,16 +123,9 @@ def execute_fragment_task_explained(
     started = time.perf_counter()
     stats = CoverageStats()
     settled = settle_terms(runtime, query.terms, stats)
-    members = [members_of(runtime, found) for found in settled]
+    members = [runtime.kernel.mask(marks) for marks, _dist, _count in settled]
     run, sizes, mask = _apply_dfunction(runtime, query, members)
-    radii = [term.radius for term in query.terms]
-    if runtime.compiled:
-        columns = runtime.kernel.columns(mask, settled, radii)
-    else:
-        columns = [
-            array("d", [found.get(node, nextafter(radius, inf)) for node in run])
-            for found, radius in zip(settled, radii)
-        ]
+    columns = runtime.kernel.columns(mask, settled, [term.radius for term in query.terms])
     result = FragmentTaskResult(
         runtime.fragment.fragment_id, run, sizes, time.perf_counter() - started, stats
     )

@@ -87,7 +87,7 @@ class FragmentKernel:
     """Packed, reusable query-time state for one fragment.
 
     Build once per ``(fragment, index)`` pair — typically via
-    ``FragmentRuntime(..., compiled=True)`` — then call :meth:`settle`
+    :class:`~repro.core.coverage.FragmentRuntime` — then call :meth:`settle`
     per coverage term and read the result as a mask or as distances.
     Instances are picklable (plain arrays/dicts/tuples), so process
     workers can ship or rebuild them freely.  Not thread-safe: the
@@ -270,10 +270,6 @@ class FragmentKernel:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def global_id(self, dense_id: int) -> int:
-        """The global node id behind a dense id (testing/debug aid)."""
-        return self._globals[dense_id]
-
     def memory_cells(self) -> dict[str, int]:
         """Element counts of the packed layout (size accounting)."""
         return {

@@ -199,10 +199,6 @@ class NPDIndex:
         """Portal seeds for an outside source node within ``radius``."""
         return _seeds(self.node_entries.get(node), radius)
 
-    def has_node_entry(self, node: int) -> bool:
-        """Whether a node entry exists for ``node``."""
-        return node in self.node_entries
-
     # ------------------------------------------------------------------
     # Size accounting (EXP 1 / Theorem 5's α and β)
     # ------------------------------------------------------------------

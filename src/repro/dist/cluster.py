@@ -190,7 +190,6 @@ class SimulatedCluster(ProcessClusterCore):
         replication_factor: int = 1,
         network: NetworkModel | None = None,
         cache_capacity: int = 0,
-        compiled: bool = True,
     ) -> "SimulatedCluster":
         """Build a cluster hosting ``fragments`` with their ``indexes``.
 
@@ -210,7 +209,6 @@ class SimulatedCluster(ProcessClusterCore):
                 *build_worker_runtimes(
                     "pickle",
                     [(fragments[i], indexes[i]) for i in hosted],
-                    compiled,
                     cache_capacity,
                 )
             )

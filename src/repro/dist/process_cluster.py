@@ -102,7 +102,6 @@ def spawn_workers(
     indexes: list[NPDIndex],
     num_machines: int | None,
     network_model: NetworkModel | None = None,
-    compiled: bool = True,
     shm_store=None,
     fragment_assignments: list[list[int]] | None = None,
 ) -> tuple[list[Process], list[Connection], list[list[int]], list[int]]:
@@ -117,10 +116,10 @@ def spawn_workers(
     (what actually crossed the pipe at fork).
 
     ``shm_store`` (a :class:`repro.shm.SharedSegmentStore`) switches the
-    startup hand-off to the zero-copy plane: each fragment's compiled
-    kernel is packed into a shared-memory segment on the coordinator and
+    startup hand-off to the zero-copy plane: each fragment's packed
+    kernel is written into a shared-memory segment on the coordinator and
     the worker receives only the O(1)-byte manifests; a fragment hosted
-    by several machines is published once.  Requires ``compiled``.
+    by several machines is published once.
 
     ``network_model`` turns the analytic interconnect model into *wall
     clock*: every message carries its send timestamp, and the receiving
@@ -136,11 +135,6 @@ def spawn_workers(
         raise ClusterError("fragments and indexes must align")
     if not fragments:
         raise ClusterError("a cluster needs at least one fragment")
-    if shm_store is not None and not compiled:
-        raise ClusterError(
-            "shared-memory workers run packed kernels; compiled=False needs "
-            "the pickled hand-off"
-        )
     if fragment_assignments is not None:
         by_id = {
             fragment.fragment_id: (fragment, index)
@@ -173,9 +167,9 @@ def spawn_workers(
                 for fragment, index in pairs
             ]
             shm_store.lease(machine_id, manifests)
-            payload = pickle.dumps(("shm", manifests, network_model, compiled))
+            payload = pickle.dumps(("shm", manifests, network_model))
         else:
-            payload = pickle.dumps(("pickle", pairs, network_model, compiled))
+            payload = pickle.dumps(("pickle", pairs, network_model))
         startup_bytes.append(len(payload))
         parent_end, child_end = Pipe()
         process = context.Process(
@@ -210,9 +204,7 @@ def emulate_delivery(
         time.sleep(delay)
 
 
-def build_worker_runtimes(
-    mode: str, data, compiled: bool, cache_capacity: int = TERM_CACHE_ENTRIES
-):
+def build_worker_runtimes(mode: str, data, cache_capacity: int = TERM_CACHE_ENTRIES):
     """Materialise a worker's runtimes from either startup hand-off.
 
     ``("pickle", pairs)`` compiles kernels from the shipped fragments —
@@ -235,7 +227,7 @@ def build_worker_runtimes(
     if mode != "pickle":
         raise ClusterError(f"unknown worker startup mode {mode!r}")
     runtimes = [
-        FragmentRuntime(fragment, index, cache_capacity=cache_capacity, compiled=compiled)
+        FragmentRuntime(fragment, index, cache_capacity=cache_capacity)
         for fragment, index in data
     ]
     return None, runtimes
@@ -444,14 +436,14 @@ class WorkerHandler:
 def worker_main(connection: Connection, payload: bytes) -> None:
     """Worker process: build the runtimes once, then recv → handle → send.
 
-    ``payload`` is the pickled ``(mode, data, network_model, compiled)``
+    ``payload`` is the pickled ``(mode, data, network_model)``
     startup hand-off (:func:`build_worker_runtimes`); the message kinds
     are :class:`WorkerHandler`'s.
     """
     registry = None
     try:
-        mode, data, network_model, compiled = pickle.loads(payload)
-        registry, runtimes = build_worker_runtimes(mode, data, compiled)
+        mode, data, network_model = pickle.loads(payload)
+        registry, runtimes = build_worker_runtimes(mode, data)
         handler = WorkerHandler(registry, runtimes, network_model)
         connection.send(("ready", len(runtimes)))
         while not handler.stopped:
@@ -930,7 +922,6 @@ class ProcessClusterCore:
         num_machines: int | None,
         timeout_seconds: float,
         network_model: NetworkModel | None,
-        compiled: bool,
         use_shm: bool,
         fragment_assignments: list[list[int]] | None = None,
         **policy,
@@ -942,7 +933,6 @@ class ProcessClusterCore:
             indexes,
             num_machines,
             network_model,
-            compiled,
             shm_store,
             fragment_assignments,
         )
@@ -1253,7 +1243,6 @@ class ProcessClusterCore:
     def _send_plan(self, request_id: int, inflight: _InFlight, plan) -> None:
         """Under ``_fanout_lock``: encode and send each target's :func:`query_frame`."""
         payloads: dict[tuple, bytes] = {}
-        sent_bytes = 0
         traced = inflight.trace is not None
         for machine_id, names in plan:
             payload = payloads.get(names)
@@ -1263,13 +1252,16 @@ class ProcessClusterCore:
                     inflight.explain,
                 )
                 payloads[names] = payload
+            # Counted before it leaves: the replies can complete the query
+            # before this thread runs again.
+            with self._lock:
+                inflight.message_bytes += len(payload)
             try:
                 self._transport.send(machine_id, payload)
-                sent_bytes += len(payload)
             except (BrokenPipeError, OSError):
+                with self._lock:
+                    inflight.message_bytes -= len(payload)
                 self._on_worker_death(machine_id)
-        with self._lock:
-            inflight.message_bytes += sent_bytes
 
     def submit(
         self,
@@ -1394,7 +1386,6 @@ class ProcessClusterCore:
             # Pack each changed fragment once, ahead of the fan-out lock.
             for fragment, index in replacements:
                 self._shm_store.publish(fragment, index, epoch=epoch)
-        sent_bytes = 0
         with self._fanout_lock:
             self._apply_seq += 1
             # A send failure here must NOT fail over inline: the seq is
@@ -1413,15 +1404,18 @@ class ProcessClusterCore:
                 payload = pickle.dumps(
                     (kind, (request_id, epoch, data), time.perf_counter())
                 )
+                # Counted before it leaves, as in _send_plan: the acks can
+                # resolve the apply before this thread runs again.
+                with self._lock:
+                    apply.message_bytes += len(payload)
                 try:
                     self._transport.send(machine_id, payload)
-                    sent_bytes += len(payload)
                 except (BrokenPipeError, OSError):
+                    with self._lock:
+                        apply.message_bytes -= len(payload)
                     failed.append(machine_id)
             for machine_id in failed:
                 self._on_worker_death(machine_id)
-        with self._lock:
-            apply.message_bytes += sent_bytes
         return PendingApply(request_id=request_id, epoch=epoch, future=apply.future)
 
     def apply_updates(

@@ -24,11 +24,8 @@ from repro.graph.io import (
     load_network_json,
 )
 from repro.graph.stats import NetworkStats, compute_stats
-from repro.graph.simplify import SimplifiedNetwork, simplify_network
 
 __all__ = [
-    "SimplifiedNetwork",
-    "simplify_network",
     "NodeKind",
     "RoadNetwork",
     "RoadNetworkBuilder",

@@ -84,7 +84,6 @@ class HACluster(ProcessClusterCore):
         routing: str = "load",
         timeout_seconds: float = _DEFAULT_TIMEOUT,
         network_model: NetworkModel | None = None,
-        compiled: bool = True,
         use_shm: bool = False,
         machine_delays: dict[int, float] | None = None,
     ) -> "HACluster":
@@ -105,7 +104,6 @@ class HACluster(ProcessClusterCore):
             num_machines=num_machines,
             timeout_seconds=timeout_seconds,
             network_model=network_model,
-            compiled=compiled,
             use_shm=use_shm,
             fragment_assignments=placement.assignments(),
             placement=placement,

@@ -79,12 +79,10 @@ class EpochState:
     fragments: tuple[Fragment, ...]
     indexes: tuple[NPDIndex, ...]
 
-    def runtimes(
-        self, cache_capacity: int = 0, compiled: bool = True
-    ) -> list[FragmentRuntime]:
+    def runtimes(self, cache_capacity: int = 0) -> list[FragmentRuntime]:
         """Fresh query runtimes over this epoch's fragments."""
         return [
-            FragmentRuntime(f, i, cache_capacity=cache_capacity, compiled=compiled)
+            FragmentRuntime(f, i, cache_capacity=cache_capacity)
             for f, i in zip(self.fragments, self.indexes)
         ]
 

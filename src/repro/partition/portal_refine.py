@@ -24,15 +24,6 @@ from repro.partition.base import Partition
 __all__ = ["refine_portals"]
 
 
-def _portal_count(network: RoadNetwork, assignment: list[int]) -> int:
-    portals = set()
-    for u, v, _w in network.edges():
-        if assignment[u] != assignment[v]:
-            portals.add(u)
-            portals.add(v)
-    return len(portals)
-
-
 def _is_portal(network: RoadNetwork, assignment: list[int], node: int) -> bool:
     frag = assignment[node]
     return any(assignment[v] != frag for v, _w in network.neighbors(node)) or (

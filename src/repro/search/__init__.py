@@ -14,12 +14,9 @@ from repro.search.dijkstra import (
     distance_between,
     reconstruct_path,
 )
-from repro.search.virtual import seeded_distances, coverage_from_seeds
-from repro.search.bidirectional import bidirectional_distance
 from repro.search.dense import DenseSearch
 
 __all__ = [
-    "bidirectional_distance",
     "DenseSearch",
     "IndexedBinaryHeap",
     "DijkstraRun",
@@ -27,6 +24,4 @@ __all__ = [
     "shortest_paths_with_predecessors",
     "distance_between",
     "reconstruct_path",
-    "seeded_distances",
-    "coverage_from_seeds",
 ]

@@ -55,7 +55,6 @@ class PipelinedCluster(ProcessClusterCore):
         num_machines: int | None = None,
         timeout_seconds: float = _DEFAULT_TIMEOUT,
         network_model: NetworkModel | None = None,
-        compiled: bool = True,
         use_shm: bool = False,
         pipe_wire: str = "binary",
     ) -> "PipelinedCluster":
@@ -65,12 +64,11 @@ class PipelinedCluster(ProcessClusterCore):
         sleeping for each message's transfer time (see
         :func:`~repro.dist.process_cluster.spawn_workers`); pipelining
         then overlaps those transfers across in-flight queries, which is
-        precisely the dispatch win this class exists for.  ``compiled``
-        selects the packed kernel (default) or the dict-based reference
-        evaluator in the workers.  ``use_shm`` hands fragments to workers
-        as shared-memory segment manifests (:mod:`repro.shm`) instead of
-        pickled state.  ``pipe_wire`` names the encoding of untraced
-        query traffic; ``"binary"`` is the only one.
+        precisely the dispatch win this class exists for.  ``use_shm``
+        hands fragments to workers as shared-memory segment manifests
+        (:mod:`repro.shm`) instead of pickled state.  ``pipe_wire`` names
+        the encoding of untraced query traffic; ``"binary"`` is the only
+        one.
         """
         if pipe_wire != "binary":
             raise ClusterError(f"unknown pipe wire encoding {pipe_wire!r}")
@@ -80,7 +78,6 @@ class PipelinedCluster(ProcessClusterCore):
             num_machines=num_machines,
             timeout_seconds=timeout_seconds,
             network_model=network_model,
-            compiled=compiled,
             use_shm=use_shm,
         )
 

@@ -198,15 +198,13 @@ class SharedKernelRuntime:
     Implements exactly the surface
     :func:`repro.core.executor.execute_fragment_task` and
     :func:`repro.core.coverage.term_members` touch: ``fragment`` (id
-    only), ``compiled``, ``kernel``, ``max_radius`` and its own
+    only), ``kernel``, ``max_radius`` and its own
     ``coverage_cache`` of ``cache_capacity`` term masks.  The cache is
     local to this runtime: a seed-list patch drops the entries of the
     sources it names (``apply_seeds``), and a fresh segment attaches as a
     new runtime, so it starts empty.  No ``Fragment`` or ``NPDIndex``
     objects exist in the worker at all.
     """
-
-    compiled = True
 
     def __init__(
         self,

@@ -103,7 +103,6 @@ class SubscriptionEngine:
         *,
         metrics=None,
         tracer=None,
-        compiled: bool = True,
     ) -> None:
         self._manager = manager
         self._metrics = metrics
@@ -116,7 +115,7 @@ class SubscriptionEngine:
         self._fragments = list(state.fragments)
         self._indexes = list(state.indexes)
         self._runtimes = [
-            FragmentRuntime(fragment, index, compiled=compiled)
+            FragmentRuntime(fragment, index)
             for fragment, index in zip(self._fragments, self._indexes)
         ]
         manager.subscribe_swaps(self._on_swap)

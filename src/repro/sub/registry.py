@@ -152,10 +152,6 @@ class Subscription:
     result: frozenset[int] = frozenset()
     scores: dict[int, tuple[float | None, ...]] = field(default_factory=dict)
 
-    def has_node_terms(self) -> bool:
-        """Whether any restricting term is a node source (scopable)."""
-        return self.scope is not None
-
 
 class SubscriptionRegistry:
     """Thread-safe subscription store with the inverted routing index."""

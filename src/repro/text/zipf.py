@@ -46,11 +46,6 @@ class ZipfSampler:
             self._cdf.append(total)
         self._total = total
 
-    @property
-    def support_size(self) -> int:
-        """Number of distinct ranks."""
-        return self._n
-
     def probability(self, rank: int) -> float:
         """Probability mass of ``rank``."""
         if not (0 <= rank < self._n):

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.search import (
     distance_between,
     reconstruct_path,
-    seeded_distances,
-    coverage_from_seeds,
     shortest_path_distances,
     shortest_paths_with_predecessors,
 )
@@ -80,14 +78,6 @@ class TestMultiSourceAndSeeds:
     def test_duplicate_seed_takes_minimum(self):
         dist = shortest_path_distances(line_adj([1.0]), {0: 3.0})
         assert dist[0] == 3.0
-
-    def test_seeded_distances_merges_zero_and_weighted(self):
-        dist = seeded_distances(line_adj([1.0, 1.0]), zero_seeds=[0], weighted_seeds={2: 0.5})
-        assert dist == {0: 0.0, 2: 0.5, 1: 1.0}
-
-    def test_coverage_from_seeds(self):
-        cov = coverage_from_seeds(line_adj([1.0, 1.0, 1.0]), zero_seeds=[0], radius=2.0)
-        assert cov == {0, 1, 2}
 
     def test_empty_seeds(self):
         assert shortest_path_distances(line_adj([1.0]), []) == {}

@@ -262,3 +262,34 @@ class TestCLI:
             sgkq(["kw0000", "kw0001"], 5.0)
         )
         assert count == len(expected)
+
+    def test_serve_refuses_a_foreign_index_file(self, tmp_path, capsys, monkeypatch):
+        """An index built for another partition is refused before any worker forks."""
+        from repro.cli import _load_built, main
+        from repro.dist import process_cluster
+        from repro.exceptions import IndexBuildError
+        from repro.partition import MultilevelPartitioner
+        from repro.storage import write_index_file
+        from repro.workloads import load_dataset
+
+        out_dir = tmp_path / "deploy"
+        main(["build", "--dataset", "aus_tiny", "--fragments", "3",
+              "--lambda-factor", "10", "--out", str(out_dir)])
+        network = load_dataset("aus_tiny").network
+        foreign = DisksEngine.build(
+            network,
+            EngineConfig(
+                num_fragments=3, lambda_factor=10, partitioner=MultilevelPartitioner(seed=1)
+            ),
+        )
+        write_index_file(foreign.indexes[1], out_dir / "index-1.npd")
+
+        with pytest.raises(IndexBuildError):
+            _load_built(out_dir)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("workers forked for an unvalidated deployment")
+
+        monkeypatch.setattr(process_cluster, "spawn_workers", no_fork)
+        assert main(["serve", "--dir", str(out_dir), "--machines", "2"]) == 1
+        assert "index validation failed" in capsys.readouterr().err

@@ -104,9 +104,7 @@ def ha_over_handlers(fragments, indexes, routing):
     placement = ReplicaPlacement.chained(len(fragments), 4, 2)
     handlers = [
         WorkerHandler(
-            *build_worker_runtimes(
-                "pickle", [(fragments[i], indexes[i]) for i in hosted], True
-            )
+            *build_worker_runtimes("pickle", [(fragments[i], indexes[i]) for i in hosted])
         )
         for hosted in placement.assignments()
     ]

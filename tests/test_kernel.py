@@ -1,11 +1,12 @@
-"""Differential tests: compiled FragmentKernel vs the dict reference path.
+"""Differential tests: the packed FragmentKernel vs the dict reference.
 
 The kernel's contract is *bit-identical distance maps* — same nodes,
 same float distances — on every fragment, term and graph shape, and the
 same node set whether its settled state is read as a distance map or as
-a bitmask turned into a sorted run.  These tests pin both views to the
-reference evaluator (``compiled=False``, i.e.
-:func:`repro.search.dijkstra.shortest_path_distances`) over randomized
+a bitmask turned into a sorted run.  These tests pin both views to
+:func:`repro.core.coverage.reference_distance_map` (Alg. 2 over dicts,
+searched by :func:`repro.search.dijkstra.shortest_path_distances`),
+and fragment tasks to the D-function evaluated over its sets, over randomized
 networks, directed and undirected, including tie-heavy integer weights
 where many nodes sit at exactly the same distance, and the
 ``radius == maxR`` boundary where the ``nd <= bound`` semantics decide
@@ -14,9 +15,11 @@ the frontier.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from array import array
+from math import inf, nextafter
 
 import pytest
 
@@ -28,10 +31,16 @@ from repro.core.coverage import (
     FragmentRuntime,
     batch_distance_maps,
     local_distance_map,
+    reference_distance_map,
 )
 from repro.core.dfunction import intersect, subtract, term as leaf, union
-from repro.core.executor import execute_fragment_task, execute_fragment_task_explained
+from repro.core.executor import (
+    FragmentTaskResult,
+    execute_fragment_task,
+    execute_fragment_task_explained,
+)
 from repro.core.queries import CoverageTerm, KeywordSource, NodeSource, QClassQuery
+from repro.exceptions import QueryError
 from repro.graph.build import RoadNetworkBuilder
 from repro.partition import BfsPartitioner
 
@@ -75,7 +84,8 @@ def make_tie_network(seed: int, directed: bool = False):
 def build_runtime_trios(net, num_fragments: int, max_radius: float, seed: int = 1):
     """(reference, bucket kernel, heap kernel) runtimes per fragment.
 
-    The compiled kernel has two settle loops — the bounded bucket queue
+    The reference runtime is only read by :func:`reference_distance_map`.
+    The kernel has two settle loops — the bounded bucket queue
     (default whenever ``radius/δ`` is small enough) and the binary-heap
     fallback.  Every differential sweep pins *both* to the reference, so
     the fallback cannot rot unexercised.
@@ -85,9 +95,9 @@ def build_runtime_trios(net, num_fragments: int, max_radius: float, seed: int = 
     indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=max_radius))
     trios = []
     for fragment, index in zip(fragments, indexes):
-        reference = FragmentRuntime(fragment, index, compiled=False)
-        bucketed = FragmentRuntime(fragment, index, compiled=True)
-        heap_forced = FragmentRuntime(fragment, index, compiled=True)
+        reference = FragmentRuntime(fragment, index)
+        bucketed = FragmentRuntime(fragment, index)
+        heap_forced = FragmentRuntime(fragment, index)
         heap_forced.kernel.bucket_limit = 0  # force the heap fallback
         trios.append((reference, bucketed, heap_forced))
     return trios
@@ -100,7 +110,7 @@ def assert_term_parity(reference: FragmentRuntime, compiled_variants, term):
     derived distance dict, and the mask turned into a sorted run.
     """
     ref_stats = CoverageStats()
-    ref_map = local_distance_map(reference, term, ref_stats)
+    ref_map = reference_distance_map(reference, term, ref_stats)
     for compiled in compiled_variants:
         kern_stats = CoverageStats()
         kern_map = local_distance_map(compiled, term, kern_stats)
@@ -116,11 +126,32 @@ def assert_term_parity(reference: FragmentRuntime, compiled_variants, term):
     return ref_map
 
 
+def reference_task(reference: FragmentRuntime, query):
+    """A fragment task by the reference: ``(result, (run, columns))``.
+
+    Each distinct term is settled once, as the executor does; the
+    D-function runs over node sets, and a column holds
+    ``nextafter(radius, inf)`` where a node lies outside the term.
+    """
+    stats = CoverageStats()
+    maps: dict = {}
+    for term in query.terms:
+        if term not in maps:
+            maps[term] = reference_distance_map(reference, term, stats)
+    found = [maps[term] for term in query.terms]
+    run = array("Q", sorted(query.expression.evaluate([set(m) for m in found])))
+    columns = [
+        array("d", [m.get(node, nextafter(term.radius, inf)) for node in run])
+        for m, term in zip(found, query.terms)
+    ]
+    sizes = tuple(len(m) for m in found)
+    result = FragmentTaskResult(reference.fragment.fragment_id, run, sizes, 0.0, stats)
+    return result, (run, columns)
+
+
 def assert_task_parity(reference: FragmentRuntime, compiled_variants, query):
     """One query, every evaluator: same run, sizes, counters, explanations."""
-    expected = execute_fragment_task(reference, query)
-    _, expected_explained = execute_fragment_task_explained(reference, query)
-    assert expected.run.tolist() == sorted(expected.local_result)
+    expected, expected_explained = reference_task(reference, query)
     for compiled in compiled_variants:
         got = execute_fragment_task(compiled, query)
         assert got.run == expected.run  # the sorted run, element for element
@@ -244,10 +275,10 @@ class TestKernelDifferential:
 
 
 class TestKernelMechanics:
-    def _runtime(self, *, compiled: bool, seed: int = 915):
+    def _runtime(self, *, reference: bool = False, seed: int = 915):
         net = make_random_network(seed=seed, num_junctions=24, num_objects=12, vocabulary=4)
         trios = build_runtime_trios(net, 2, max_radius=math.inf)
-        return trios[0][1] if compiled else trios[0][0]
+        return trios[0][0] if reference else trios[0][1]
 
     def test_scratch_reuse_across_many_terms(self):
         """Hundreds of back-to-back searches on one kernel stay exact.
@@ -256,8 +287,8 @@ class TestKernelMechanics:
         must be empty after each one, whichever loop ran.  ``marks`` and
         ``dist`` are per search, so an earlier result is never disturbed.
         """
-        compiled = self._runtime(compiled=True)
-        reference = self._runtime(compiled=False)
+        compiled = self._runtime()
+        reference = self._runtime(reference=True)
         kernel = compiled.kernel
         rng = random.Random(0)
         terms = [
@@ -269,12 +300,12 @@ class TestKernelMechanics:
         limit = kernel.bucket_limit
         for i, term in enumerate(terms):
             kernel.bucket_limit = 0 if i % 3 == 2 else limit  # interleave the heap loop
-            assert local_distance_map(compiled, term) == local_distance_map(reference, term)
+            assert local_distance_map(compiled, term) == reference_distance_map(reference, term)
             assert all(not bucket for bucket in kernel._buckets)
         assert (bytes(first[0]), list(first[1])) == snapshot
 
     def test_csr_layout_is_consistent(self):
-        kernel = self._runtime(compiled=True).kernel
+        kernel = self._runtime().kernel
         indptr = kernel.indptr
         assert indptr[0] == 0
         assert list(indptr) == sorted(indptr)  # monotone row offsets
@@ -284,13 +315,13 @@ class TestKernelMechanics:
         assert cells["scratch_cells"] == 2 * kernel.num_nodes
 
     def test_batch_matches_per_term_and_memoises_duplicates(self):
-        compiled = self._runtime(compiled=True)
+        compiled = self._runtime()
         t1 = CoverageTerm(KeywordSource("w0"), 3.0)
         t2 = CoverageTerm(KeywordSource("w1"), 2.0)
         terms = [t1, t2, t1]  # duplicate first term
         stats = CoverageStats()
         maps = batch_distance_maps(compiled, terms, stats)
-        fresh = self._runtime(compiled=True)
+        fresh = self._runtime()
         once = CoverageStats()
         assert maps[0] == maps[2] == local_distance_map(fresh, t1, once)
         assert maps[1] == local_distance_map(fresh, t2, once)
@@ -302,7 +333,7 @@ class TestKernelMechanics:
         reference, bucketed, _ = build_runtime_trios(net, 2, max_radius=math.inf)[0]
         kernel = bucketed.kernel
         term = CoverageTerm(KeywordSource("w0"), 5.0)
-        expected = local_distance_map(reference, term)
+        expected = reference_distance_map(reference, term)
         assert kernel.distances(*kernel.settle(term)[:2]) == expected
         assert len(kernel._buckets) >= 6  # the bucket path actually ran
         assert all(not bucket for bucket in kernel._buckets)  # and self-drained
@@ -334,16 +365,26 @@ class TestKernelMechanics:
         assert seen == {"dense", "sparse"}
 
     def test_lazy_kernel_on_reference_runtime(self):
-        reference = self._runtime(compiled=False)
-        assert not reference.compiled
+        """The reference's adjacency, and a dropped kernel, are built on first use."""
+        reference = self._runtime(reference=True)
         term = CoverageTerm(KeywordSource("w0"), 3.0)
-        # The kernel is still reachable for comparison tooling.
+        assert reference._extended is None  # no constructor pays for the reference
+        expected = reference_distance_map(reference, term)
+        assert reference._extended is not None
+        reference.refresh(fragment=dataclasses.replace(reference.fragment))
+        assert reference._kernel is None and reference._extended is None
         kernel = reference.kernel
-        assert kernel.distances(*kernel.settle(term)[:2]) == local_distance_map(reference, term)
+        assert kernel.distances(*kernel.settle(term)[:2]) == expected
+        assert reference_distance_map(reference, term) == expected
+
+    def test_only_the_packed_kernel_can_be_asked_for(self):
+        reference = self._runtime(reference=True)
+        with pytest.raises(QueryError):
+            FragmentRuntime(reference.fragment, reference.index, compiled=False)
 
 
 class TestEngineParity:
-    """End-to-end: compiled and reference engines answer identically."""
+    """End-to-end: the engine answers as the oracle, and explains as the reference."""
 
     def test_engine_results_match_reference_and_oracle(self):
         net = make_random_network(seed=916, num_junctions=28, num_objects=14, vocabulary=4)
@@ -353,8 +394,8 @@ class TestEngineParity:
             max_radius=math.inf,
             partitioner=BfsPartitioner(seed=2),
         )
-        fast = DisksEngine.build(net, EngineConfig(compiled=True, **base))
-        slow = DisksEngine.build(net, EngineConfig(compiled=False, **base))
+        engine = DisksEngine.build(net, EngineConfig(**base))
+        reference = [FragmentRuntime(f, i) for f, i in zip(engine.fragments, engine.indexes)]
         oracle = CentralizedEvaluator(net)
         for query in (
             sgkq(["w0"], 3.0),
@@ -362,6 +403,11 @@ class TestEngineParity:
             sgkq(["w1", "w2", "w3"], 2.5),
         ):
             expected = oracle.results(query)
-            assert fast.results(query) == expected
-            assert slow.results(query) == expected
-            assert fast.explain(query) == slow.explain(query)
+            assert engine.results(query) == expected
+            maps = [{} for _ in query.terms]
+            for runtime in reference:
+                for m, term in zip(maps, query.terms):
+                    m.update(reference_distance_map(runtime, term))
+            assert engine.explain(query) == {
+                node: tuple(m.get(node) for m in maps) for node in expected
+            }

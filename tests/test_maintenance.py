@@ -26,7 +26,7 @@ from repro.core import (
     node_dl_contributions,
     sgkq,
 )
-from repro.core.coverage import FragmentRuntime
+from repro.core.coverage import FragmentRuntime, reference_distance_map
 from repro.core.executor import execute_fragment_task
 from repro.exceptions import GraphError
 from repro.graph.road_network import RoadNetwork
@@ -299,11 +299,18 @@ class TestBoundRuntimeInvalidation:
             merged |= execute_fragment_task(runtime, query).local_result
         return frozenset(merged)
 
+    def _reference_merged(self, runtimes, query) -> frozenset[int]:
+        """The same union, with every term evaluated by the dict reference."""
+        merged: set[int] = set()
+        for runtime in runtimes:
+            coverages = [set(reference_distance_map(runtime, term)) for term in query.terms]
+            merged |= query.expression.evaluate(coverages)
+        return frozenset(merged)
+
     def test_compiled_matches_reference_after_maintenance_batch(self):
         maintainer = build_state(seed=70)
         compiled = [
-            FragmentRuntime(f, i, compiled=True)
-            for f, i in zip(maintainer.fragments, maintainer.indexes)
+            FragmentRuntime(f, i) for f, i in zip(maintainer.fragments, maintainer.indexes)
         ]
         for runtime in compiled:
             maintainer.bind(runtime)
@@ -320,8 +327,7 @@ class TestBoundRuntimeInvalidation:
 
         oracle = CentralizedEvaluator(maintainer.network, strict_keywords=False)
         reference = [
-            FragmentRuntime(f, i, compiled=False)
-            for f, i in zip(maintainer.fragments, maintainer.indexes)
+            FragmentRuntime(f, i) for f, i in zip(maintainer.fragments, maintainer.indexes)
         ]
         for keywords in (["hotfix", "w0"], ["w0", "w1"]):
             for radius in (1.0, 4.0):
@@ -330,7 +336,7 @@ class TestBoundRuntimeInvalidation:
                     [SetOp.INTERSECT],
                 )
                 expected = oracle.results(query)
-                assert self._merged(reference, query) == expected
+                assert self._reference_merged(reference, query) == expected
                 # The bound, warmed, compiled runtimes agree — the kernels
                 # were invalidated and rebuilt, not served stale.
                 assert self._merged(compiled, query) == expected
@@ -340,8 +346,7 @@ class TestBoundRuntimeInvalidation:
         when the runtime was never registered with the maintainer."""
         maintainer = build_state(seed=71)
         runtimes = [
-            FragmentRuntime(f, i, compiled=True)
-            for f, i in zip(maintainer.fragments, maintainer.indexes)
+            FragmentRuntime(f, i) for f, i in zip(maintainer.fragments, maintainer.indexes)
         ]
         query = sgkq(["w0"], 3.0)
         self._merged(runtimes, query)  # memoise kernels

@@ -178,7 +178,7 @@ def worker(built):
     _net, _partition, fragments, indexes = built
     pairs = [(fragments[fid], indexes[fid]) for fid in HOSTED]
     parent, child = Pipe()
-    payload = pickle.dumps(("pickle", pairs, None, True))
+    payload = pickle.dumps(("pickle", pairs, None))
     thread = threading.Thread(target=worker_main, args=(child, payload), daemon=True)
     thread.start()
     assert parent.recv() == ("ready", len(HOSTED))

@@ -40,7 +40,7 @@ def ha_over_handlers(fragments, indexes):
     placement = ReplicaPlacement.chained(len(fragments), 4, 2)
     handlers = [
         WorkerHandler(
-            *build_worker_runtimes("pickle", [(fragments[i], indexes[i]) for i in hosted], True)
+            *build_worker_runtimes("pickle", [(fragments[i], indexes[i]) for i in hosted])
         )
         for hosted in placement.assignments()
     ]
@@ -56,9 +56,13 @@ def traced_with_a_death(built, apply_first: bool):
     query = sgkq(sorted(net.all_keywords())[:2], 4.0)
     expected = cluster.execute(query).result_nodes
     pending = cluster.submit(query, trace=TraceContext(new_trace_id()))
+    # The victim must owe the traced query a task; an apply would put a
+    # frame in every inbox, so pick it before the apply is submitted.
+    holders = [m for m in SAFE_KILLS if transport.inboxes[m]]
+    assert holders, "routing left every safe-to-kill machine without a task"
+    victim = holders[0]
     if apply_first:
         cluster.submit_updates(1, list(zip(fragments, indexes)))
-    victim = next(m for m in SAFE_KILLS if transport.inboxes[m])
     cluster.kill_worker(victim)
     transport.run()
     response = pending.future.result(timeout=0)

@@ -1,9 +1,8 @@
-"""Tests for network simplification, bidirectional search, and count queries."""
+"""Tests for network simplification (a test-side transform) and count queries."""
 
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +11,11 @@ from repro import DisksEngine, EngineConfig, sgkq
 from repro.core.dfunction import SetOp
 from repro.core.queries import CoverageTerm, KeywordSource, QClassQuery
 from repro.exceptions import GraphError
-from repro.graph import (
-    GeneratorConfig,
-    RoadNetworkBuilder,
-    generate_road_network,
-    simplify_network,
-)
+from repro.graph import GeneratorConfig, RoadNetworkBuilder, generate_road_network
 from repro.partition import BfsPartitioner
-from repro.search import bidirectional_distance, distance_between
 
 from helpers import make_random_network, oracle_distances
+from simplify import simplify_network
 
 
 class TestSimplify:
@@ -108,41 +102,6 @@ class TestSimplify:
         simplified = simplify_network(net)
         assert simplified.removed_count > 0
         assert simplified.network.num_nodes + simplified.removed_count == net.num_nodes
-
-
-class TestBidirectional:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 1500), pair_seed=st.integers(0, 99))
-    def test_matches_unidirectional(self, seed, pair_seed):
-        net = make_random_network(seed=seed, num_junctions=20, num_objects=8)
-        rng = random.Random(pair_seed)
-        s = rng.randrange(net.num_nodes)
-        t = rng.randrange(net.num_nodes)
-        expected = distance_between(net.neighbors, s, t)
-        assert bidirectional_distance(net, s, t) == pytest.approx(expected)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 1500))
-    def test_directed_matches(self, seed):
-        net = make_random_network(seed=seed, num_junctions=15, num_objects=6, directed=True)
-        rng = random.Random(seed)
-        s, t = rng.randrange(net.num_nodes), rng.randrange(net.num_nodes)
-        expected = distance_between(net.neighbors, s, t)
-        actual = bidirectional_distance(net, s, t)
-        if math.isinf(expected):
-            assert math.isinf(actual)
-        else:
-            assert actual == pytest.approx(expected)
-
-    def test_same_node(self):
-        net = make_random_network(seed=1)
-        assert bidirectional_distance(net, 3, 3) == 0.0
-
-    def test_bound_respected(self):
-        net = make_random_network(seed=2)
-        s, t = 0, net.num_nodes - 1
-        true = bidirectional_distance(net, s, t)
-        assert math.isinf(bidirectional_distance(net, s, t, bound=true / 2))
 
 
 class TestCountQueries:

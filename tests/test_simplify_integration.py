@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DisksEngine, EngineConfig, sgkq
-from repro.graph import simplify_network
 from repro.partition import BfsPartitioner
 
 from helpers import make_random_network
+from simplify import simplify_network
 
 
 def build_engine(net, seed):

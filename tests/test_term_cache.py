@@ -104,9 +104,7 @@ class Worker:
             data = [self.store.publish(f, i, epoch=0) for f, i in pairs]
         else:
             data = pairs
-        self.registry, self.runtimes = build_worker_runtimes(
-            "shm" if use_shm else "pickle", data, True
-        )
+        self.registry, self.runtimes = build_worker_runtimes("shm" if use_shm else "pickle", data)
         self.hosted = [fragment.fragment_id for fragment in fragments]
 
     def by_fragment(self) -> dict:

@@ -157,7 +157,7 @@ def handler():
     partition = BfsPartitioner(seed=4).partition(net, 2)
     fragments = build_fragments(net, partition)
     indexes, _ = build_all_indexes(net, fragments, NPDBuildConfig(max_radius=math.inf))
-    registry, runtimes = build_worker_runtimes("pickle", list(zip(fragments, indexes)), True)
+    registry, runtimes = build_worker_runtimes("pickle", list(zip(fragments, indexes)))
     return WorkerHandler(registry, runtimes)
 
 
