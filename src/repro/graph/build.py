@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.exceptions import EdgeError, GraphError, NodeNotFoundError
-from repro.graph.road_network import NodeKind, RoadNetwork
+from repro.graph.road_network import NodeKind, RoadNetwork, keyword_set
 
 __all__ = ["RoadNetworkBuilder", "ObjectSpec", "attach_objects"]
 
@@ -88,7 +88,7 @@ class RoadNetworkBuilder:
         Junction nodes must not carry keywords (paper Fig. 1: junctions
         are keyword-free); attach keywords to object nodes.
         """
-        kws = frozenset(keywords)
+        kws = keyword_set(keywords)
         if kind is NodeKind.JUNCTION and kws:
             raise GraphError("junction nodes cannot carry keywords")
         node = len(self._kinds)
@@ -117,7 +117,7 @@ class RoadNetworkBuilder:
             raise NodeNotFoundError(node)
         if self._kinds[node] is NodeKind.JUNCTION:
             raise GraphError("junction nodes cannot carry keywords")
-        self._keywords[node] = frozenset(keywords)
+        self._keywords[node] = keyword_set(keywords)
 
     def position(self, node: int) -> tuple[float, float] | None:
         """Position of an already-added node (``None`` if unset)."""

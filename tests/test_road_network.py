@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graph import NodeKind, RoadNetwork, RoadNetworkBuilder
+from repro.graph import (
+    NodeKind,
+    RoadNetwork,
+    RoadNetworkBuilder,
+    network_from_dict,
+    network_to_dict,
+    read_edge_list,
+    write_edge_list,
+)
+from repro.graph.road_network import NO_KEYWORDS
 
 from helpers import make_random_network
 
@@ -184,3 +194,42 @@ class TestConstructorValidation:
     def test_undirected_rejects_reverse(self):
         with pytest.raises(GraphError):
             RoadNetwork([0], [], [], [], [], reverse=([0], [], []))
+
+
+class TestSharedEmptyKeywords:
+    """Every keyword-free node holds the one :data:`NO_KEYWORDS` object."""
+
+    @staticmethod
+    def assert_shared(net: RoadNetwork) -> None:
+        empty = [node for node in net.nodes() if not net.keywords(node)]
+        assert empty
+        assert all(net.keywords(node) is NO_KEYWORDS for node in empty)
+
+    def test_after_a_build(self):
+        b = RoadNetworkBuilder()
+        j = b.add_junction()
+        o = b.add_object([])
+        k = b.add_object({"cafe"})
+        b.add_edge(j, o, 1.0)
+        b.add_edge(o, k, 1.0)
+        self.assert_shared(b.build())
+        b.set_keywords(k, ())
+        net = b.build()
+        assert all(net.keywords(node) is NO_KEYWORDS for node in (j, o, k))
+        self.assert_shared(make_random_network(seed=8, num_junctions=30, num_objects=12))
+
+    def test_after_a_graph_io_round_trip(self):
+        net = make_random_network(seed=9, num_junctions=30, num_objects=12)
+        stream = io.StringIO()
+        write_edge_list(net, stream)
+        stream.seek(0)
+        self.assert_shared(read_edge_list(stream))
+        self.assert_shared(network_from_dict(network_to_dict(net)))
+
+    def test_after_the_last_keyword_is_removed(self):
+        net = build_triangle()
+        cafe = next(node for node in net.nodes() if net.keywords(node) == {"cafe"})
+        cleared = net.with_node_keywords(cafe, [])
+        assert cleared.keywords(cafe) is NO_KEYWORDS
+        self.assert_shared(cleared)
+        assert net.keywords(cafe) == {"cafe"}  # the source network is untouched
