@@ -279,20 +279,24 @@ def query_frame(
     attempt: int = 0,
     fragment_ids: tuple[int, ...] = (),
     explain: bool = False,
+    body: bytes | None = None,
 ) -> bytes:
     """The task frame a coordinator sends a worker for one query.
 
     Plain and traced queries travel as binary pipe frames; a traced one
     only sets a tag bit, which asks the worker to time its stages into
     the reply (no trace or span id crosses the pipe).  Explain queries
-    are pickled (distance columns ride their replies).
+    are pickled (distance columns ride their replies).  ``body`` is the
+    query's encoded body, shared by the frames of one fan-out.
     """
     # Bound here, not at import: repro.serve imports this module.
     from repro.serve.wire import dumps_pipe_query
 
     sent_at = time.perf_counter()
     if not explain:
-        return dumps_pipe_query(request_id, query, sent_at, attempt, fragment_ids, traced)
+        return dumps_pipe_query(
+            request_id, query, sent_at, attempt, fragment_ids, traced, body
+        )
     body = (request_id, query, None, attempt, fragment_ids)
     return pickle.dumps(("explain", body, sent_at))
 
@@ -1241,15 +1245,23 @@ class ProcessClusterCore:
         return plan
 
     def _send_plan(self, request_id: int, inflight: _InFlight, plan) -> None:
-        """Under ``_fanout_lock``: encode and send each target's :func:`query_frame`."""
+        """Under ``_fanout_lock``: encode and send each target's :func:`query_frame`.
+
+        The query body is encoded once per fan-out, however many distinct
+        fragment subsets the plan names (replica routing names one per
+        target).
+        """
+        from repro.serve.wire import encode_query_body  # see query_frame
+
         payloads: dict[tuple, bytes] = {}
         traced = inflight.trace is not None
+        body = None if inflight.explain else encode_query_body(inflight.query)
         for machine_id, names in plan:
             payload = payloads.get(names)
             if payload is None:
                 payload = query_frame(
                     request_id, inflight.query, traced, inflight.attempt, names,
-                    inflight.explain,
+                    inflight.explain, body,
                 )
                 payloads[names] = payload
             # Counted before it leaves: the replies can complete the query

@@ -309,6 +309,11 @@ class EpochManager:
                 seed_keys = {fid: frozenset(maintainer.seed_keys[fid]) for fid in changed}
             apply_seconds = time.perf_counter() - apply_started
 
+            if self.log is not None:
+                # Committed before it is visible: a reader (or subscriber)
+                # that sees epoch N+1 can rely on recovery replaying it.
+                self.log.commit(base.epoch + 1, len(ops))
+
             swap_started = time.perf_counter()
             new_state = EpochState(
                 epoch=base.epoch + 1,
@@ -327,9 +332,6 @@ class EpochManager:
             cluster_acks = tuple(self._pending_acks)
             self._pending_acks.clear()
             swap_seconds = time.perf_counter() - swap_started
-
-            if self.log is not None:
-                self.log.commit(new_state.epoch, len(ops))
 
             ops_by_kind: dict[str, int] = {}
             keywords: set[str] = set()

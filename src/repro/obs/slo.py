@@ -25,9 +25,9 @@ as an ``slo_burn`` event through :func:`repro.obs.events.emit` with a
 per-objective cooldown so a sustained incident does not flood the log.
 
 The module is clock-injectable and dependency-free below ``serve``;
-:class:`~repro.serve.server.DisksServer` feeds it from the single
-``_run_query`` choke point and mirrors burn rates into ``repro_slo_*``
-gauges.
+:class:`~repro.serve.server.DisksServer` feeds it from the query
+path's two halves (``_begin`` / ``_finish``) and mirrors burn rates
+into ``repro_slo_*`` gauges.
 """
 
 from __future__ import annotations

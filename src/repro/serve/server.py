@@ -17,6 +17,27 @@ Robustness controls, per request:
 * **degraded mode** — after a worker crash, answers keep flowing from
   the survivors and carry ``"degraded": true``.
 
+A query costs the event loop two synchronous steps and no task.  The
+first runs on the turn that decodes the request: admission, parse,
+cache probe and submit (:meth:`DisksServer._begin`); a cache hit is
+answered right there.  The second is one loop callback, scheduled by
+the cluster future's done-callback, that does the completion
+bookkeeping, encodes the reply and writes it whole
+(:meth:`DisksServer._finish`).  The timeout is one ``call_later`` timer,
+cancelled on completion; a reply that arrives after it fired is
+dropped.  Binary QUERY and BATCH frames and the NDJSON ``query`` op all
+take this path; the other ops (stats, update, subscribe, chaos, ...)
+run as coroutines.
+
+Reads: a binary connection reads chunks and parses them with the
+sans-IO :class:`~repro.serve.wire.FrameDecoder`, handling each frame
+inline in arrival order, so a malformed frame closes the connection
+before any later frame runs.  A partial frame must complete within
+``frame_timeout_seconds`` of its first byte; waiting for the next frame
+is unbounded.  Backpressure: replies are written as soon as they are
+ready, and each read loop awaits ``drain()`` before its next read, so
+a client that stops reading stops being read.
+
 The cluster argument is duck-typed (``submit``/``forget``/
 ``num_machines``/``degraded``/``dead_machines``), which the tests use
 to inject failure modes.
@@ -53,6 +74,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from repro.cache.store import SemanticResultCache
@@ -74,12 +96,24 @@ from repro.serve.protocol import decode_line, encode_line, render_query
 
 __all__ = ["ServeConfig", "DisksServer", "serve_in_thread"]
 
+_READ_CHUNK = 65536  # bytes per read on a binary connection
+_NO_SUB = "this server was started without standing-query support"
+
+
+def _failure(request_id, error: str, detail: str | None = None, **extra) -> dict:
+    """An error reply: ``{"id", "ok": False, "error"[, "detail"], **extra}``."""
+    reply = {"id": request_id, "ok": False, "error": error}
+    if detail is not None:
+        reply["detail"] = detail
+    reply.update(extra)
+    return reply
+
 
 @dataclass(frozen=True)
 class _CachedResponse(RunAnswer):
     """A cache hit shaped like a cluster response.
 
-    Mirrors the attributes ``_run_query`` consumers read off a
+    Mirrors the attributes :meth:`DisksServer._finish` reads off a
     :class:`~repro.serve.pipeline.PipelinedResponse`; no dispatch
     happened, so the timing/byte fields are zero and ``cached`` lets
     tests (and the slow-query ring) tell the two apart.
@@ -98,23 +132,70 @@ class _CachedResponse(RunAnswer):
 
 
 class _Connection:
-    """One accepted socket: writer, write lock, protocol, sub channel.
+    """One accepted socket: writer, protocol, sub channel, open queries.
 
     ``binary`` is fixed at accept time by the first byte on the wire
     (``D`` opens a DSKW binary connection, anything else is NDJSON) and
-    decides how :meth:`DisksServer._respond` encodes reply dicts —
+    decides how :meth:`DisksServer._reply` encodes reply dicts —
     NDJSON lines or JSON frames.  Binary-native replies (ANSWER, ERROR,
-    UPDATE_ACK frames) bypass ``_respond`` and go straight to
-    ``_send_raw``.
+    UPDATE_ACK frames) bypass it and go straight to ``_send_raw``.
+    Each write is one whole reply, so writes need no lock.
+
+    ``queries`` counts the queries begun and not yet answered; a closing
+    connection waits for it to reach zero so their replies still go out.
     """
 
-    __slots__ = ("writer", "write_lock", "binary", "channel")
+    __slots__ = ("writer", "binary", "channel", "queries", "idle")
 
     def __init__(self, writer: asyncio.StreamWriter, binary: bool) -> None:
         self.writer = writer
-        self.write_lock = asyncio.Lock()
         self.binary = binary
         self.channel: _SubChannel | None = None
+        self.queries = 0
+        self.idle: asyncio.Future | None = None
+
+    def query_done(self) -> None:
+        self.queries -= 1
+        if not self.queries and self.idle is not None and not self.idle.done():
+            self.idle.set_result(None)
+
+
+class _Query:
+    """One query between its two halves (admission to reply).
+
+    Nothing here reaches the cluster future: its done-callback holds this
+    object, so a reference back would make a cycle that keeps every
+    answer alive until a full collection.
+    """
+
+    __slots__ = (
+        "conn", "request_id", "query", "text", "frames", "batch", "slot",
+        "admitted", "arrived", "trace", "ticket", "cluster_id", "timer",
+    )
+
+    def __init__(self, conn, request_id, query, text, batch=None, slot=0) -> None:
+        self.conn = conn
+        self.request_id = request_id
+        self.query = query
+        self.text = text
+        # Binary QUERY/BATCH entries arrive decoded and reply with
+        # ANSWER/ERROR frames; the NDJSON op (on either wire) arrives as
+        # text and replies with a dict.
+        self.frames = query is not None
+        self.batch = batch
+        self.slot = slot
+        self.admitted = False
+        self.trace = self.ticket = self.timer = None
+
+
+class _Batch:
+    """A BATCH frame's replies, counted down and sent in one write."""
+
+    __slots__ = ("parts", "remaining")
+
+    def __init__(self, size: int) -> None:
+        self.parts: list[bytes | None] = [None] * size
+        self.remaining = size
 
 
 class _SubChannel:
@@ -347,6 +428,7 @@ class DisksServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             raise ClusterError("the server has already been started")
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -398,9 +480,7 @@ class DisksServer:
         if not first:
             return
         conn = _Connection(writer, binary=(first == wire.MAGIC[:1]))
-        conn.channel = _SubChannel(
-            self, conn, asyncio.get_running_loop(), self.config.sub_queue_limit
-        )
+        conn.channel = _SubChannel(self, conn, self._loop, self.config.sub_queue_limit)
         tasks: set[asyncio.Task] = set()
         try:
             if conn.binary:
@@ -420,129 +500,150 @@ class DisksServer:
                     await asyncio.to_thread(self.sub_engine.unregister, sub_id)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            if conn.queries:  # answered or timed out, never abandoned
+                conn.idle = self._loop.create_future()
+                await conn.idle
 
-    async def _ndjson_loop(
-        self,
-        first: bytes,
-        reader: asyncio.StreamReader,
-        conn: _Connection,
-        tasks: set[asyncio.Task],
-    ) -> None:
+    def _spawn(self, job, tasks: set[asyncio.Task]) -> None:
+        task = asyncio.create_task(job)
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    async def _ndjson_loop(self, first: bytes, reader, conn: _Connection, tasks) -> None:
         prefix = first if first.strip() else b""
         while True:
+            await conn.writer.drain()
             line = await reader.readline()
             if prefix:
                 line, prefix = prefix + line, b""
             if not line:
                 break
-            if not line.strip():
-                continue
-            task = asyncio.create_task(self._handle_line(line, conn))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            if line.strip():
+                self._handle_line(line, conn, tasks)
 
-    async def _binary_loop(
-        self,
-        first: bytes,
-        reader: asyncio.StreamReader,
-        conn: _Connection,
-        tasks: set[asyncio.Task],
-    ) -> None:
-        """Negotiate, then read frames until EOF or a protocol error.
+    async def _binary_loop(self, first: bytes, reader, conn: _Connection, tasks) -> None:
+        """Negotiate, then read chunks and handle frames until EOF or an error.
 
-        Partial reads (a torn length prefix, a frame that stops arriving
-        mid-payload) are bounded by ``frame_timeout_seconds`` — an
-        adversarial or broken peer gets an ERROR frame and a closed
-        connection, never a hung handler.  Waiting for the *start* of
-        the next frame is unbounded: an idle connection is fine.
+        A partial preamble or frame must complete within
+        ``frame_timeout_seconds`` of its first byte, however the bytes
+        trickle in: a watchdog timer, armed when the partial begins,
+        then closes the connection (a partial frame first gets an ERROR
+        frame, "truncated frame"), never leaving a hung handler.  Waiting
+        for the *start* of the next frame is unbounded: an idle
+        connection is fine.
         """
         timeout = self.config.frame_timeout_seconds
+        watchdog = self._loop.call_later(timeout, self._frame_expired, conn, None)
         try:
-            rest = await asyncio.wait_for(reader.readexactly(5), timeout)
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-            self.metrics.increment("wire_errors")
-            return
-        try:
-            features = wire.decode_preamble(first + rest)
-        except wire.WireProtocolError as error:
-            self.metrics.increment("wire_errors")
-            await self._send_raw(conn, wire.encode_error(None, "wire", str(error)))
-            return
-        await self._send_raw(conn, wire.encode_hello(features))
-        while True:
-            lead = await reader.read(1)
-            if not lead:
-                return  # clean EOF between frames
+            data = first
+            while len(data) < 6:
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    if not conn.writer.is_closing():  # not the watchdog's close
+                        self.metrics.increment("wire_errors")
+                    return
+                data += chunk
+            watchdog.cancel()
+            watchdog = None
             try:
-                header = lead + await asyncio.wait_for(reader.readexactly(3), timeout)
-                (length,) = wire.LENGTH_PREFIX.unpack(header)
-                if length < 1 or length > self.config.max_frame_bytes:
-                    raise wire.WireProtocolError(
-                        f"declared frame length {length} out of range"
-                    )
-                frame = await asyncio.wait_for(reader.readexactly(length), timeout)
-                jobs = self._decode_frame_jobs(frame[0], frame[1:], conn)
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-                self.metrics.increment("wire_errors")
-                await self._send_raw(
-                    conn, wire.encode_error(None, "wire", "truncated frame")
-                )
-                return
+                features = wire.decode_preamble(data[:6])
             except wire.WireProtocolError as error:
                 self.metrics.increment("wire_errors")
-                await self._send_raw(conn, wire.encode_error(None, "wire", str(error)))
+                self._send_raw(conn, wire.encode_error(None, "wire", str(error)))
                 return
-            for job in jobs:
-                task = asyncio.create_task(job)
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+            self._send_raw(conn, wire.encode_hello(features))
+            decoder = wire.FrameDecoder(self.config.max_frame_bytes)
+            decoder.feed(data[6:])
+            while True:
+                handled = False
+                try:
+                    while (frame := decoder.next_frame()) is not None:
+                        self._handle_frame(frame[0], frame[1], conn, tasks)
+                        handled = True
+                except wire.WireProtocolError as error:
+                    self.metrics.increment("wire_errors")
+                    self._send_raw(conn, wire.encode_error(None, "wire", str(error)))
+                    return
+                if watchdog is not None and (handled or not decoder.buffered):
+                    watchdog.cancel()  # the partial frame it timed completed
+                    watchdog = None
+                if watchdog is None and decoder.buffered:
+                    watchdog = self._loop.call_later(
+                        timeout, self._frame_expired, conn, "truncated frame"
+                    )
+                await conn.writer.drain()
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    if decoder.buffered and not conn.writer.is_closing():
+                        self.metrics.increment("wire_errors")
+                        self._send_raw(
+                            conn, wire.encode_error(None, "wire", "truncated frame")
+                        )
+                    return  # clean EOF between frames
+                decoder.feed(chunk)
+        finally:
+            if watchdog is not None:
+                watchdog.cancel()
 
-    def _decode_frame_jobs(self, frame_type: int, payload: bytes, conn: _Connection):
-        """Decode one binary frame into handler coroutines.
+    def _frame_expired(self, conn: _Connection, detail: str | None) -> None:
+        """A partial preamble or frame outlived its deadline: close the socket."""
+        self.metrics.increment("wire_errors")
+        if detail is not None:
+            self._send_raw(conn, wire.encode_error(None, "wire", detail))
+        conn.writer.close()
 
-        Decoding happens inline on the connection loop — a malformed
-        frame must kill the connection *before* later frames dispatch —
-        while query execution runs as tasks so the connection pipelines.
+    def _handle_frame(self, frame_type: int, payload: bytes, conn, tasks) -> None:
+        """Decode and start one binary frame, inline on the read loop.
+
+        Queries begin here (their replies follow from a callback); a
+        decode error propagates before any later frame is handled.
         """
         if frame_type == wire.FRAME_QUERY:
             request_id, query = wire.decode_query_payload(payload)
-            return [self._handle_wire_query(request_id, query, conn)]
-        if frame_type == wire.FRAME_BATCH:
-            return [self._handle_wire_batch(wire.decode_batch(payload), conn)]
-        if frame_type == wire.FRAME_UPDATE:
+            self._begin(_Query(conn, request_id, query, None))
+        elif frame_type == wire.FRAME_BATCH:
+            entries = wire.decode_batch(payload)
+            batch = _Batch(len(entries))
+            for slot, (request_id, query) in enumerate(entries):
+                self._begin(_Query(conn, request_id, query, None, batch, slot))
+        elif frame_type == wire.FRAME_UPDATE:
             request_id, records, idem_key = wire.decode_update(payload)
-            return [self._handle_wire_update(request_id, records, conn, idem_key)]
-        if frame_type == wire.FRAME_JSON:
-            request = wire.decode_json_payload(payload)
-            return [self._dispatch_request(request, conn)]
-        raise wire.WireProtocolError(
-            f"unexpected frame type {frame_type} from a client"
-        )
+            self._spawn(
+                self._handle_wire_update(request_id, records, conn, idem_key), tasks
+            )
+        elif frame_type == wire.FRAME_JSON:
+            self._handle_request(wire.decode_json_payload(payload), conn, tasks)
+        else:
+            raise wire.WireProtocolError(
+                f"unexpected frame type {frame_type} from a client"
+            )
 
-    async def _send_raw(self, conn: _Connection, data: bytes) -> None:
-        async with conn.write_lock:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                conn.writer.write(data)
-                await conn.writer.drain()
+    def _send_raw(self, conn: _Connection, data: bytes) -> None:
+        """Write one whole reply; a closed connection drops it."""
+        if not conn.writer.is_closing():
+            conn.writer.write(data)
+
+    @staticmethod
+    def _encode(conn: _Connection, payload: dict) -> bytes:
+        return wire.encode_json_frame(payload) if conn.binary else encode_line(payload)
+
+    def _reply(self, conn: _Connection, payload: dict) -> None:
+        self._send_raw(conn, self._encode(conn, payload))
 
     async def _respond(self, conn: _Connection, payload: dict) -> None:
-        if conn.binary:
-            data = wire.encode_json_frame(payload)
-        else:
-            data = encode_line(payload)
-        await self._send_raw(conn, data)
+        """:meth:`_reply`, then wait out backpressure (pushes, admin ops)."""
+        self._reply(conn, payload)
+        with contextlib.suppress(ConnectionResetError, OSError):
+            await conn.writer.drain()
 
-    async def _handle_line(self, line: bytes, conn: _Connection) -> None:
+    def _handle_line(self, line: bytes, conn: _Connection, tasks) -> None:
         try:
             request = decode_line(line)
         except ValueError as error:
             self.metrics.increment("bad_requests")
-            await self._respond(
-                conn,
-                {"id": None, "ok": False, "error": "bad-json", "detail": str(error)},
-            )
+            self._reply(conn, _failure(None, "bad-json", str(error)))
             return
-        await self._dispatch_request(request, conn)
+        self._handle_request(request, conn, tasks)
 
     def _client_key(self, request: dict, conn: _Connection) -> str:
         """The rate-limit bucket key: explicit client id, else peer host."""
@@ -552,7 +653,8 @@ class DisksServer:
         peer = conn.writer.get_extra_info("peername")
         return str(peer[0]) if isinstance(peer, tuple) and peer else "unknown"
 
-    async def _dispatch_request(self, request: dict, conn: _Connection) -> None:
+    def _handle_request(self, request: dict, conn: _Connection, tasks) -> None:
+        """Route one request: a query begins inline, other ops run as tasks."""
         request_id = request.get("id")
         op = request.get("op", "query")
         if (
@@ -561,10 +663,13 @@ class DisksServer:
             and not self.guard.allow(self._client_key(request, conn))
         ):
             self.metrics.increment("ha_rate_limited")
-            await self._respond(
-                conn, {"id": request_id, "ok": False, "error": "rate-limited"}
-            )
-            return
+            self._reply(conn, _failure(request_id, "rate-limited"))
+        elif op == "query":
+            self._begin(_Query(conn, request_id, None, request.get("q")))
+        else:
+            self._spawn(self._dispatch_request(request_id, op, request, conn), tasks)
+
+    async def _dispatch_request(self, request_id, op, request: dict, conn) -> None:
         if op == "stats":
             # Off the loop: collecting cluster-wide coverage-cache
             # counters round-trips the worker pipes behind any queries
@@ -610,14 +715,9 @@ class DisksServer:
             await self._handle_subscribe(request_id, request, conn)
         elif op == "unsubscribe":
             await self._handle_unsubscribe(request_id, request, conn)
-        elif op == "query":
-            await self._handle_query(request_id, request, conn)
         else:
             self.metrics.increment("bad_requests")
-            await self._respond(
-                conn,
-                {"id": request_id, "ok": False, "error": "unknown-op", "detail": op},
-            )
+            await self._respond(conn, _failure(request_id, "unknown-op", op))
 
     def _current_epoch(self):
         """The served epoch: from the updater, else the cluster, else None."""
@@ -633,33 +733,22 @@ class DisksServer:
         """
         self.metrics.increment("updates_received")
         if self._updater is None:
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "no-live",
-                "detail": "this server was started without live-update support",
-            }
+            return _failure(
+                request_id, "no-live", "this server was started without live-update support"
+            )
         if not isinstance(records, list) or not records:
             self.metrics.increment("bad_requests")
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "bad-update",
-                "detail": "the request needs a non-empty op list under 'ops'",
-            }
+            return _failure(
+                request_id, "bad-update", "the request needs a non-empty op list under 'ops'"
+            )
         try:
             ops = [op_from_record(record) for record in records]
         except LiveUpdateError as error:
             self.metrics.increment("update_errors")
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": "bad-update",
-                "detail": str(error),
-            }
+            return _failure(request_id, "bad-update", str(error))
         if not self.admission.try_acquire():
             self.metrics.increment("shed")
-            return {"id": request_id, "ok": False, "error": "overloaded"}
+            return _failure(request_id, "overloaded")
         arrived = time.perf_counter()
         self.metrics.observe_gauge("inflight", self.admission.depth)
         try:
@@ -670,20 +759,10 @@ class DisksServer:
                 swap = await asyncio.to_thread(self._updater.apply, ops)
             except LiveUpdateError as error:
                 self.metrics.increment("update_errors")
-                return {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "bad-update",
-                    "detail": str(error),
-                }
+                return _failure(request_id, "bad-update", str(error))
             except ClusterError as error:
                 self.metrics.increment("errors")
-                return {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "cluster",
-                    "detail": str(error),
-                }
+                return _failure(request_id, "cluster", str(error))
             staleness = time.perf_counter() - arrived
             self.metrics.increment("updates")
             self.metrics.increment("update_ops", by=swap.num_ops)
@@ -754,36 +833,19 @@ class DisksServer:
     async def _handle_chaos(self, request_id, request: dict, conn: _Connection) -> None:
         """Fault injection: kill a worker process (``allow_chaos`` only)."""
         if not self.config.allow_chaos:
-            await self._respond(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "chaos-disabled",
-                    "detail": "start the server with allow_chaos to inject faults",
-                },
-            )
+            detail = "start the server with allow_chaos to inject faults"
+            await self._respond(conn, _failure(request_id, "chaos-disabled", detail))
             return
         kill = request.get("kill")
         kill_worker = getattr(self._cluster, "kill_worker", None)
         if not isinstance(kill, int) or not callable(kill_worker):
-            await self._respond(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "bad-chaos",
-                    "detail": "needs an integer 'kill' and a cluster with kill_worker",
-                },
-            )
+            detail = "needs an integer 'kill' and a cluster with kill_worker"
+            await self._respond(conn, _failure(request_id, "bad-chaos", detail))
             return
         try:
             was_alive = await asyncio.to_thread(kill_worker, kill)
         except ClusterError as error:
-            await self._respond(
-                conn,
-                {"id": request_id, "ok": False, "error": "chaos", "detail": str(error)},
-            )
+            await self._respond(conn, _failure(request_id, "chaos", str(error)))
             return
         self.metrics.increment("ha_chaos_kills")
         await self._respond(
@@ -811,7 +873,7 @@ class DisksServer:
             frame = wire.encode_error(
                 request_id, reply["error"], reply.get("detail", "")
             )
-        await self._send_raw(conn, frame)
+        self._send_raw(conn, frame)
 
     def _parse_query_text(self, request_id, text):
         """Parse + radius-check a wire query; ``(query, None)`` on success,
@@ -819,53 +881,30 @@ class DisksServer:
         ``subscribe``."""
         if not isinstance(text, str):
             self.metrics.increment("bad_requests")
-            return None, {
-                "id": request_id,
-                "ok": False,
-                "error": "bad-request",
-                "detail": "the request needs a query string under 'q'",
-            }
+            detail = "the request needs a query string under 'q'"
+            return None, _failure(request_id, "bad-request", detail)
         try:
             query = parse_query(text)
         except QueryError as error:
             self.metrics.increment("parse_errors")
-            return None, {
-                "id": request_id,
-                "ok": False,
-                "error": "parse",
-                "detail": str(error),
-            }
-        if (
-            self.config.max_radius is not None
-            and query.max_radius > self.config.max_radius
-        ):
-            self.metrics.increment("radius_rejections")
-            return None, {
-                "id": request_id,
-                "ok": False,
-                "error": "radius",
-                "detail": (
-                    f"radius {query.max_radius:g} exceeds the deployment "
-                    f"maxR {self.config.max_radius:g}"
-                ),
-            }
-        return query, None
+            return None, _failure(request_id, "parse", str(error))
+        rejection = self._radius_rejection(request_id, query)
+        return (None, rejection) if rejection is not None else (query, None)
 
-    async def _handle_subscribe(
-        self, request_id, request: dict, conn: _Connection
-    ) -> None:
+    def _radius_rejection(self, request_id, query) -> dict | None:
+        """The error reply for a query beyond the deployment's maxR, else None."""
+        limit = self.config.max_radius
+        if limit is None or query.max_radius <= limit:
+            return None
+        self.metrics.increment("radius_rejections")
+        detail = f"radius {query.max_radius:g} exceeds the deployment maxR {limit:g}"
+        return _failure(request_id, "radius", detail)
+
+    async def _handle_subscribe(self, request_id, request: dict, conn: _Connection) -> None:
         channel = conn.channel
         self.metrics.increment("subscribes_received")
         if self.sub_engine is None:
-            await self._respond(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "no-sub",
-                    "detail": "this server was started without standing-query support",
-                },
-            )
+            await self._respond(conn, _failure(request_id, "no-sub", _NO_SUB))
             return
         query, rejection = self._parse_query_text(request_id, request.get("q"))
         if rejection is not None:
@@ -874,23 +913,14 @@ class DisksServer:
         sub_id = request.get("sub")
         if sub_id is not None and not isinstance(sub_id, str):
             self.metrics.increment("bad_requests")
-            await self._respond(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "bad-subscribe",
-                    "detail": "'sub' must be a string when given",
-                },
-            )
+            detail = "'sub' must be a string when given"
+            await self._respond(conn, _failure(request_id, "bad-subscribe", detail))
             return
         if not self.admission.try_acquire():
             self.metrics.increment("shed")
             if self.slo is not None:
                 self.slo.record("subscribe", False, 0.0)
-            await self._respond(
-                conn, {"id": request_id, "ok": False, "error": "overloaded"}
-            )
+            await self._respond(conn, _failure(request_id, "overloaded"))
             return
         started = time.perf_counter()
         try:
@@ -910,15 +940,7 @@ class DisksServer:
                     self.slo.record(
                         "subscribe", False, time.perf_counter() - started
                     )
-                await self._respond(
-                    conn,
-                    {
-                        "id": request_id,
-                        "ok": False,
-                        "error": "bad-subscribe",
-                        "detail": str(error),
-                    },
-                )
+                await self._respond(conn, _failure(request_id, "bad-subscribe", str(error)))
                 return
             channel.subs.add(subscription.sub_id)
             if self.slo is not None:
@@ -937,19 +959,9 @@ class DisksServer:
         finally:
             self.admission.release()
 
-    async def _handle_unsubscribe(
-        self, request_id, request: dict, conn: _Connection
-    ) -> None:
+    async def _handle_unsubscribe(self, request_id, request: dict, conn: _Connection) -> None:
         if self.sub_engine is None:
-            await self._respond(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "no-sub",
-                    "detail": "this server was started without standing-query support",
-                },
-            )
+            await self._respond(conn, _failure(request_id, "no-sub", _NO_SUB))
             return
         sub_id = request.get("sub")
         removed = False
@@ -978,21 +990,16 @@ class DisksServer:
             # error still counts against the category counters.
             self.retention.decide(latency, error=True)
 
-    async def _run_query(self, query, text):
-        """Submit + await one parsed query; ``(response, trace, latency)``.
+    def _begin(self, ctx: _Query) -> None:
+        """First half of a query, on the turn that decoded it.
 
-        Raises :class:`ClusterError` and :class:`asyncio.TimeoutError`
-        for the caller to encode; on success all completion metrics,
-        tracing, SLO accounting and the slow ring are already fed.
-        Shared by the NDJSON query op and the binary QUERY/BATCH frames,
-        which is what makes the two protocol paths answer-identical by
-        construction — and what makes the semantic result cache cover
-        both with one probe site.
-
-        ``text`` is the query-language rendering for traces and the
-        slow-query ring — either a string or a zero-arg callable, so the
-        binary path only pays for rendering on the sampled/slow queries
-        that actually record it.
+        Admission, then parse (NDJSON) or the radius check (binary), the
+        cache probe and the submit.  A hit or a rejection is answered on
+        this turn; a dispatched query arms its timeout timer and
+        completes through :meth:`_finish`.  Shared by the NDJSON query op
+        and the binary QUERY/BATCH frames, which is what makes the two
+        protocol paths answer-identical by construction — and what makes
+        the semantic result cache cover both with one probe site.
 
         Cache interplay: head-sampled traced queries bypass the cache
         (their spans must describe a real dispatch), degraded clusters
@@ -1003,12 +1010,36 @@ class DisksServer:
         cache is probed anyway and a miss dispatches traced — the
         admission then carries no partials (exact-key entry only).  The
         epoch recheck lives in :meth:`SemanticResultCache.admit`.
-
-        Tail mode: the returned ``trace`` is non-``None`` only when the
-        retention policy kept the spans — a dropped trace never leaks a
-        dangling ``trace_id`` to the client.
         """
-        arrived = time.perf_counter()
+        self.metrics.increment("received")
+        ctx.conn.queries += 1
+        if not self.admission.try_acquire():
+            self.metrics.increment("shed")
+            if self.slo is not None:
+                self.slo.record("query", False, 0.0)
+            self._settle(ctx, _failure(ctx.request_id, "overloaded"))
+            return
+        ctx.admitted = True
+        self.metrics.observe_gauge("inflight", self.admission.depth)
+        try:
+            self._dispatch(ctx)
+        except BaseException:
+            if ctx.admitted:  # neither answered nor handed to a callback
+                ctx.admitted = False
+                self.admission.release()
+                ctx.conn.query_done()
+            raise
+
+    def _dispatch(self, ctx: _Query) -> None:
+        if ctx.frames:
+            query, rejection = ctx.query, self._radius_rejection(ctx.request_id, ctx.query)
+        else:
+            query, rejection = self._parse_query_text(ctx.request_id, ctx.text)
+            ctx.query = query
+        if rejection is not None:
+            self._settle(ctx, rejection)
+            return
+        ctx.arrived = arrived = time.perf_counter()
         tail = self.retention is not None
         if tail:
             trace = TraceContext(trace_id=new_trace_id())
@@ -1016,11 +1047,7 @@ class DisksServer:
             trace = self.tracer.maybe_trace()
         cache = self.result_cache
         ticket = None
-        if (
-            cache is not None
-            and (tail or trace is None)
-            and not self._cluster.degraded
-        ):
+        if cache is not None and (tail or trace is None) and not self._cluster.degraded:
             hit, ticket = cache.probe(query)
             if hit is not None:
                 latency = time.perf_counter() - arrived
@@ -1033,7 +1060,8 @@ class DisksServer:
                     # reflect real traffic) but carry no spans to keep.
                     self.retention.decide(latency)
                 response = _CachedResponse(result_run=hit.run, wall_seconds=latency)
-                return response, None, latency
+                self._settle(ctx, (response, None, latency))
+                return
         try:
             if trace is not None:
                 pending = self._cluster.submit(query, trace=trace)
@@ -1041,196 +1069,170 @@ class DisksServer:
                 pending = self._cluster.submit(query, explain=True)
             else:
                 pending = self._cluster.submit(query)
-            try:
-                response = await asyncio.wait_for(
-                    asyncio.wrap_future(pending.future),
-                    self.config.query_timeout_seconds,
-                )
-            except asyncio.TimeoutError:
-                self._cluster.forget(pending.request_id)
-                self.metrics.increment("timeouts")
-                raise
-        except (asyncio.TimeoutError, ClusterError):
-            self._query_failed(arrived)
-            raise
-        latency = time.perf_counter() - arrived
+        except ClusterError as error:
+            self._settle(ctx, self._cluster_failure(ctx, error))
+            return
+        ctx.trace, ctx.ticket, ctx.cluster_id = trace, ticket, pending.request_id
+        loop = self._loop
+        ctx.timer = loop.call_later(self.config.query_timeout_seconds, self._expire, ctx)
+        pending.future.add_done_callback(partial(self._completed, loop, ctx))
+
+    def _completed(self, loop, ctx: _Query, future) -> None:
+        """The future's done-callback (a dispatcher thread): hop to the loop."""
+        try:
+            loop.call_soon_threadsafe(self._finish, ctx, future)
+        except RuntimeError:  # the loop has closed
+            pass
+
+    def _expire(self, ctx: _Query) -> None:
+        """The timeout timer: forget the query and answer ``timeout``."""
+        ctx.timer = None
+        self._cluster.forget(ctx.cluster_id)
+        self.metrics.increment("timeouts")
+        self._query_failed(ctx.arrived)
+        self._settle(ctx, _failure(ctx.request_id, "timeout"))
+
+    def _cluster_failure(self, ctx: _Query, error: BaseException) -> dict:
+        self._query_failed(ctx.arrived)
+        self.metrics.increment("errors")
+        return _failure(
+            ctx.request_id, "cluster", str(error), degraded=self._cluster.degraded
+        )
+
+    def _finish(self, ctx: _Query, future) -> None:
+        """Second half: completion bookkeeping, then the reply.
+
+        Feeds completion metrics and busy time, admits to the cache,
+        feeds the SLO, hot spots and tail retention, fills the slow ring
+        and records the latency histogram.  Dropped when the timeout
+        timer already answered.  Tail mode: the reply carries a
+        ``trace_id`` only when the retention policy kept the spans — a
+        dropped trace never leaks a dangling id to the client.
+        """
+        if ctx.timer is None:
+            return  # timed out: the late reply is dropped
+        ctx.timer.cancel()
+        ctx.timer = None
+        error = future.exception()
+        if error is not None:
+            self._settle(ctx, self._cluster_failure(ctx, error))
+            if not isinstance(error, ClusterError):
+                raise error
+            return
+        response = future.result()
+        trace, ticket = ctx.trace, ctx.ticket
+        latency = time.perf_counter() - ctx.arrived
         self.metrics.increment("completed")
         for machine_id, seconds in response.machine_seconds.items():
             self.metrics.add_busy(machine_id, seconds)
         cache_stale = False
-        if (
-            ticket is not None
-            and not response.degraded
-            and not self._cluster.degraded
-        ):
-            outcome = self.result_cache.admit_outcome(
-                ticket, response.result_run, response.partials
-            )
-            cache_stale = outcome == "stale"
+        if ticket is not None and not response.degraded and not self._cluster.degraded:
+            run, partials = response.result_run, response.partials
+            cache_stale = self.result_cache.admit_outcome(ticket, run, partials) == "stale"
         degraded = bool(response.degraded or self._cluster.degraded)
-        attempt = response.attempt
         if self.slo is not None:
             self.slo.record("query", True, latency)
         if trace is not None:
             self.hotspots.feed_rows(response.eval_rows)
         slow = latency * 1000.0 >= self.config.slow_query_ms
-        if tail:
+        if self.retention is not None:
             kept = self.retention.decide(
                 latency,
                 degraded=degraded,
-                attempt=attempt,
+                attempt=response.attempt,
                 cache_stale=cache_stale,
                 seconds_since_swap=self._seconds_since_swap(),
             )
             slow = slow or "slow" in kept
             if kept:
-                rendered = text() if callable(text) else text
                 self._finish_trace(
-                    trace, rendered, response, latency, slow, categories=kept
+                    trace, self._text(ctx), response, latency, slow, categories=kept
                 )
             elif slow:
-                rendered = text() if callable(text) else text
                 self.metrics.increment("slow_queries")
                 self._slow_queries.append(
-                    self._slow_entry(None, rendered, response, latency)
+                    self._slow_entry(None, self._text(ctx), response, latency)
                 )
             exemplar = trace.trace_id if kept else None
             trace = trace if kept else None
         else:
             exemplar = trace.trace_id if trace is not None else None
-            if trace is not None or slow:
-                rendered = text() if callable(text) else text
-                if trace is not None:
-                    self._finish_trace(trace, rendered, response, latency, slow)
-                else:
-                    # Unsampled slow query: spans cannot be collected after
-                    # the fact, so the ring gets a coarse entry instead.
-                    self.metrics.increment("slow_queries")
-                    self._slow_queries.append(
-                        self._slow_entry(None, rendered, response, latency)
-                    )
-        self.metrics.observe("latency_seconds", latency, exemplar=exemplar)
-        return response, trace, latency
-
-    async def _handle_query(self, request_id, request: dict, conn: _Connection) -> None:
-        self.metrics.increment("received")
-        if not self.admission.try_acquire():
-            self.metrics.increment("shed")
-            if self.slo is not None:
-                self.slo.record("query", False, 0.0)
-            await self._respond(
-                conn, {"id": request_id, "ok": False, "error": "overloaded"}
-            )
-            return
-        self.metrics.observe_gauge("inflight", self.admission.depth)
-        try:
-            text = request.get("q")
-            query, rejection = self._parse_query_text(request_id, text)
-            if rejection is not None:
-                await self._respond(conn, rejection)
-                return
-            try:
-                response, trace, latency = await self._run_query(query, text)
-            except asyncio.TimeoutError:
-                await self._respond(
-                    conn, {"id": request_id, "ok": False, "error": "timeout"}
-                )
-                return
-            except ClusterError as error:
-                self.metrics.increment("errors")
-                await self._respond(
-                    conn,
-                    {
-                        "id": request_id,
-                        "ok": False,
-                        "error": "cluster",
-                        "detail": str(error),
-                        "degraded": self._cluster.degraded,
-                    },
-                )
-                return
-            reply = {
-                "id": request_id,
-                "ok": True,
-                "nodes": response.result_run.tolist(),
-                "degraded": response.degraded or self._cluster.degraded,
-                "timing": {
-                    "latency_ms": latency * 1000.0,
-                    "wall_ms": response.wall_seconds * 1000.0,
-                    "makespan_ms": max(response.machine_seconds.values(), default=0.0)
-                    * 1000.0,
-                    "message_bytes": response.message_bytes,
-                },
-            }
             if trace is not None:
-                reply["trace_id"] = trace.trace_id
-            await self._respond(conn, reply)
-        finally:
+                self._finish_trace(trace, self._text(ctx), response, latency, slow)
+            elif slow:
+                # Unsampled slow query: spans cannot be collected after
+                # the fact, so the ring gets a coarse entry instead.
+                self.metrics.increment("slow_queries")
+                self._slow_queries.append(
+                    self._slow_entry(None, self._text(ctx), response, latency)
+                )
+        self.metrics.observe("latency_seconds", latency, exemplar=exemplar)
+        self._settle(ctx, (response, trace, latency))
+
+    @staticmethod
+    def _text(ctx: _Query) -> str:
+        """The query as text for traces and the slow ring (binary: rendered)."""
+        return ctx.text if ctx.text is not None else render_query(ctx.query)
+
+    def _settle(self, ctx: _Query, outcome) -> None:
+        """Release admission once, then encode and write (or batch) the reply.
+
+        ``outcome`` is an error reply dict or ``(response, trace, latency)``.
+        """
+        if ctx.admitted:
+            ctx.admitted = False
             self.admission.release()
             self.metrics.observe_gauge("inflight", self.admission.depth)
-
-    async def _wire_query_reply(self, request_id: int, query) -> bytes:
-        """Run one binary query; return its ANSWER or ERROR frame bytes."""
-        self.metrics.increment("received")
-        if not self.admission.try_acquire():
-            self.metrics.increment("shed")
-            if self.slo is not None:
-                self.slo.record("query", False, 0.0)
-            return wire.encode_error(request_id, "overloaded")
-        self.metrics.observe_gauge("inflight", self.admission.depth)
+        conn = ctx.conn
         try:
-            if (
-                self.config.max_radius is not None
-                and query.max_radius > self.config.max_radius
-            ):
-                self.metrics.increment("radius_rejections")
+            data = self._encode_outcome(ctx, outcome)
+            batch = ctx.batch
+            if batch is None:
+                self._send_raw(conn, data)
+            else:
+                batch.parts[ctx.slot] = data
+                batch.remaining -= 1
+                if not batch.remaining:
+                    self._send_raw(conn, b"".join(batch.parts))
+        finally:
+            conn.query_done()
+
+    def _encode_outcome(self, ctx: _Query, outcome) -> bytes:
+        request_id = ctx.request_id
+        if isinstance(outcome, dict):
+            if ctx.frames:
                 return wire.encode_error(
-                    request_id,
-                    "radius",
-                    f"radius {query.max_radius:g} exceeds the deployment "
-                    f"maxR {self.config.max_radius:g}",
+                    request_id, outcome["error"], outcome.get("detail", "")
                 )
-            try:
-                response, _trace, latency = await self._run_query(
-                    query, lambda: render_query(query)
-                )
-            except asyncio.TimeoutError:
-                return wire.encode_error(request_id, "timeout")
-            except ClusterError as error:
-                self.metrics.increment("errors")
-                return wire.encode_error(request_id, "cluster", str(error))
+            return self._encode(ctx.conn, outcome)
+        response, trace, latency = outcome
+        degraded = bool(response.degraded or self._cluster.degraded)
+        makespan_ms = max(response.machine_seconds.values(), default=0.0) * 1000.0
+        if ctx.frames:
             return wire.encode_answer(
                 request_id,
                 response.result_run,
-                degraded=bool(response.degraded or self._cluster.degraded),
+                degraded=degraded,
                 latency_ms=latency * 1000.0,
                 wall_ms=response.wall_seconds * 1000.0,
-                makespan_ms=max(response.machine_seconds.values(), default=0.0)
-                * 1000.0,
+                makespan_ms=makespan_ms,
                 message_bytes=response.message_bytes,
             )
-        finally:
-            self.admission.release()
-            self.metrics.observe_gauge("inflight", self.admission.depth)
-
-    async def _handle_wire_query(
-        self, request_id: int, query, conn: _Connection
-    ) -> None:
-        """One binary QUERY: ANSWER frame or ERROR frame."""
-        await self._send_raw(conn, await self._wire_query_reply(request_id, query))
-
-    async def _handle_wire_batch(self, entries, conn: _Connection) -> None:
-        """One BATCH frame: run every entry concurrently, reply in one write.
-
-        Entries still pass admission control individually (a batch
-        larger than the inflight budget sheds its excess), but their
-        ANSWER/ERROR frames are concatenated into a single socket write
-        — the response-side half of the batching amortisation.
-        """
-        frames = await asyncio.gather(
-            *(self._wire_query_reply(request_id, query) for request_id, query in entries)
-        )
-        await self._send_raw(conn, b"".join(frames))
+        reply = {
+            "id": request_id,
+            "ok": True,
+            "nodes": response.result_run.tolist(),
+            "degraded": degraded,
+            "timing": {
+                "latency_ms": latency * 1000.0,
+                "wall_ms": response.wall_seconds * 1000.0,
+                "makespan_ms": makespan_ms,
+                "message_bytes": response.message_bytes,
+            },
+        }
+        if trace is not None:
+            reply["trace_id"] = trace.trace_id
+        return self._encode(ctx.conn, reply)
 
     # ------------------------------------------------------------------
     # Tracing
@@ -1292,12 +1294,7 @@ class DisksServer:
         if isinstance(trace_id, str):
             record = self.tracer.get(trace_id)
             if record is None:
-                return {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "unknown-trace",
-                    "detail": trace_id,
-                }
+                return _failure(request_id, "unknown-trace", trace_id)
             return {"id": request_id, "ok": True, "trace": record}
         n = request.get("n", 8)
         if not isinstance(n, int) or n < 0:

@@ -144,13 +144,16 @@ _FRAME_TYPES = frozenset(
     )
 )
 
+_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-# The u32 frame-length prefix, exported for transports that read the
-# header themselves (the asyncio server) instead of using FrameDecoder.
+# The u32 frame-length prefix, exported for callers that build raw or
+# torn frames by hand (the adversarial tests).
 LENGTH_PREFIX = _U32
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
+_NODE_TERM = struct.Struct("<Qd")  # a node term's u64 node + f64 radius
+_OPCODE_INDEX = struct.Struct("<BH")  # a leaf opcode + its u16 term index
 _HEADER = struct.Struct("<IB")
 
 _BIG_ENDIAN = sys.byteorder == "big"  # array('Q') is native; the wire is little-endian
@@ -173,6 +176,10 @@ class WireProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # Primitive readers/writers
 # ----------------------------------------------------------------------
+def _truncated(pos: int) -> WireProtocolError:
+    return WireProtocolError(f"payload truncated at offset {pos}")
+
+
 class _Reader:
     """Bounds-checked cursor over one payload; truncation is an error."""
 
@@ -193,20 +200,28 @@ class _Reader:
         self.pos = end
         return chunk
 
+    def _unpack(self, fmt: struct.Struct):
+        """One fixed-width field, read in place (no bytes copy)."""
+        pos = self.pos
+        if pos + fmt.size > len(self.data):
+            raise _truncated(pos)
+        self.pos = pos + fmt.size
+        return fmt.unpack_from(self.data, pos)[0]
+
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self._unpack(_U8)
 
     def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
+        return self._unpack(_U16)
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        return self._unpack(_U64)
 
     def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
+        return self._unpack(_F64)
 
     def run(self, count: int) -> array:
         """``count`` u64 node ids as a run (the bytes are taken as they are)."""
@@ -217,11 +232,7 @@ class _Reader:
         return nodes
 
     def string(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise WireProtocolError(f"undecodable string: {error}") from None
+        return _utf8(self.take(self.u16()))
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -377,51 +388,87 @@ def encode_query_payload(request_id: int, query: QClassQuery) -> bytes:
     return _U64.pack(request_id) + encode_query_body(query)
 
 
-def decode_query_payload(payload: bytes) -> tuple[int, QClassQuery]:
+def decode_query_payload(payload: bytes | memoryview) -> tuple[int, QClassQuery]:
     """``(request_id, query)`` from a QUERY payload."""
-    reader = _Reader(payload)
-    request_id = reader.u64()
-    query = _read_query(reader)
-    reader.finish()
+    if len(payload) < 8:
+        raise _truncated(0)
+    (request_id,) = _U64.unpack_from(payload, 0)
+    query, end = _query_at(payload, 8)
+    if end != len(payload):
+        raise WireProtocolError(f"{len(payload) - end} trailing garbage bytes after payload")
     return request_id, query
 
 
-def _read_query(reader: _Reader) -> QClassQuery:
-    nterms = reader.u16()
-    terms = []
+def _query_at(data: bytes | memoryview, pos: int) -> tuple[QClassQuery, int]:
+    """Decode the query body at ``pos``; returns it and the offset past it.
+
+    The hot decode (the frontend and every worker run it once per query):
+    fields are read in place with ``unpack_from``, with no bytes copy per
+    field.  A short buffer surfaces as ``struct.error``/``IndexError`` and
+    is reported as truncation.
+    """
+    size = len(data)
     try:
+        (nterms,) = _U16.unpack_from(data, pos)
+        pos += 2
+        terms = []
         for _ in range(nterms):
-            kind = reader.u8()
+            kind = data[pos]
             if kind == 0:
-                source = KeywordSource(reader.string())
+                (length,) = _U16.unpack_from(data, pos + 1)
+                start = pos + 3
+                pos = start + length
+                if pos > size:
+                    raise _truncated(start)
+                source = KeywordSource(_utf8(data[start:pos]))
+                (radius,) = _F64.unpack_from(data, pos)
+                pos += 8
             elif kind == 1:
-                source = NodeSource(reader.u64())
+                node, radius = _NODE_TERM.unpack_from(data, pos + 1)
+                source = NodeSource(node)
+                pos += 17
             else:
                 raise WireProtocolError(f"unknown term kind {kind}")
-            terms.append(CoverageTerm(source, reader.f64()))
-        nops = reader.u16()
+            terms.append(CoverageTerm(source, radius))
+        (nops,) = _U16.unpack_from(data, pos)
+        pos += 2
         stack: list[DExpression] = []
         for _ in range(nops):
-            opcode = reader.u8()
+            opcode = data[pos]
             if opcode == _OPCODE_LEAF:
-                stack.append(DExpression(index=reader.u16()))
-            else:
-                op = _OPCODES.get(opcode)
-                if op is None:
-                    raise WireProtocolError(f"unknown expression opcode {opcode}")
-                if len(stack) < 2:
-                    raise WireProtocolError("expression stack underflow")
-                right = stack.pop()
-                left = stack.pop()
-                stack.append(DExpression(op=op, left=left, right=right))
+                stack.append(DExpression(index=_OPCODE_INDEX.unpack_from(data, pos)[1]))
+                pos += 3
+                continue
+            pos += 1
+            op = _OPCODES.get(opcode)
+            if op is None:
+                raise WireProtocolError(f"unknown expression opcode {opcode}")
+            if len(stack) < 2:
+                raise WireProtocolError("expression stack underflow")
+            right = stack.pop()
+            left = stack.pop()
+            stack.append(DExpression(op=op, left=left, right=right))
         if len(stack) != 1:
             raise WireProtocolError(
                 f"expression stream left {len(stack)} values on the stack, wanted 1"
             )
-        label = reader.string()
-        return QClassQuery(tuple(terms), stack[0], label)
+        (length,) = _U16.unpack_from(data, pos)
+        start = pos + 2
+        pos = start + length
+        if pos > size:
+            raise _truncated(start)
+        return QClassQuery(tuple(terms), stack[0], _utf8(data[start:pos])), pos
+    except (struct.error, IndexError):
+        raise _truncated(pos) from None
     except QueryError as error:
         raise WireProtocolError(f"invalid query: {error}") from None
+
+
+def _utf8(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as error:
+        raise WireProtocolError(f"undecodable string: {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -535,9 +582,15 @@ def decode_batch(payload: bytes) -> list[tuple[int, QClassQuery]]:
     count = reader.u32()
     if count > 0xFFFF:
         raise WireProtocolError(f"batch of {count} queries is unreasonable")
+    view = memoryview(payload)
     queries = []
     for _ in range(count):
-        queries.append(decode_query_payload(reader.take(reader.u32())))
+        length = reader.u32()
+        start = reader.pos
+        reader.pos += length
+        if reader.pos > len(view):
+            raise _truncated(start)
+        queries.append(decode_query_payload(view[start : reader.pos]))
     reader.finish()
     return queries
 
@@ -651,6 +704,7 @@ def dumps_pipe_query(
     attempt: int = 0,
     fragment_ids: tuple[int, ...] = (),
     traced: bool = False,
+    body: bytes | None = None,
 ) -> bytes:
     """Binary pipe frame for one query request.
 
@@ -660,7 +714,8 @@ def dumps_pipe_query(
     | u32 n | n×u32 fragment`` after the id, so a default frame stays
     byte-identical to one that predates the fields.  ``traced`` sets one
     more tag bit (``'Y'``/``'y'``) asking the worker to reply with its
-    stage block; the rest of the frame is unchanged.
+    stage block; the rest of the frame is unchanged.  ``body`` is
+    ``query``'s :func:`encode_query_body`, when the caller already has it.
     """
     targeted = bool(attempt or fragment_ids)
     tag = _PIPE_QUERY_TAG | (_PIPE_TARGETED if targeted else 0) | (_PIPE_TRACED if traced else 0)
@@ -672,7 +727,7 @@ def dumps_pipe_query(
         out += _U32.pack(len(fragment_ids))
         for fragment_id in fragment_ids:
             out += _U32.pack(fragment_id)
-    out += encode_query_body(query)
+    out += encode_query_body(query) if body is None else body
     return bytes(out)
 
 
@@ -835,7 +890,8 @@ def loads_pipe(raw: bytes):
         if targeted:
             attempt = reader.u32()
             target = (attempt, tuple(reader.u32() for _ in range(reader.u32())))
-        body = (request_id, _read_query(reader), True if traced else None, *target)
+        query, reader.pos = _query_at(raw, reader.pos)
+        body = (request_id, query, True if traced else None, *target)
         kind = "query"
     elif tag == _PIPE_RESULTS_TAG:
         attempt = reader.u32() if targeted else 0

@@ -331,6 +331,32 @@ class TestRecovery:
         # Replay did not double-log epoch 1; the new batch is epoch 2.
         assert [record.epoch for record in committed] == [1, 2]
 
+    def test_an_epoch_is_committed_before_it_is_visible(self, tmp_path):
+        """Every subscriber, the cluster push included, runs after the swap
+        publishes; each replays the log inside its callback and must find
+        the epoch it was handed already committed, with nothing pending."""
+        log = UpdateLog(tmp_path / "wal.jsonl")
+        manager = make_manager(seed=113, log=log)
+        node = next(iter(manager.state.network.object_nodes()))
+        seen: list[tuple[str, int, list[int], int]] = []
+
+        def replayed(channel: str, state: EpochState) -> None:
+            committed, pending = UpdateLog(tmp_path / "wal.jsonl").replay()
+            epochs = [record.epoch for record in committed]
+            seen.append((channel, state.epoch, epochs, len(pending)))
+
+        manager.subscribe(lambda state, _delta: replayed("epoch", state))
+        manager.subscribe_swaps(lambda state, _delta, _swap: replayed("swap", state))
+        manager.apply([AddKeyword(node, "first")])
+        manager.apply([AddKeyword(node, "second"), AddKeyword(node, "third")])
+        log.close()
+        assert seen == [
+            ("epoch", 1, [1], 0),
+            ("swap", 1, [1], 0),
+            ("epoch", 2, [1, 2], 0),
+            ("swap", 2, [1, 2], 0),
+        ]
+
 
 class TestRandomInterleavings:
     """Satellite: random update/query interleavings match a full rebuild."""

@@ -235,9 +235,8 @@ class TestShedding:
                 pass
 
         async def respond(conn, payload):
-            async with conn.write_lock:
-                conn.writer.write(encode_line(payload))
-                await conn.writer.drain()
+            conn.writer.write(encode_line(payload))
+            await conn.writer.drain()
 
         server = SimpleNamespace(
             metrics=metrics, sub_engine=engine, _respond=respond
